@@ -42,6 +42,21 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low, else a clean usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {low}")
+        return value
+
+    return parse
+
+
 def _threads(value: int) -> int:
     return value if value > 0 else (os.cpu_count() or 1)
 
@@ -182,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = verify.add_subparsers(dest="family", required=True)
 
     vd = vsub.add_parser("dobinski", help="Bell-side congruence family")
-    vd.add_argument("--r", type=int, default=1, help="factorial power")
+    vd.add_argument("--r", type=_int_at_least(1), default=1, help="factorial power")
     vd.add_argument("--nmax", type=int, default=10)
     vd.add_argument("--x", type=parse_rational, default=Fraction(1))
     _add_window_opts(vd, dobinski.DEFAULT_WINDOW[1])
@@ -195,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["mascheroni", "interlude", "kluyver", "eisenstein", "logadd"],
     )
     ve.add_argument("--x", type=parse_rational, default=Fraction(0))
-    ve.add_argument("--m", type=int, default=1, help="kluyver order")
-    ve.add_argument("--k", type=int, default=2, help="interlude offset")
+    ve.add_argument("--m", type=_int_at_least(1), default=1, help="kluyver order")
+    ve.add_argument("--k", type=_int_at_least(2), default=2, help="interlude offset")
     _add_window_opts(ve, euler.DEFAULT_WINDOW[1])
     ve.set_defaults(fn=_cmd_verify_euler)
 

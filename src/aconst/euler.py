@@ -20,6 +20,7 @@ import math
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import mul
 from typing import Sequence
 
 from ._parallel import run_prime_shards
@@ -94,29 +95,27 @@ def wilson_gamma(window: Sequence[int]) -> AElement:
     return AElement(window, {p: _wilson_component(p) for p in window})
 
 
+def _alternating_sum(stream: list[int], weights: list[int], p: int) -> int:
+    # sum_{n>=1} (-1)^(n-1) stream[n] * weights[n-1] mod p over the n that
+    # weights covers, as two O(p) dot products over strided slices
+    odd = sum(map(mul, stream[1::2], weights[0::2]))
+    even = sum(map(mul, stream[2::2], weights[1::2]))
+    return (odd - even) % p
+
+
 def _mascheroni_sum(stream: list[int], ctx: PrimeCtx) -> int:
     # sum_{n=1}^{p-2} (-1)^(n-1) G_n(x) / n mod p
     p = ctx.p
-    inv = ctx.inv_table
-    s = 0
-    for n in range(1, p - 1):
-        t = stream[n] * inv[n]
-        s = s + t if n % 2 else s - t
-    return s % p
+    return _alternating_sum(stream, ctx.inv_table[1 : p - 1], p)
 
 
 def _kluyver_sum(stream: list[int], m: int, ctx: PrimeCtx) -> int:
-    # m! sum_{n=1}^{p-m-1} (-1)^(n-1) G_n(x) / (n(n+1)...(n+m)) mod p
+    # m! sum_{n=1}^{p-m-1} (-1)^(n-1) G_n(x) / (n(n+1)...(n+m)) mod p,
+    # where 1/(n(n+1)...(n+m)) = (n-1)!/(n+m)!
     p = ctx.p
-    inv = ctx.inv_table
-    s = 0
-    for n in range(1, p - m):
-        iv = inv[n]
-        for i in range(1, m + 1):
-            iv = iv * inv[n + i] % p
-        t = stream[n] * iv
-        s = s + t if n % 2 else s - t
-    return s % p * (math.factorial(m) % p) % p
+    fact = ctx.fact_table
+    weights = list(map(mul, fact[: p - m - 1], ctx.inv_fact_table[m + 1 :]))
+    return _alternating_sum(stream, weights, p) * fact[m] % p
 
 
 def gamma_M(x: Rational, window: Sequence[int]) -> AElement:

@@ -46,15 +46,19 @@ class PrimeCtx:
     """A prime p with inverse and factorial tables mod p, built on first use.
 
     All tables are index-aligned: inv_table[i] is the inverse of i for
-    1 <= i < p, fact_table[k] = k! mod p for 0 <= k <= p-1.
+    1 <= i < p, fact_table[k] = k! mod p for 0 <= k <= p-1.  gregory_zero
+    holds the residues G_0(0)..G_{p-2}(0) in the packed form of
+    polys.gregory_residue_stream, which fills it on first use so that the
+    x values sharing this context share one Newton inversion.
     """
 
-    __slots__ = ("p", "__dict__")
+    __slots__ = ("p", "gregory_zero", "__dict__")
 
     def __init__(self, p: int):
         if p < 2:
             raise ValueError(f"modulus must be a prime >= 2, got {p}")
         self.p = p
+        self.gregory_zero: int | None = None
 
     @cached_property
     def inv_table(self) -> list[int]:

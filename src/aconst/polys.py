@@ -5,14 +5,20 @@ trailing zeros trimmed.  A TruncatedSeries holds coefficients of t^0..t^M;
 entries may be Fractions or RationalPolynomials (anything with ring ops),
 and every operation truncates consistently at order M.
 
-Gregory polynomials are the coefficients of t*(1+t)^x / log(1+t).  They are
-computed by the division-free recurrence
+Gregory polynomials are the coefficients of t*(1+t)^x / log(1+t).  Over Q
+(polynomials or values) they are computed by the division-free recurrence
 
-    G_n(x) = binom(x, n) - sum_{j<n} (-1)^(n-j) G_j(x) / (n-j+1),
+    G_n(x) = binom(x, n) - sum_{j<n} (-1)^(n-j) G_j(x) / (n-j+1).
 
-which runs unchanged over Q (polynomials or values) and over F_p (residues).
-The residue stream deliberately stops at n = p-2: G_{p-1}(x) picks up a
-1/p! term and is not p-integral.
+Over F_p the residue stream uses the factorization
+t(1+t)^x/log(1+t) = (1+t)^x * t/log(1+t): the Gregory numbers G_n(0) mod p
+come once per prime from Newton inversion of log(1+t)/t (Brent and Kung,
+JACM 25, 1978), and G_n(x) = sum_k binom(x, k) G_{n-k}(0) is then one
+series product per x.  Every series product mod p is a single big-int
+multiply of coefficients packed into fixed-width slots (Kronecker
+substitution; Harvey, J. Symbolic Comput. 44, 2009).  The residue stream
+deliberately stops at n = p-2: G_{p-1}(x) picks up a 1/p! term and is not
+p-integral.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from itertools import repeat
 
 from .modular import PrimeCtx, Rational, rational_mod
 
@@ -293,31 +299,77 @@ def gregory_values_exact(x: Rational, n_max: int) -> list[Fraction]:
     return g
 
 
+def _slot_bytes(p: int) -> int:
+    # A product of two residue series truncated at p-1 terms has coefficients
+    # sum_{i+j=n} a_i b_j <= L (p-1)^2 with L <= p-1 terms, so slots holding
+    # (p-1)^3 never carry into their neighbours.
+    return (((p - 1) ** 3).bit_length() + 7) // 8
+
+
+def _pack(coeffs: list[int], width: int) -> int:
+    """Residues in [0, p) as one int, coefficient n in bytes [n*width, (n+1)*width)."""
+    raw = b"".join(map(int.to_bytes, coeffs, repeat(width), repeat("little")))
+    return int.from_bytes(raw, "little")
+
+
+def _unpack(packed: int, n: int, width: int, p: int) -> list[int]:
+    """The first n slots of a packed int, each reduced mod p."""
+    size = n * width
+    raw = (packed & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    return [int.from_bytes(raw[i : i + width], "little") % p for i in range(0, size, width)]
+
+
+def _gregory_zero_packed(ctx: PrimeCtx) -> int:
+    """G_0(0)..G_{p-2}(0) mod p, packed, as the inverse of log(1+t)/t.
+
+    Newton's step h <- h - t^k h e, where f h = 1 + t^k e mod t^(2k),
+    doubles the number of correct terms of h = 1/f with two packed
+    products, so the whole inversion costs a few products of length p.
+    """
+    p = ctx.p
+    n = p - 1
+    width = _slot_bytes(p)
+    inv = ctx.inv_table
+    coeffs = [inv[i + 1] if i % 2 == 0 else p - inv[i + 1] for i in range(n)]  # (-1)^i/(i+1)
+    f = _pack(coeffs, width)
+    h = [1]
+    while len(h) < n:
+        k = len(h)
+        k2 = min(2 * k, n)
+        hp = _pack(h, width)
+        fh = (f & ((1 << 8 * width * k2) - 1)) * hp
+        e = _unpack(fh >> 8 * width * k, k2 - k, width, p)
+        h += [-c % p for c in _unpack(hp * _pack(e, width), k2 - k, width, p)]
+    return _pack(h, width)
+
+
 def gregory_residue_stream(x: Rational, n_max: int, ctx: PrimeCtx) -> list[int] | None:
     """Residues of G_0(x)..G_{n_max}(x) mod p, or None when p | den(x).
 
-    Requires n_max <= p-2 (beyond that the values stop being p-integral).
-    O(n_max^2) time, O(n_max) space; this is the hot loop of every
-    Euler-constant verifier, so the inner sums run over preassembled
-    slices with a single reduction at the end.
+    Requires 0 <= n_max <= p-2 (beyond p-2 the values stop being
+    p-integral).  The stream is the product of the binomial series
+    (1+t)^x, built in one O(n_max) pass, with the Gregory numbers G_n(0)
+    kept on ctx, truncated at n_max.  A call costs O(n_max) steps to build,
+    pack and unpack, plus one multiply of ints of at most p * 3 log2(p)
+    bits; the first call for ctx adds the Newton inversion, O(log p) such
+    multiplies of doubling length.  With M(b) the cost of a b-bit multiply
+    (Karatsuba in CPython), that is O(M(p log p)) per prime and per x,
+    against O(n_max^2) steps for the division-free recurrence.
     """
     p = ctx.p
-    if n_max > p - 2:
-        raise ValueError(f"n_max={n_max} exceeds p-2={p - 2}")
+    if not 0 <= n_max <= p - 2:
+        raise ValueError(f"n_max={n_max} outside [0, p-2={p - 2}]")
     xr = rational_mod(x, ctx)
     if xr is None:
         return None
+    if ctx.gregory_zero is None:
+        ctx.gregory_zero = _gregory_zero_packed(ctx)
     inv = ctx.inv_table
-    inv_odd_i = inv[2::2]  # inv[i+1] for odd i = 1, 3, ...
-    inv_even_i = inv[3::2]  # inv[i+1] for even i = 2, 4, ...
-    g = [1]
-    binom = 1
-    for n in range(1, n_max + 1):
-        binom = binom * ((xr - n + 1) % p) % p * inv[n] % p
-        pos = sum(map(mul, g[n - 1 :: -2], inv_odd_i))
-        neg = sum(map(mul, g[n - 2 :: -2], inv_even_i)) if n >= 2 else 0
-        g.append((binom + pos - neg) % p)
-    return g
+    binom = [1]
+    for k in range(1, n_max + 1):
+        binom.append(binom[-1] * (xr - k + 1) % p * inv[k] % p)
+    width = _slot_bytes(p)
+    return _unpack(_pack(binom, width) * ctx.gregory_zero, n_max + 1, width, p)
 
 
 def N_nk(n: int, k: int, x: Rational) -> Fraction:

@@ -32,6 +32,20 @@ class TestRationalParsing:
             main(["verify", "dobinski", "--x", "1//2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "euler", "--which", "interlude", "--k", "1"],
+            ["verify", "euler", "--which", "kluyver", "--m", "0"],
+            ["verify", "dobinski", "--r", "0"],
+        ],
+    )
+    def test_out_of_range_parameter_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--pmax", "30"])
+        assert exc.value.code == 2
+        assert "below the minimum" in capsys.readouterr().err
+
 
 class TestVerifyCommands:
     def test_dobinski_passes(self, capsys):

@@ -1,9 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from aconst.euler import (
+    _kluyver_sum,
+    _mascheroni_sum,
     G_A,
     L1,
     check_eisenstein,
@@ -46,6 +49,44 @@ def brute_gamma_K(m, x, p):
     total = math.factorial(m) * total + harmonic(m)
     ell = F(x + m + 1) * F(fermat_quotient(x + m + 1, p))
     return (rational_mod(total, PrimeCtx(p)) - rational_mod(ell, PrimeCtx(p))) % p
+
+
+def loop_mascheroni_sum(stream, ctx):
+    """Oracle: sum_{n=1}^{p-2} (-1)^(n-1) G_n(x) / n mod p, term by term."""
+    p = ctx.p
+    inv = ctx.inv_table
+    s = 0
+    for n in range(1, p - 1):
+        t = stream[n] * inv[n]
+        s = s + t if n % 2 else s - t
+    return s % p
+
+
+def loop_kluyver_sum(stream, m, ctx):
+    """Oracle: m! sum_{n=1}^{p-m-1} (-1)^(n-1) G_n(x) / (n(n+1)...(n+m)) mod p."""
+    p = ctx.p
+    inv = ctx.inv_table
+    s = 0
+    for n in range(1, p - m):
+        iv = inv[n]
+        for i in range(1, m + 1):
+            iv = iv * inv[n + i] % p
+        t = stream[n] * iv
+        s = s + t if n % 2 else s - t
+    return s % p * (math.factorial(m) % p) % p
+
+
+class TestStreamSums:
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009])
+    def test_dot_products_match_loops(self, p):
+        # both sums are linear in the stream, so random residues cover them
+        rng = random.Random(p)
+        ctx = PrimeCtx(p)
+        for _ in range(5):
+            stream = [rng.randrange(p) for _ in range(p - 1)]
+            assert _mascheroni_sum(stream, ctx) == loop_mascheroni_sum(stream, ctx)
+            for m in range(1, min(p - 2, 6)):
+                assert _kluyver_sum(stream, m, ctx) == loop_kluyver_sum(stream, m, ctx)
 
 
 class TestFermatQuotient:

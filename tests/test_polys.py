@@ -1,10 +1,16 @@
 import math
 from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aconst.modular import PrimeCtx, rational_mod, sieve_primes
 from aconst.polys import (
+    _pack,
+    _slot_bytes,
+    _unpack,
     N_nk,
     RationalPolynomial,
     TruncatedSeries,
@@ -30,6 +36,35 @@ G1 = RationalPolynomial([F(1, 2), 1])
 G2 = RationalPolynomial([F(-1, 12), 0, F(1, 2)])
 G3 = RationalPolynomial([F(1, 24), 0, F(-1, 4), F(1, 6)])
 G4 = RationalPolynomial([F(-19, 720), 0, F(1, 6), F(-1, 6), F(1, 24)])
+
+
+def recurrence_stream(x, n_max, ctx):
+    """Oracle: residues of G_0(x)..G_{n_max}(x) by the O(n^2) recurrence mod p,
+
+    G_n(x) = binom(x, n) - sum_{j<n} (-1)^(n-j) G_j(x) / (n-j+1).
+    """
+    p = ctx.p
+    xr = rational_mod(x, ctx)
+    if xr is None:
+        return None
+    inv = ctx.inv_table
+    g = [1]
+    binom = 1
+    for n in range(1, n_max + 1):
+        binom = binom * ((xr - n + 1) % p) % p * inv[n] % p
+        pos = sum(map(mul, g[n - 1 :: -2], inv[2::2]))  # inv[i+1], i = n-j odd
+        neg = sum(map(mul, g[n - 2 :: -2], inv[3::2])) if n >= 2 else 0
+        g.append((binom + pos - neg) % p)
+    return g
+
+
+@st.composite
+def stream_cases(draw):
+    p = draw(st.sampled_from(sieve_primes(2, 1009)))
+    n_max = draw(st.sampled_from([0, p - 2]) | st.integers(0, p - 2))
+    num = draw(st.integers(-10**6, 10**6))
+    den = draw(st.integers(1, 10**6)) * draw(st.sampled_from([1, 1, p, p * p]))
+    return F(num, den), n_max, p
 
 
 class TestRationalPolynomial:
@@ -203,8 +238,42 @@ class TestResidueStream:
         assert gregory_residue_stream(F(1, 7), 3, PrimeCtx(7)) is None
 
     def test_range_guard(self):
-        with pytest.raises(ValueError):
-            gregory_residue_stream(0, 6, PrimeCtx(7))
+        for n_max in (6, -1):
+            with pytest.raises(ValueError):
+                gregory_residue_stream(0, n_max, PrimeCtx(7))
+
+    @settings(max_examples=60, deadline=None)
+    @given(stream_cases())
+    def test_matches_recurrence(self, case):
+        x, n_max, p = case
+        ctx = PrimeCtx(p)
+        expected = recurrence_stream(x, n_max, ctx)
+        assert (expected is None) == (x.denominator % p == 0)
+        assert gregory_residue_stream(x, n_max, ctx) == expected
+
+    def test_shared_context_matches_recurrence(self):
+        # the Gregory numbers built by the first call serve every later x
+        for p in (1009, 2003):
+            ctx = PrimeCtx(p)
+            for x in (F(0), F(-1), F(1, 2), F(-7, 3), F(5, p)):
+                for n_max in (p - 2, p - 5):
+                    assert gregory_residue_stream(x, n_max, ctx) == recurrence_stream(
+                        x, n_max, ctx
+                    ), (p, x, n_max)
+
+    def test_packed_product_at_the_slot_bound(self):
+        # every coefficient p-1 at full length: slot n of the product holds
+        # min(n+1, 2L-1-n) (p-1)^2, which peaks at the bound L (p-1)^2
+        p = 10007
+        L = p - 1
+        a = [p - 1] * L
+        n = 2 * L - 1
+        expected = [min(k + 1, n - k) % p for k in range(n)]  # (p-1)^2 = 1 mod p
+        width = _slot_bytes(p)
+        assert _unpack(_pack(a, width) ** 2, n, width, p) == expected
+        # one byte narrower and the peak slots carry into their neighbours
+        narrow = width - 1
+        assert _unpack(_pack(a, narrow) ** 2, n, narrow, p) != expected
 
 
 class TestStirling:
