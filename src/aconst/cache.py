@@ -3,7 +3,9 @@
 One file per quantity tag under the cache directory (override with the
 ACONST_CACHE_DIR environment variable), one record per line, one record per
 (tag, params, prime).  Appending is idempotent: records already present are
-skipped byte-identically, so re-runs never grow or reorder the file.
+skipped byte-identically, so re-runs never grow or reorder the file.  A line
+that does not parse (a torn write, say) is skipped and counted, never fatal;
+the next append starts on a fresh line.
 """
 
 from __future__ import annotations
@@ -41,7 +43,11 @@ class ResidueCacheRecord:
     @classmethod
     def from_json(cls, line: str) -> "ResidueCacheRecord":
         rec = json.loads(line)
-        return cls(rec["tag"], rec["params"], rec["prime"], rec["residue"])
+        tag, params, prime, residue = rec["tag"], rec["params"], rec["prime"], rec["residue"]
+        if not (isinstance(tag, str) and isinstance(params, dict)
+                and type(prime) is int and type(residue) is int):
+            raise ValueError(f"malformed cache record: {line.strip()!r}")
+        return cls(tag, params, prime, residue)
 
 
 def cache_dir() -> Path:
@@ -55,15 +61,23 @@ def _tag_file(tag: str) -> Path:
     return cache_dir() / f"{tag}.jsonl"
 
 
-def load_records(tag: str) -> list[ResidueCacheRecord]:
+def load_records(tag: str, damaged: dict[str, int] | None = None) -> list[ResidueCacheRecord]:
+    """The tag's records.  Unparseable lines are skipped; when a dict is given,
+    damaged[tag] is raised by their number."""
     path = _tag_file(tag)
     if not path.exists():
         return []
     out = []
-    with path.open() as fh:
+    bad = 0
+    with path.open(errors="replace") as fh:
         for line in fh:
             if line.strip():
-                out.append(ResidueCacheRecord.from_json(line))
+                try:
+                    out.append(ResidueCacheRecord.from_json(line))
+                except (ValueError, TypeError, KeyError):
+                    bad += 1
+    if bad and damaged is not None:
+        damaged[tag] = damaged.get(tag, 0) + bad
     return out
 
 
@@ -74,34 +88,55 @@ def known_tags() -> list[str]:
     return sorted(p.stem for p in root.glob("*.jsonl"))
 
 
-def append_records(records: list[ResidueCacheRecord]) -> int:
-    """Add records not already cached; returns how many were new."""
+def _last_line_torn(path: Path) -> bool:
+    """True when the file's last line lacks its newline (an interrupted append)."""
+    if not path.exists() or path.stat().st_size == 0:
+        return False
+    with path.open("rb") as fh:
+        fh.seek(-1, os.SEEK_END)
+        return fh.read(1) != b"\n"
+
+
+def append_records(
+    records: list[ResidueCacheRecord], damaged: dict[str, int] | None = None
+) -> int:
+    """Add records not already cached; returns how many were new.  damaged is
+    passed to load_records."""
     added = 0
     by_tag: dict[str, list[ResidueCacheRecord]] = {}
     for rec in records:
         by_tag.setdefault(rec.tag, []).append(rec)
     for tag, recs in by_tag.items():
-        existing = {r.key() for r in load_records(tag)}
+        existing = {r.key() for r in load_records(tag, damaged)}
+        new = []
+        for rec in recs:
+            if rec.key() not in existing:
+                existing.add(rec.key())
+                new.append(rec.to_json() + "\n")
+        if not new:
+            continue
+        added += len(new)
         path = _tag_file(tag)
         path.parent.mkdir(parents=True, exist_ok=True)
+        if _last_line_torn(path):  # never glue a record onto a torn last line
+            new.insert(0, "\n")
         with path.open("a") as fh:
-            for rec in recs:
-                if rec.key() not in existing:
-                    fh.write(rec.to_json() + "\n")
-                    existing.add(rec.key())
-                    added += 1
+            fh.write("".join(new))
     return added
 
 
-def verify_sample(sample: int = 20, seed: int | None = None) -> tuple[int, list]:
-    """Recompute a random sample of cached records; returns (checked, mismatches)."""
+def verify_sample(
+    sample: int = 20, seed: int | None = None, damaged: dict[str, int] | None = None
+) -> tuple[int, list]:
+    """Recompute a random sample of cached records; returns (checked, mismatches).
+    damaged is passed to load_records."""
     from .searches import recompute
 
     rng = random.Random(seed)
     mismatches = []
     checked = 0
     for tag in known_tags():
-        records = load_records(tag)
+        records = load_records(tag, damaged)
         if not records:
             continue
         for rec in rng.sample(records, min(sample, len(records))):

@@ -99,13 +99,23 @@ def _cmd_verify_euler(args) -> int:
     return _emit_report(report, args)
 
 
+def _warn_damaged(damaged: dict[str, int]) -> None:
+    for tag, count in sorted(damaged.items()):
+        print(
+            f"warning: skipped {count} damaged line(s) in {cache.cache_dir() / tag}.jsonl",
+            file=sys.stderr,
+        )
+
+
 def _cmd_search(args) -> int:
     window = sieve_primes(args.pmin, args.pmax)
     hits, records = searches.search_zero_primes(args.target, window)
     for p in hits:
         print(p)
     if not args.no_cache:
-        added = cache.append_records(records)
+        damaged: dict[str, int] = {}
+        added = cache.append_records(records, damaged)
+        _warn_damaged(damaged)
         print(
             f"# {len(hits)} hit(s) in {len(window)} primes; cached {added} new residue(s)",
             file=sys.stderr,
@@ -166,7 +176,9 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_cache_verify(args) -> int:
-    checked, mismatches = cache.verify_sample(args.sample, args.seed)
+    damaged: dict[str, int] = {}
+    checked, mismatches = cache.verify_sample(args.sample, args.seed, damaged)
+    _warn_damaged(damaged)
     print(f"checked {checked} cached record(s) from {cache.cache_dir()}")
     for rec, fresh in mismatches:
         print(f"MISMATCH {rec.tag} p={rec.prime}: cached {rec.residue}, fresh {fresh}")
@@ -224,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     seq = sub.add_parser("seq", help="print a sequence in b-file form")
     seq.add_argument("--name", required=True, choices=["bell", "g", "b2j", "gregory"])
-    seq.add_argument("--nmax", type=int, default=10)
+    seq.add_argument("--nmax", type=_int_at_least(0), default=10)
     seq.add_argument("--j", type=int, default=0, choices=[0, 1], help="row for b2j")
     seq.add_argument("--bfile", metavar="PATH", help="also write to a b-file")
     seq.set_defaults(fn=_cmd_seq)
@@ -234,10 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", required=True, choices=["mascheroni", "kluyver", "bla101"]
     )
     gamma.add_argument("--x", type=parse_rational, default=Fraction(0))
-    gamma.add_argument("--m", type=int, default=1)
-    gamma.add_argument("--k", type=int, default=1)
-    gamma.add_argument("--terms", type=int, default=1000)
-    gamma.add_argument("--prec", type=int, default=64, help="precision in bits")
+    gamma.add_argument("--m", type=_int_at_least(0), default=1, help="kluyver order")
+    gamma.add_argument("--k", type=_int_at_least(1), default=1, help="bla101 offset")
+    gamma.add_argument("--terms", type=_int_at_least(1), default=1000)
+    gamma.add_argument(
+        "--prec", type=_int_at_least(64), default=64, help="precision in bits"
+    )
     gamma.set_defaults(fn=_cmd_gamma)
 
     cachep = sub.add_parser("cache", help="residue cache maintenance")

@@ -11,6 +11,7 @@ per window prime, plus the primes where its value carries no meaning.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Union
@@ -24,10 +25,10 @@ def sieve_primes(lo: int, hi: int) -> list[int]:
         return []
     lo = max(lo, 2)
     # sieve the base range [2, sqrt(hi)], then comb the segment [lo, hi]
-    root = int(hi ** 0.5) + 1
+    root = math.isqrt(hi) + 1
     base = bytearray([1]) * (root + 1)
     base[0:2] = b"\x00\x00"
-    for i in range(2, int(root ** 0.5) + 1):
+    for i in range(2, math.isqrt(root) + 1):
         if base[i]:
             base[i * i :: i] = bytearray(len(base[i * i :: i]))
     small = [i for i in range(2, root + 1) if base[i]]

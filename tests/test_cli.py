@@ -165,6 +165,24 @@ class TestGammaCommand:
             main(["gamma", "--method", "mascheroni", "--x=-2", "--terms", "100"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gamma", "--method", "bla101", "--k", "0"],
+            ["gamma", "--method", "kluyver", "--m", "-1"],
+            ["gamma", "--method", "mascheroni", "--terms", "-5"],
+            ["gamma", "--method", "mascheroni", "--prec", "32"],
+            ["seq", "--name", "bell", "--nmax", "-3"],
+        ],
+        ids=["gamma-k", "gamma-m", "gamma-terms", "gamma-prec", "seq-nmax"],
+    )
+    def test_out_of_range_argument_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "below the minimum" in captured.err and captured.out == ""
+
 
 class TestCache:
     def test_append_dedupes(self):
@@ -185,6 +203,26 @@ class TestCache:
         code = main(["cache", "verify", "--sample", "10", "--seed", "1"])
         assert code == 0
         assert "checked" in capsys.readouterr().out
+
+    def test_torn_line_is_skipped_and_reported(self, capsys):
+        main(["search", "--target", "wilson", "--pmin", "5", "--pmax", "60"])
+        path = cache.cache_dir() / "wilson_q.jsonl"
+        torn = path.read_bytes()[:-20]  # an append cut off mid-record
+        path.write_bytes(torn)
+        capsys.readouterr()
+        assert main(["search", "--target", "wilson", "--pmin", "5", "--pmax", "100"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.split() == ["5", "13"]
+        assert "skipped 1 damaged line(s)" in captured.err
+        # the torn record is rewritten on a line of its own, nothing is lost
+        assert path.read_bytes().startswith(torn + b"\n")
+        assert [r.prime for r in cache.load_records("wilson_q")] == [
+            p for p in range(5, 101) if all(p % d for d in range(2, p))
+        ]
+        assert main(["cache", "verify", "--sample", "50", "--seed", "1"]) == 0
+        captured = capsys.readouterr()
+        assert "skipped 1 damaged line(s)" in captured.err
+        assert "checked 23 cached record(s)" in captured.out
 
     def test_cache_verify_detects_corruption(self, capsys):
         main(["search", "--target", "wilson", "--pmin", "5", "--pmax", "60"])

@@ -45,6 +45,17 @@ class TestSieve:
     def test_low_clamped(self):
         assert sieve_primes(2, 30) == trial_division_primes(2, 30)
 
+    @pytest.mark.parametrize("q", [2, 3, 5, 31, 97, 1009, 10007])
+    def test_prime_square_upper_bounds(self, q):
+        # q itself must land in the base sieve to comb q^2 out of the segment
+        for hi in (q * q - 1, q * q):
+            lo = max(2, hi - 300)
+            assert sieve_primes(lo, hi) == trial_division_primes(lo, hi)
+
+    @given(st.integers(0, 5000), st.integers(0, 400))
+    def test_random_ranges_against_trial_division(self, lo, length):
+        assert sieve_primes(lo, lo + length) == trial_division_primes(lo, lo + length)
+
 
 class TestPrimeCtx:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 97, 1009])

@@ -1,0 +1,68 @@
+"""The remainder-tree scans against the per-prime kernels they replaced."""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from aconst import cache, searches
+from aconst.modular import sieve_primes
+from aconst.searches import e_component, search_zero_primes, wilson_component
+
+PRIMES = sieve_primes(2, 2000)
+ORACLES = {"eA-zero": e_component, "wilson": wilson_component}
+
+
+def windows():
+    contiguous = st.tuples(st.integers(0, len(PRIMES)), st.integers(0, 40)).map(
+        lambda t: PRIMES[t[0] : t[0] + t[1]]
+    )
+    scattered = st.lists(st.sampled_from(PRIMES), max_size=30)  # unsorted, repeats
+    return st.one_of(
+        st.just([]), st.just([2, 3]), st.just([2]), st.just([3]),
+        st.sampled_from(PRIMES).map(lambda p: [p]), contiguous, scattered,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(ORACLES)), windows())
+@example("wilson", [])
+@example("eA-zero", [])
+@example("wilson", [3, 2, 2])
+@example("eA-zero", [3, 2, 2])
+@example("eA-zero", [1999])
+def test_tree_matches_per_prime_kernels(target, window):
+    hits, records = search_zero_primes(target, window)
+    expected = [ORACLES[target](p) for p in window]
+    assert [(r.prime, r.residue) for r in records] == list(zip(window, expected))
+    assert hits == [p for p, v in zip(window, expected) if v == 0]
+    assert {r.tag for r in records} <= {searches._TARGET_FNS[target][0]}
+
+
+def test_wilson_primes_below_1e5():
+    assert search_zero_primes("wilson", sieve_primes(5, 10**5))[0] == [5, 13, 563]
+
+
+def test_e_analogue_zeros_match_known_list():
+    # the eA_hits of the prime-search benchmark's golden values
+    assert search_zero_primes("eA-zero", sieve_primes(5, 5063))[0] == [5, 13, 37, 463]
+
+
+def test_cache_verify_recomputes_per_prime(tmp_path, monkeypatch):
+    monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
+    for target in sorted(ORACLES):
+        cache.append_records(search_zero_primes(target, sieve_primes(5, 200))[1])
+
+    def no_tree(*args):
+        raise AssertionError("cache verification must not use the remainder tree")
+
+    calls = []
+
+    def counted(tag, params, p):
+        calls.append((tag, p))
+        return recompute(tag, params, p)
+
+    recompute = searches.recompute
+    monkeypatch.setattr(searches, "_remainder_tree", no_tree)
+    monkeypatch.setattr(searches, "recompute", counted)
+    checked, mismatches = cache.verify_sample(10, seed=5)
+    assert checked == 20 and mismatches == []
+    assert len(calls) == 20
