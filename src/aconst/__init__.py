@@ -64,9 +64,7 @@ from .polys import (
     gregory_polynomials,
     gregory_residue_stream,
     gregory_values_exact,
-    series_div,
     series_log1p,
-    series_mul,
     series_pow_binomial,
     stirling1_row_mod,
     stirling_rows,

@@ -1,15 +1,19 @@
-"""Prime-sharded fan-out for the congruence verifiers.
+"""The one driver of the congruence verifiers: shard, collect, report.
 
-Work is independent per prime; shards are strided so each worker gets a
-similar mix of small and large primes (cost grows with p).  Workers must be
-module-level functions taking one (static_args, primes_shard) tuple and
-returning picklable results.
+A verifier is a batch kernel plus one call of verify_primes.  Work is
+independent per prime; shards are strided so each worker gets a similar mix
+of small and large primes (cost grows with p).  Batches must be module-level
+functions taking one (static_args, primes_shard) tuple and returning
+picklable (checks, skips) lists of CheckRecord and SkipRecord field tuples.
 """
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
+
+from .report import CheckRecord, SkipRecord, VerificationReport
 
 
 def run_prime_shards(
@@ -21,3 +25,29 @@ def run_prime_shards(
         with ProcessPoolExecutor(max_workers=len(shards)) as pool:
             return list(pool.map(fn, [(static_args, s) for s in shards]))
     return [fn((static_args, list(primes)))]
+
+
+def verify_primes(
+    theorem: str, params: dict, batch: Callable, static_args: tuple, window: Sequence[int],
+    threads: int, excluded: Mapping[int, str], start: float | None = None,
+) -> VerificationReport:
+    """Report of batch over the window primes not in excluded, each of which
+    (prime -> reason) is a whole-prime skip; elapsed counts from start
+    (time.monotonic), by default from this call."""
+    if start is None:
+        start = time.monotonic()
+    report = VerificationReport(
+        theorem=theorem,
+        params=params,
+        window_lo=window[0] if window else 0,
+        window_hi=window[-1] if window else 0,
+        prime_count=len(window),
+    )
+    report.skipped.extend(SkipRecord(p, "", reason) for p, reason in excluded.items())
+    todo = [p for p in window if p not in excluded]
+    for checks, skips in run_prime_shards(batch, static_args, todo, threads):
+        report.checks.extend(CheckRecord(*c) for c in checks)
+        report.skipped.extend(SkipRecord(*s) for s in skips)
+    report.sort_records()
+    report.elapsed = time.monotonic() - start
+    return report

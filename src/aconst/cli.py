@@ -2,8 +2,10 @@
 export in OEIS b-file form, and the real-series gamma evaluators.
 
 Exit codes: 0 all checks passed, 1 a congruence failed (counterexample
-printed), 2 malformed arguments.  Negative rationals must use the
---x=-2/3 form (a bare "-2/3" parses as a flag).
+printed), 2 malformed arguments or nothing checked (a verifier whose window
+is empty or whose every prime was skipped, a `cache verify` that found no
+records).  Negative rationals must use the --x=-2/3 form (a bare "-2/3"
+parses as a flag).
 """
 
 from __future__ import annotations
@@ -68,6 +70,10 @@ def _emit_report(report, args) -> int:
         with open(args.json, "w") as fh:
             fh.write(report.to_jsonl(include_timing=not args.no_timestamp))
         print(f"report written to {args.json}")
+    if not report.checks:
+        reason = f"{report.prime_count} window prime(s), {len(report.skipped)} skip(s)"
+        print(f"error: no checks ran ({reason})", file=sys.stderr)
+        return 2
     return 0 if report.passed else 1
 
 
@@ -180,6 +186,9 @@ def _cmd_cache_verify(args) -> int:
     checked, mismatches = cache.verify_sample(args.sample, args.seed, damaged)
     _warn_damaged(damaged)
     print(f"checked {checked} cached record(s) from {cache.cache_dir()}")
+    if not checked:
+        print("error: no cached records to check", file=sys.stderr)
+        return 2
     for rec, fresh in mismatches:
         print(f"MISMATCH {rec.tag} p={rec.prime}: cached {rec.residue}, fresh {fresh}")
     return 1 if mismatches else 0
@@ -188,7 +197,7 @@ def _cmd_cache_verify(args) -> int:
 def _add_window_opts(p: argparse.ArgumentParser, pmax_default: int) -> None:
     p.add_argument("--pmin", type=int, default=5, help="window lower bound")
     p.add_argument("--pmax", type=int, default=pmax_default, help="window upper bound")
-    p.add_argument("--threads", type=int, default=0, help="0 = all cores")
+    p.add_argument("--threads", type=_int_at_least(0), default=0, help="0 = all cores")
     p.add_argument("--json", metavar="PATH", help="write a JSONL report")
     p.add_argument(
         "--no-timestamp",
@@ -210,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vd = vsub.add_parser("dobinski", help="Bell-side congruence family")
     vd.add_argument("--r", type=_int_at_least(1), default=1, help="factorial power")
-    vd.add_argument("--nmax", type=int, default=10)
+    vd.add_argument("--nmax", type=_int_at_least(0), default=10)
     vd.add_argument("--x", type=parse_rational, default=Fraction(1))
     _add_window_opts(vd, dobinski.DEFAULT_WINDOW[1])
     vd.set_defaults(fn=_cmd_verify_dobinski)
@@ -257,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     cachep = sub.add_parser("cache", help="residue cache maintenance")
     csub = cachep.add_subparsers(dest="action", required=True)
     cv = csub.add_parser("verify", help="recompute a random sample of cached residues")
-    cv.add_argument("--sample", type=int, default=20)
+    cv.add_argument("--sample", type=_int_at_least(1), default=20)
     cv.add_argument("--seed", type=int, default=None)
     cv.set_defaults(fn=_cmd_cache_verify)
 
@@ -269,8 +278,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "gamma" and args.x <= -1:
         parser.error("gamma series need x > -1")
-    if args.command == "verify" and getattr(args, "pmin", 5) > getattr(args, "pmax", 0):
-        print("warning: empty prime window", file=sys.stderr)
     return args.fn(args)
 
 

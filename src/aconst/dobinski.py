@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._parallel import verify_primes
 from .modular import AElement, PrimeCtx, Rational, rational_mod
 from .polys import RationalPolynomial
-from .report import CheckRecord, SkipRecord, VerificationReport
+from .report import VerificationReport
 
 DEFAULT_WINDOW = (5, 2003)
 
@@ -161,30 +161,23 @@ def d_r_A(r: int, n: int, x: Rational, window: Sequence[int]) -> AElement:
 def d_r_A_range(r: int, n_max: int, x: Rational, window: Sequence[int]) -> list[AElement]:
     """All of D_{r,A}(0; x)..D_{r,A}(n_max; x) in one pass per prime."""
     x = Fraction(x)
-    comps: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
-    bad: dict[int, str] = {}
-    for p in window:
-        sums = _d_sums_mod(r, n_max, x, p)
-        if sums is None:
-            bad[p] = "p divides den(x)"
-            continue
-        for n in range(n_max + 1):
-            comps[n][p] = sums[n]
-    return [AElement(window, comps[n], bad) for n in range(n_max + 1)]
+    sums = {p: _d_sums_mod(r, n_max, x, p) for p in window}
+    return [
+        AElement.from_kernel(window, lambda p: sums[p][n] if sums[p] else "p divides den(x)")
+        for n in range(n_max + 1)
+    ]
 
 
 def _value_denominator_primes(values: list[Fraction], primes: Sequence[int]) -> dict[int, str]:
     """Window primes dividing the denominator of any of the given values."""
-    lcm = 1
-    for v in values:
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
+    lcm = math.lcm(*(v.denominator for v in values))
     return {
         p: "p divides a coefficient denominator" for p in primes if lcm % p == 0
     }
 
 
-def _dobinski_batch(args) -> tuple[list[tuple], list[tuple]]:
-    r, n_max, x, b_vals, g_vals, primes = args
+def _dobinski_batch(payload) -> tuple[list[tuple], list[tuple]]:
+    (r, n_max, x, b_vals, g_vals), primes = payload
     checks = []
     skips = []
     n_top = max(n_max, r - 1)  # the right side always needs D(j) for j < r
@@ -226,36 +219,10 @@ def verify_dobinski(
     b_vals = fam.b_values(x)
     g_vals = fam.g_values(x)
     flat = [v for row in b_vals for v in row] + g_vals
-    skipped_coeff = _value_denominator_primes(flat, window)
-
-    report = VerificationReport(
-        theorem="dobinski",
-        params={"r": r, "n_max": n_max, "x": str(x)},
-        window_lo=window[0] if window else 0,
-        window_hi=window[-1] if window else 0,
-        prime_count=len(window),
-    )
-    for p, reason in skipped_coeff.items():
-        report.skipped.append(SkipRecord(p, "", reason))
-    todo = [p for p in window if p not in skipped_coeff]
-
-    if threads > 1 and len(todo) > 1:
-        shards = [todo[i::threads] for i in range(threads)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(
-                _dobinski_batch,
-                [(r, n_max, x, b_vals, g_vals, shard) for shard in shards if shard],
-            )
-            batches = list(results)
-    else:
-        batches = [_dobinski_batch((r, n_max, x, b_vals, g_vals, todo))]
-
-    for checks, skips in batches:
-        report.checks.extend(CheckRecord(*c) for c in checks)
-        report.skipped.extend(SkipRecord(*s) for s in skips)
-    report.sort_records()
-    report.elapsed = time.monotonic() - start
-    return report
+    params = {"r": r, "n_max": n_max, "x": str(x)}
+    excluded = _value_denominator_primes(flat, window)
+    return verify_primes("dobinski", params, _dobinski_batch, (r, n_max, x, b_vals, g_vals),
+                         window, threads, excluded, start)
 
 
 def numeric_identity_check(

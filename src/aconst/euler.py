@@ -6,27 +6,29 @@ alternating sums of Gregory polynomial residues (Mascheroni- and
 Kluyver-style) give others.  The theorems verified here say the two kinds
 differ only by values of x*q_p(x) and rational constants.
 
-Every verifier computes its two sides along genuinely independent paths:
-the sum side from Gregory residue streams, the quotient side from Fermat
-and Wilson quotients mod p^2.  Primes 2 and 3 are excluded from verifiers
-wholesale (the congruences are sufficiently-large-p statements); primes
-dividing a relevant numerator or denominator are skipped per component,
-with the reason recorded.
+Each theorem has one per-prime kernel.  A verifier is a batch of those
+kernels over a shard of primes plus one call of `_parallel.verify_primes`,
+which shards, collects and reports; an AElement family is the same kernel
+read through `AElement.from_kernel`.  Every verifier computes its two sides
+along genuinely independent paths: the sum side from Gregory residue
+streams, the quotient side from Fermat and Wilson quotients mod p^2.  Primes
+2 and 3 are excluded from verifiers wholesale (the congruences are
+sufficiently-large-p statements); primes dividing a relevant numerator or
+denominator are skipped per component, with the reason recorded.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import mul
 from typing import Sequence
 
-from ._parallel import run_prime_shards
+from ._parallel import verify_primes
 from .modular import AElement, PrimeCtx, Rational, rational_mod, rational_pow_mod_p2
 from .polys import gregory_residue_stream
-from .report import CheckRecord, SkipRecord, VerificationReport
+from .report import VerificationReport
 
 DEFAULT_WINDOW = (5, 1009)
 _SMALL_PRIME_BOUND = 3  # verifiers skip p <= 3 outright
@@ -70,15 +72,13 @@ def ell_A(x: Rational, window: Sequence[int]) -> AElement:
     denominator of x (and p = 2) are exceptional.
     """
     x = Fraction(x)
-    comps: dict[int, int] = {}
-    bad: dict[int, str] = {}
-    for p in window:
+    reason = f"fermat quotient undefined at x={x}"
+
+    def component(p):
         c = _ell_component(x, p)
-        if c is None:
-            bad[p] = f"fermat quotient undefined at x={x}"
-        else:
-            comps[p] = c
-    return AElement(window, comps, bad)
+        return reason if c is None else c
+
+    return AElement.from_kernel(window, component)
 
 
 def _wilson_component(p: int) -> int:
@@ -92,7 +92,7 @@ def _wilson_component(p: int) -> int:
 
 def wilson_gamma(window: Sequence[int]) -> AElement:
     """The Wilson-quotient family (((p-1)! + 1)/p mod p)_p."""
-    return AElement(window, {p: _wilson_component(p) for p in window})
+    return AElement.from_kernel(window, _wilson_component)
 
 
 def _alternating_sum(stream: list[int], weights: list[int], p: int) -> int:
@@ -118,19 +118,34 @@ def _kluyver_sum(stream: list[int], m: int, ctx: PrimeCtx) -> int:
     return _alternating_sum(stream, weights, p) * fact[m] % p
 
 
+def _kluyver_lhs(stream: list[int], m: int, hm: Fraction, ell: int, ctx: PrimeCtx) -> int:
+    # gamma_K's component: the Kluyver sum of order m plus H_m (= hm) minus
+    # ell = ell(x+m+1), mod p
+    return (_kluyver_sum(stream, m, ctx) + rational_mod(hm, ctx) - ell) % ctx.p
+
+
+def _truncated_log(y: int, ctx: PrimeCtx) -> int:
+    # -sum_{n=1}^{p-1} y^n / n mod p, the truncated series of log(1 - y)
+    p = ctx.p
+    inv = ctx.inv_table
+    s = 0
+    w = 1
+    for n in range(1, p):
+        w = w * y % p
+        s += w * inv[n]
+    return -s % p
+
+
 def gamma_M(x: Rational, window: Sequence[int]) -> AElement:
     """Mascheroni-style analogue: alternating sum of G_n(x)/n for n <= p-2."""
     x = Fraction(x)
-    comps: dict[int, int] = {}
-    bad: dict[int, str] = {}
-    for p in window:
+
+    def component(p):
         ctx = PrimeCtx(p)
         stream = gregory_residue_stream(x, p - 2, ctx)
-        if stream is None:
-            bad[p] = "p divides den(x)"
-        else:
-            comps[p] = _mascheroni_sum(stream, ctx)
-    return AElement(window, comps, bad)
+        return "p divides den(x)" if stream is None else _mascheroni_sum(stream, ctx)
+
+    return AElement.from_kernel(window, component)
 
 
 def gamma_K(m: int, x: Rational, window: Sequence[int]) -> AElement:
@@ -144,23 +159,20 @@ def gamma_K(m: int, x: Rational, window: Sequence[int]) -> AElement:
         raise ValueError("m must be positive")
     x = Fraction(x)
     hm = harmonic(m)
-    comps: dict[int, int] = {}
-    bad: dict[int, str] = {}
-    for p in window:
+
+    def component(p):
         if p <= m + 1:
-            bad[p] = f"p <= m+1 = {m + 1}"
-            continue
+            return f"p <= m+1 = {m + 1}"
         ctx = PrimeCtx(p)
         stream = gregory_residue_stream(x, p - 2, ctx)
         if stream is None:
-            bad[p] = "p divides den(x)"
-            continue
+            return "p divides den(x)"
         ell = _ell_component(x + m + 1, p)
         if ell is None:
-            bad[p] = f"fermat quotient undefined at x+m+1={x + m + 1}"
-            continue
-        comps[p] = (_kluyver_sum(stream, m, ctx) + rational_mod(hm, ctx) - ell) % p
-    return AElement(window, comps, bad)
+            return f"fermat quotient undefined at x+m+1={x + m + 1}"
+        return _kluyver_lhs(stream, m, hm, ell, ctx)
+
+    return AElement.from_kernel(window, component)
 
 
 def G_A(k: int, x: Rational, window: Sequence[int]) -> AElement:
@@ -168,44 +180,32 @@ def G_A(k: int, x: Rational, window: Sequence[int]) -> AElement:
     if k < 2:
         raise ValueError("k must be at least 2")
     x = Fraction(x)
-    comps: dict[int, int] = {}
-    bad: dict[int, str] = {}
-    for p in window:
+
+    def component(p):
         if p <= k:
-            bad[p] = f"p <= k = {k}"
-            continue
+            return f"p <= k = {k}"
         stream = gregory_residue_stream(x, p - k, PrimeCtx(p))
-        if stream is None:
-            bad[p] = "p divides den(x)"
-            continue
-        comps[p] = stream[p - k]
-    return AElement(window, comps, bad)
+        return "p divides den(x)" if stream is None else stream[p - k]
+
+    return AElement.from_kernel(window, component)
 
 
 def L1(x: Rational, window: Sequence[int]) -> AElement:
     """The log-type family (-sum_{n=1}^{p-1} (1-x)^n / n mod p)_p."""
     x = Fraction(x)
-    comps: dict[int, int] = {}
-    bad: dict[int, str] = {}
-    for p in window:
-        if x.denominator % p == 0:
-            bad[p] = "p divides den(x)"
-            continue
+
+    def component(p):
         ctx = PrimeCtx(p)
-        inv = ctx.inv_table
         y = rational_mod(1 - x, ctx)
-        s = 0
-        w = 1
-        for n in range(1, p):
-            w = w * y % p
-            s += w * inv[n]
-        comps[p] = -s % p
-    return AElement(window, comps, bad)
+        return "p divides den(x)" if y is None else _truncated_log(y, ctx)
+
+    return AElement.from_kernel(window, component)
 
 
-def _eisenstein_sides(x: Fraction, p: int) -> tuple[int, int] | None:
-    # sum_{m=1}^{p-1} (-1)^(m-1) x^m/m  vs  (x+1)q_p(x+1) - x q_p(x), mod p
-    ctx = PrimeCtx(p)
+def _eisenstein_sides(x: Fraction, ctx: PrimeCtx) -> tuple[int, int] | None:
+    # sum_{m=1}^{p-1} (-1)^(m-1) x^m/m  vs  (x+1)q_p(x+1) - x q_p(x), mod p;
+    # the left side is the truncated log at y = -x
+    p = ctx.p
     xr = rational_mod(x, ctx)
     if xr is None:
         return None
@@ -213,50 +213,20 @@ def _eisenstein_sides(x: Fraction, p: int) -> tuple[int, int] | None:
     e0 = _ell_component(x, p)
     if e1 is None or e0 is None:
         return None
-    inv = ctx.inv_table
-    s = 0
-    w = 1
-    for m in range(1, p):
-        w = w * xr % p
-        t = w * inv[m]
-        s = s + t if m % 2 else s - t
-    return s % p, (e1 - e0) % p
+    return _truncated_log(-xr % p, ctx), (e1 - e0) % p
 
 
 def check_eisenstein(x: Rational, p: int) -> bool | None:
     """Eisenstein's congruence for the truncated log series at x; None when
     a needed quotient is undefined at p."""
-    sides = _eisenstein_sides(Fraction(x), p)
+    sides = _eisenstein_sides(Fraction(x), PrimeCtx(p))
     if sides is None:
         return None
     return sides[0] == sides[1]
 
 
-def _new_report(theorem: str, params: dict, window: Sequence[int]) -> VerificationReport:
-    return VerificationReport(
-        theorem=theorem,
-        params=params,
-        window_lo=window[0] if window else 0,
-        window_hi=window[-1] if window else 0,
-        prime_count=len(window),
-    )
-
-
-def _split_small_primes(window: Sequence[int]):
-    small = [p for p in window if p <= _SMALL_PRIME_BOUND]
-    todo = [p for p in window if p > _SMALL_PRIME_BOUND]
-    return small, todo
-
-
-def _finish(report: VerificationReport, batches, small_primes, start: float):
-    for p in small_primes:
-        report.skipped.append(SkipRecord(p, "", "excluded small prime (p <= 3)"))
-    for checks, skips in batches:
-        report.checks.extend(CheckRecord(*c) for c in checks)
-        report.skipped.extend(SkipRecord(*s) for s in skips)
-    report.sort_records()
-    report.elapsed = time.monotonic() - start
-    return report
+def _small_primes(window: Sequence[int]) -> dict[int, str]:
+    return {p: "excluded small prime (p <= 3)" for p in window if p <= _SMALL_PRIME_BOUND}
 
 
 def _mascheroni_batch(payload):
@@ -288,11 +258,9 @@ def verify_mascheroni(
     """Mascheroni-sum analogue against Wilson quotient plus ell terms,
     componentwise over the window, for each sampled x."""
     xs = [Fraction(x) for x in xs]
-    start = time.monotonic()
-    report = _new_report("mascheroni", {"x": [str(x) for x in xs]}, window)
-    small, todo = _split_small_primes(window)
-    batches = run_prime_shards(_mascheroni_batch, (xs,), todo, threads)
-    return _finish(report, batches, small, start)
+    params = {"x": [str(x) for x in xs]}
+    return verify_primes("mascheroni", params, _mascheroni_batch, (xs,), window,
+                         threads, _small_primes(window))
 
 
 def _interlude_batch(payload):
@@ -333,13 +301,9 @@ def verify_interlude(
     ks = list(ks)
     if any(k < 2 for k in ks):
         raise ValueError("k must be at least 2")
-    start = time.monotonic()
-    report = _new_report(
-        "interlude", {"k": ks, "x": [str(x) for x in xs]}, window
-    )
-    small, todo = _split_small_primes(window)
-    batches = run_prime_shards(_interlude_batch, (ks, xs), todo, threads)
-    return _finish(report, batches, small, start)
+    params = {"k": ks, "x": [str(x) for x in xs]}
+    return verify_primes("interlude", params, _interlude_batch, (ks, xs), window,
+                         threads, _small_primes(window))
 
 
 def _kluyver_batch(payload):
@@ -364,9 +328,7 @@ def _kluyver_batch(payload):
                     skips.append((p, label, "fermat quotient undefined at some x+j+1"))
                     continue
                 hm = harmonic(m)
-                lhs = (
-                    _kluyver_sum(stream, m, ctx) + rational_mod(hm, ctx) - ells[m]
-                ) % p
+                lhs = _kluyver_lhs(stream, m, hm, ells[m], ctx)
                 rhs = wilson + delta_minus_one(x + m) - 1
                 rhs += rational_mod(hm - 1, ctx) * ells[m]
                 for j in range(m):
@@ -388,20 +350,19 @@ def verify_kluyver(
     ms = list(ms)
     if any(m < 1 for m in ms):
         raise ValueError("m must be positive")
-    start = time.monotonic()
-    report = _new_report("kluyver", {"m": ms, "x": [str(x) for x in xs]}, window)
-    small, todo = _split_small_primes(window)
-    batches = run_prime_shards(_kluyver_batch, (ms, xs), todo, threads)
-    return _finish(report, batches, small, start)
+    params = {"m": ms, "x": [str(x) for x in xs]}
+    return verify_primes("kluyver", params, _kluyver_batch, (ms, xs), window,
+                         threads, _small_primes(window))
 
 
 def _eisenstein_batch(payload):
     (xs,), primes = payload
     checks, skips = [], []
     for p in primes:
+        ctx = PrimeCtx(p)
         for x in xs:
             label = f"x={x}"
-            sides = _eisenstein_sides(x, p)
+            sides = _eisenstein_sides(x, ctx)
             if sides is None:
                 skips.append((p, label, "quotient or residue undefined"))
             else:
@@ -415,11 +376,9 @@ def verify_eisenstein(
 ) -> VerificationReport:
     """Eisenstein's congruence for each sampled x over the window."""
     xs = [Fraction(x) for x in xs]
-    start = time.monotonic()
-    report = _new_report("eisenstein", {"x": [str(x) for x in xs]}, window)
-    small, todo = _split_small_primes(window)
-    batches = run_prime_shards(_eisenstein_batch, (xs,), todo, threads)
-    return _finish(report, batches, small, start)
+    params = {"x": [str(x) for x in xs]}
+    return verify_primes("eisenstein", params, _eisenstein_batch, (xs,), window,
+                         threads, _small_primes(window))
 
 
 def _logadd_batch(payload):
@@ -445,10 +404,6 @@ def verify_log_additivity(
     """q_p(xy) = q_p(x) + q_p(y) for every pair (with repetition) of values."""
     vals = [Fraction(v) for v in values]
     pairs = list(combinations_with_replacement(vals, 2))
-    start = time.monotonic()
-    report = _new_report(
-        "log-additivity", {"values": [str(v) for v in vals]}, window
-    )
-    small, todo = _split_small_primes(window)
-    batches = run_prime_shards(_logadd_batch, (pairs,), todo, threads)
-    return _finish(report, batches, small, start)
+    params = {"values": [str(v) for v in vals]}
+    return verify_primes("log-additivity", params, _logadd_batch, (pairs,), window,
+                         threads, _small_primes(window))

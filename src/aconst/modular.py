@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 Rational = Union[int, Fraction]
 
@@ -169,18 +169,27 @@ class AElement:
                 raise ValueError(f"window prime {p} has neither residue nor reason")
 
     @classmethod
+    def from_kernel(
+        cls, window: Iterable[int], fn: Callable[[int], int | str], exceptional_bound: int = 0
+    ) -> "AElement":
+        """The family whose p-component is fn(p): a residue, or the reason
+        (a str) it is undefined."""
+        window = tuple(window)
+        values = {p: fn(p) for p in window}
+        bad = {p: v for p, v in values.items() if isinstance(v, str)}
+        comps = {p: v for p, v in values.items() if p not in bad}
+        return cls(window, comps, bad, exceptional_bound)
+
+    @classmethod
     def from_rational(
         cls, q: Rational, window: Iterable[int], exceptional_bound: int = 0
     ) -> "AElement":
-        comps: dict[int, int] = {}
-        bad: dict[int, str] = {}
         num, den = _num_den(q)
-        for p in window:
-            if den % p == 0:
-                bad[p] = "p divides denominator"
-            else:
-                comps[p] = num * pow(den, -1, p) % p
-        return cls(window, comps, bad, exceptional_bound)
+        return cls.from_kernel(
+            window,
+            lambda p: "p divides denominator" if den % p == 0 else num * pow(den, -1, p) % p,
+            exceptional_bound,
+        )
 
     @classmethod
     def zero(cls, window: Iterable[int], exceptional_bound: int = 0) -> "AElement":

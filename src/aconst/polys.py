@@ -229,14 +229,6 @@ def series_log1p(order: int) -> TruncatedSeries:
     )
 
 
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
-def series_div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a / b
-
-
 def series_pow_binomial(x: Rational, order: int) -> TruncatedSeries:
     """(1+t)^x = sum binom(x, n) t^n truncated, for rational x."""
     x = Fraction(x)
@@ -452,4 +444,4 @@ def check_euler_operator_ode(r: int, order: int) -> bool:
     for _ in range(r):
         lhs = _theta(lhs)
     monomial = TruncatedSeries([_ZERO] * r + [Fraction(r**r)], order)
-    return lhs == series_mul(monomial, E)
+    return lhs == monomial * E

@@ -152,8 +152,10 @@ class VerificationReport:
                 out.append(f"    p={c.prime} {c.label}: lhs={c.lhs} rhs={c.rhs}")
             if len(bad) > max_failures:
                 out.append(f"    ... and {len(bad) - max_failures} more")
-        else:
+        elif self.checks:
             out.append(f"  all {len(self.checks)} checks passed")
+        else:
+            out.append("  no checks ran")
         if self.skipped:
             reasons: dict[str, int] = {}
             for s in self.skipped:

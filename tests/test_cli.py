@@ -38,6 +38,9 @@ class TestRationalParsing:
             ["verify", "euler", "--which", "interlude", "--k", "1"],
             ["verify", "euler", "--which", "kluyver", "--m", "0"],
             ["verify", "dobinski", "--r", "0"],
+            ["verify", "dobinski", "--nmax", "-1"],
+            ["verify", "dobinski", "--threads", "-1"],
+            ["verify", "euler", "--which", "mascheroni", "--threads", "-1"],
         ],
     )
     def test_out_of_range_parameter_exits_2(self, argv, capsys):
@@ -89,6 +92,50 @@ class TestVerifyCommands:
         main(["verify", "dobinski", "--nmax", "2", "--pmax", "30", "--json", str(path)])
         report = VerificationReport.from_jsonl(path.read_text())
         assert report.timestamp
+
+
+class TestNothingChecked:
+    """A run that checks nothing must never read as a pass: exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "euler", "--which", "mascheroni", "--pmax", "3"],
+            ["verify", "euler", "--which", "mascheroni", "--x", "1/30030", "--pmax", "13"],
+            ["verify", "euler", "--which", "kluyver", "--m", "40", "--pmax", "30"],
+            ["verify", "dobinski", "--x", "1/30030", "--pmax", "13"],
+        ],
+        ids=["empty-window", "every-x-prime-skipped", "every-order-prime-skipped",
+             "dobinski-every-prime-skipped"],
+    )
+    def test_verify_with_no_checks_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "no checks ran" in captured.out
+        assert "all 0 checks passed" not in captured.out
+        assert "error: no checks ran" in captured.err
+
+    def test_no_checks_still_writes_the_report(self, tmp_path, capsys):
+        path = tmp_path / "empty.jsonl"
+        argv = ["verify", "euler", "--which", "eisenstein", "--pmax", "3", "--json", str(path)]
+        assert main(argv) == 2
+        assert VerificationReport.from_jsonl(path.read_text()).checks == []
+
+    def test_cache_verify_on_empty_cache_exits_2(self, capsys):
+        assert main(["cache", "verify"]) == 2
+        captured = capsys.readouterr()
+        assert "checked 0 cached record(s)" in captured.out
+        assert "error: no cached records to check" in captured.err
+
+    def test_cache_verify_on_torn_cache_exits_2(self, capsys):
+        main(["search", "--target", "wilson", "--pmin", "5", "--pmax", "5"])
+        path = cache.cache_dir() / "wilson_q.jsonl"
+        path.write_bytes(path.read_bytes()[:-5])  # the only record, torn
+        capsys.readouterr()
+        assert main(["cache", "verify"]) == 2
+        captured = capsys.readouterr()
+        assert "skipped 1 damaged line(s)" in captured.err
+        assert "error: no cached records to check" in captured.err
 
 
 class TestSearch:
@@ -173,8 +220,11 @@ class TestGammaCommand:
             ["gamma", "--method", "mascheroni", "--terms", "-5"],
             ["gamma", "--method", "mascheroni", "--prec", "32"],
             ["seq", "--name", "bell", "--nmax", "-3"],
+            ["cache", "verify", "--sample", "0"],
+            ["cache", "verify", "--sample", "-1"],
         ],
-        ids=["gamma-k", "gamma-m", "gamma-terms", "gamma-prec", "seq-nmax"],
+        ids=["gamma-k", "gamma-m", "gamma-terms", "gamma-prec", "seq-nmax",
+             "cache-sample-0", "cache-sample-negative"],
     )
     def test_out_of_range_argument_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

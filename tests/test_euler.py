@@ -7,6 +7,7 @@ import pytest
 from aconst.euler import (
     _kluyver_sum,
     _mascheroni_sum,
+    _truncated_log,
     G_A,
     L1,
     check_eisenstein,
@@ -228,6 +229,14 @@ class TestL1:
             rhs = ell_A(x, WINDOW) - ell_A(x - 1, WINDOW)
             assert lhs == rhs
             assert len(lhs.comparable_primes(rhs)) > 15
+
+    @pytest.mark.parametrize("p", [5, 7, 31])
+    def test_truncated_log_against_exact_sum(self, p):
+        # the kernel behind both L1 (y = 1-x) and Eisenstein's left side (y = -x)
+        ctx = PrimeCtx(p)
+        for y in range(p):
+            exact = -sum(F(y**n, n) for n in range(1, p))
+            assert _truncated_log(y, ctx) == rational_mod(exact, ctx)
 
 
 class TestEisenstein:

@@ -182,6 +182,12 @@ class TestAElement:
         assert a.components == {5: 3, 7: 4, 11: 6, 13: 7}
         assert a.exceptional == {}
 
+    def test_from_kernel(self):
+        a = AElement.from_kernel(self.WINDOW, lambda p: "odd reason" if p == 11 else p % 5)
+        assert a.components == {5: 0, 7: 2, 13: 3}  # a zero residue is a residue
+        assert a.exceptional == {11: "odd reason"}
+        assert a.window == self.WINDOW
+
     def test_exceptional_recorded(self):
         a = AElement.from_rational(Fraction(2, 7), self.WINDOW)
         assert 7 in a.exceptional

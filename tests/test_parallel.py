@@ -1,0 +1,75 @@
+"""The verifier driver: report bytes pinned across versions, shard
+independence, and the whole-prime skips the driver records."""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+
+from aconst import dobinski, euler
+from aconst._parallel import verify_primes
+from aconst.modular import sieve_primes
+
+F = Fraction
+
+# [2, 60] holds 2 and 3 (a whole-prime skip on the Euler side) and, for
+# dobinski at x = 7/3, the coefficient-denominator skip at p = 3
+WINDOW = sieve_primes(2, 60)
+
+VERIFIERS = {
+    "dobinski": lambda t: dobinski.verify_dobinski(2, 6, F(7, 3), WINDOW, threads=t),
+    "mascheroni": lambda t: euler.verify_mascheroni([F(0), F(-1), F(7, 3)], WINDOW, threads=t),
+    "interlude": lambda t: euler.verify_interlude([2, 3], [F(0), F(1, 2)], WINDOW, threads=t),
+    "kluyver": lambda t: euler.verify_kluyver([1, 2], [F(0), F(-2)], WINDOW, threads=t),
+    "eisenstein": lambda t: euler.verify_eisenstein([F(7, 3), F(0), F(-1)], WINDOW, threads=t),
+    "log-additivity": lambda t: euler.verify_log_additivity(
+        [F(2), F(1, 3), F(-4)], WINDOW, threads=t
+    ),
+}
+
+# sha256 of to_jsonl(include_timing=False): the report bytes are a format
+# that must not drift between versions or thread counts
+GOLDEN_SHA256 = {
+    "dobinski": "74aaea4dc881bbd87721ee2f42705a3c68bc0337202f6307f1d219d473c4e81e",
+    "mascheroni": "9751e59ad482cc4acda5260687d1ddb9418243a918a173629129b5892bac9f25",
+    "interlude": "f4f653b51549ec3942acdc21d2cfc6052767b282fef21f24b2526c3d25a18759",
+    "kluyver": "bb549e12dddc65396dc3121f22d13eb719004b0a7454ea236e6c8d79934d2a15",
+    "eisenstein": "beb23206aa6977bb6ff8aaf1b08d37c9ac3d80a778ee39b936683e5d23b1d618",
+    "log-additivity": "638808076b273a5e5c47c176fb4a7fff77e391479eb95223069233603f6376f2",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(VERIFIERS))
+def test_report_bytes_pinned(name, threads):
+    report = VERIFIERS[name](threads)
+    text = report.to_jsonl(include_timing=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[name]
+    assert report.checks and report.passed
+
+
+def test_whole_prime_skips():
+    small = euler.verify_mascheroni([F(0)], WINDOW)
+    assert [(s.prime, s.label) for s in small.skipped] == [(2, ""), (3, "")]
+    assert {s.reason for s in small.skipped} == {"excluded small prime (p <= 3)"}
+    coeff = VERIFIERS["dobinski"](1)
+    assert [(s.prime, s.label, s.reason) for s in coeff.skipped] == [
+        (3, "", "p divides a coefficient denominator")
+    ]
+    assert 2 in {c.prime for c in coeff.checks}
+
+
+def _echo_batch(payload):
+    (offset,), primes = payload
+    return [(p, "", p, p + offset, offset == 0) for p in primes], []
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_driver_sorts_and_skips(threads):
+    report = verify_primes(
+        "echo", {"offset": 0}, _echo_batch, (0,), WINDOW, threads, {7: "seven", 2: "two"}
+    )
+    assert (report.window_lo, report.window_hi, report.prime_count) == (2, 59, len(WINDOW))
+    assert [c.prime for c in report.checks] == [p for p in WINDOW if p not in (2, 7)]
+    assert [(s.prime, s.reason) for s in report.skipped] == [(2, "two"), (7, "seven")]
+    assert report.passed and report.elapsed >= 0

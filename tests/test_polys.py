@@ -22,9 +22,7 @@ from aconst.polys import (
     gregory_polynomials,
     gregory_residue_stream,
     gregory_values_exact,
-    series_div,
     series_log1p,
-    series_mul,
     series_pow_binomial,
     stirling1_row_mod,
     stirling_rows,
@@ -119,17 +117,17 @@ class TestSeries:
         order = 4
         one = TruncatedSeries([1], order)
         log_over_t = TruncatedSeries(series_log1p(order + 1).coeffs[1:], order)
-        got = series_div(one, log_over_t)
+        got = one / log_over_t
         assert got.coeffs == [1, F(1, 2), F(-1, 12), F(1, 24), F(-19, 720)]
 
     def test_mul_div_roundtrip(self):
         a = series_pow_binomial(F(2, 3), 6)
         b = series_pow_binomial(F(-1, 5), 6)
-        assert series_div(series_mul(a, b), b) == a
+        assert (a * b) / b == a
 
     def test_non_unit_division(self):
         with pytest.raises(ZeroDivisionError):
-            series_div(TruncatedSeries([1], 3), series_log1p(3))
+            TruncatedSeries([1], 3) / series_log1p(3)
 
 
 class TestGregoryPolynomials:
@@ -150,7 +148,7 @@ class TestGregoryPolynomials:
             [binomial_polynomial(n) for n in range(order + 1)], order
         )
         log_over_t = TruncatedSeries(series_log1p(order + 1).coeffs[1:], order)
-        got = series_div(binom_series, log_over_t)
+        got = binom_series / log_over_t
         for n in range(order + 1):
             assert got.coeffs[n] == gregory_polynomial(n)
 
@@ -301,7 +299,7 @@ class TestStirling:
         logs = series_log1p(order)
         power = TruncatedSeries([1], order)
         for j in range(1, 4):
-            power = series_mul(power, logs)
+            power = power * logs
             series = TruncatedSeries(
                 [c / math.factorial(j) for c in power.coeffs], order
             )

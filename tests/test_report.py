@@ -58,6 +58,12 @@ class TestReport:
         assert "p=7" in table
         assert "skipped 1: p divides den(x)" in table
 
+    def test_table_of_empty_report_says_nothing_ran(self):
+        rep = VerificationReport("mascheroni", {}, 0, 0, 0)
+        table = rep.format_table()
+        assert "no checks ran" in table
+        assert "checks passed" not in table
+
     def test_sort_is_stable_within_prime(self):
         rep = sample_report()
         rep.checks.insert(0, CheckRecord(7, "n=9", 1, 1, True))
