@@ -1,11 +1,22 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aconst import analytic
 from aconst.analytic import (
     GAMMA_REF_DIGITS,
+    _gregory_fixed,
+    _mul,
+    _signed_pack,
+    _signed_unpack,
+    _validated_fixed,
+    _working_bits,
     agrees_to_bits,
     asymptotic_sanity,
     bla101_partial,
@@ -15,9 +26,79 @@ from aconst.analytic import (
     mascheroni_partial,
 )
 from aconst.dobinski import bell
+from aconst.euler import harmonic
 from aconst.polys import gregory_values_exact
 
 F = Fraction
+
+
+def recurrence_fixed(num, den, n_max, wp):
+    """Oracle: G_0(x)..G_{n_max}(x) scaled by 2**wp by the O(n^2) recurrence
+
+    G_n(x) = binom(x, n) - sum_{j<n} (-1)^(n-j) G_j(x) / (n-j+1),
+
+    with 1/i floored to 2**wp once and each sum floored back to scale.
+    """
+    one = 1 << wp
+    inv_fix = [0, one] + [one // i for i in range(2, n_max + 2)]
+    invf_odd_i = inv_fix[2::2]  # 1/(i+1) for odd i
+    invf_even_i = inv_fix[3::2]  # 1/(i+1) for even i
+    g = [one]
+    binom = one
+    for n in range(1, n_max + 1):
+        binom = binom * (num - den * (n - 1)) // (den * n)
+        pos = sum(map(mul, g[n - 1 :: -2], invf_odd_i))
+        neg = sum(map(mul, g[n - 2 :: -2], invf_even_i)) if n >= 2 else 0
+        g.append(binom + ((pos - neg) >> wp))
+    return tuple(g)
+
+
+def binomial_errors(x, n_max, wp):
+    """S = sum_{k<=n_max} |binom(x, k)| and D, the largest floor error of the
+    kernel's recurrence for binom(x, k) 2**wp, both in ulps of 2**-wp."""
+    S, D = 0, 0
+    b, B = F(1), 1 << wp
+    for k in range(n_max + 1):
+        if k:
+            b = b * (x - k + 1) / k
+            B = B * (x.numerator - x.denominator * (k - 1)) // (x.denominator * k)
+        S += abs(b)
+        D = max(D, abs(B - b * 2**wp))
+    return S, D
+
+
+def ulp_bound(x, n_max, wp):
+    """The module docstring's bound S (4H + 8) + 2D + 1 on the kernel's error."""
+    S, D = binomial_errors(x, n_max, wp)
+    return S * (4 * harmonic(n_max + 1) + 8) + 2 * D + 1
+
+
+def recurrence_bound(x, ref, wp):
+    """The oracle's own error bound, 2D + 2 (||g||_1 + 1) ulps.
+
+    Step n multiplies the g_j by floored 1/i and floors the sum, so it is
+    off by under ||g||_1 + 1; the stream's error is that series times
+    t/log(1+t), whose coefficients sum to 2 in absolute value, plus the
+    binomial recurrence's 2D.
+    """
+    _, D = binomial_errors(x, len(ref) - 1, wp)
+    return 2 * D + 2 * (F(sum(map(abs, ref)), 1 << wp) + 1)
+
+
+@lru_cache(maxsize=1)
+def gregory_numbers_exact(n_max=300):
+    return gregory_values_exact(0, n_max)
+
+
+def exact_value(x, n):
+    """G_n(x) = sum_k binom(x, k) G_{n-k}(0), exactly."""
+    g0 = gregory_numbers_exact()
+    total, b = F(0), F(1)
+    for k in range(n + 1):
+        if k:
+            b = b * (x - k + 1) / k
+        total += b * g0[n - k]
+    return total
 
 
 def besseli0_2_exact(terms=40):
@@ -61,9 +142,99 @@ class TestGregoryFloats:
                 ref = mpmath.mpf(exact[n].numerator) / exact[n].denominator
                 assert agrees_to_bits(floats[n], ref, prec // 2)
 
-    def test_prec_guard(self):
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: gregory_value_float(0, 5, 32),
+            lambda: mascheroni_partial(0, 0, 100, 16),
+            lambda: bla101_partial(1, 0, 100, 8),
+            lambda: asymptotic_sanity(0, 1000, 16),
+        ],
+        ids=["gregory_value_float", "mascheroni_partial", "bla101_partial", "asymptotic_sanity"],
+    )
+    def test_prec_guard(self, call):
         with pytest.raises(ValueError):
-            gregory_value_float(0, 5, 32)
+            call()
+
+
+@st.composite
+def fixed_cases(draw):
+    x = F(draw(st.integers(-7, 7)), draw(st.integers(1, 7)))
+    n_max = draw(st.one_of(st.just(0), st.just(1), st.integers(0, 300)))
+    return x, n_max, _working_bits(draw(st.sampled_from([64, 128])), n_max)
+
+
+class TestFixedPointKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(fixed_cases())
+    def test_matches_recurrence(self, case):
+        x, n_max, wp = case
+        got = _gregory_fixed(x.numerator, x.denominator, n_max, wp)
+        ref = recurrence_fixed(x.numerator, x.denominator, n_max, wp)
+        assert len(got) == n_max + 1
+        bound = ulp_bound(x, n_max, wp)
+        tol = bound + recurrence_bound(x, ref, wp)
+        for n in range(n_max + 1):
+            assert abs(got[n] - ref[n]) <= tol, (x, n, wp)
+        assert abs(got[n_max] - exact_value(x, n_max) * 2**wp) <= bound
+
+    @pytest.mark.parametrize("x", [F(0), F(1, 2)])
+    def test_matches_recurrence_at_2000_terms(self, x):
+        n_max = 2000
+        wp = _working_bits(64, n_max)
+        got = _gregory_fixed(x.numerator, x.denominator, n_max, wp)
+        ref = recurrence_fixed(x.numerator, x.denominator, n_max, wp)
+        tol = ulp_bound(x, n_max, wp) + recurrence_bound(x, ref, wp)
+        assert max(abs(a - b) for a, b in zip(got, ref)) <= tol
+
+    def test_signed_product_at_the_slot_bound(self):
+        # full-size coefficients at full length: slot n of a * b holds
+        # -min(n+1, 2L-1-n) (2^60 - 1)^2, which peaks at the bound L (2^60 - 1)^2
+        L = 257
+        c = (1 << 60) - 1
+        a, b = [-c] * L, [c] * L
+        n = 2 * L - 1
+        expected = [-min(k + 1, n - k) * c * c for k in range(n)]
+        assert _mul(a, b, 0, n) == expected
+        assert _mul(a, a, L - 1, L) == [L * c * c]
+        mixed = [c if i % 3 else -c for i in range(L)]
+        direct = [sum(a[i] * mixed[k - i] for i in range(max(0, k - L + 1), min(k, L - 1) + 1))
+                  for k in range(n)]
+        assert _mul(mixed, a, 0, n) == direct
+        assert _mul(a, mixed, 5, 9) == direct[5:9]
+        # one byte narrower and the peak slots spill into their neighbours
+        narrow = (120 + L.bit_length() + 8) // 8 - 1
+        packed = _signed_pack(a, narrow) * _signed_pack(b, narrow)
+        assert _signed_unpack(packed, 0, n, narrow) != expected
+
+
+class TestValidation:
+    """_validated_fixed must reject streams that disagree under doubling."""
+
+    def _perturbed(self, monkeypatch, index, delta):
+        real = analytic._gregory_fixed
+        wp2 = _working_bits(128, 10)
+
+        def fake(num, den, n_max, wp):
+            stream = list(real(num, den, n_max, wp))
+            if wp == wp2:
+                stream[index] += delta(wp2 - 32)
+            return tuple(stream)
+
+        monkeypatch.setattr(analytic, "_gregory_fixed", fake)
+
+    def test_rejects_a_mismatch_beyond_tolerance(self, monkeypatch):
+        # at prec 64 the tolerance below magnitude 1 is 2**(wp2 - 32)
+        self._perturbed(monkeypatch, 3, lambda t: 3 << t)
+        with pytest.raises(ArithmeticError):
+            _validated_fixed(F(0), 10, 64)
+        with pytest.raises(ArithmeticError):
+            gregory_value_float(0, 10, 64)
+
+    def test_accepts_a_mismatch_within_tolerance(self, monkeypatch):
+        self._perturbed(monkeypatch, 3, lambda t: -(1 << t) // 4)
+        stream, wp = _validated_fixed(F(0), 10, 64)
+        assert stream == _gregory_fixed(0, 1, 10, wp)
 
 
 class TestMascheroniPartial:
@@ -124,6 +295,11 @@ class TestAsymptoticSanity:
     def test_half_ratio_bracket(self):
         # confirmed by the n = 10^4 run before freezing (ratio 0.90 there)
         ratio = asymptotic_sanity(F(1, 2), 1000)
+        assert 0.5 < ratio < 2.0
+
+    def test_half_ratio_bracket_at_ten_thousand(self):
+        # the binomial product at full scale: x = 1/2 has no finite binomial series
+        ratio = asymptotic_sanity(F(1, 2), 10**4)
         assert 0.5 < ratio < 2.0
 
     def test_sign_pattern_at_half(self):
