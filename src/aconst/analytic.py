@@ -121,16 +121,11 @@ def _mul(a: list[int], b: list[int], lo: int, hi: int) -> list[int]:
     return _signed_unpack(_signed_pack(a, width) * _signed_pack(b, width), lo, hi, width)
 
 
-@lru_cache(maxsize=8)
-def _gregory_fixed(num: int, den: int, n_max: int, wp: int) -> tuple[int, ...]:
-    """G_0(x)..G_{n_max}(x) for x = num/den, scaled by 2**wp.
-
-    The Gregory numbers G_n(0) come from Newton inversion of the rounded
-    series log(1+t)/t; their product with the binomial series of (1+t)**x,
-    trimmed of trailing zeros, gives the stream (module docstring).
-    """
+@lru_cache(maxsize=2)  # one entry per precision of the doubling validation
+def _gregory_zero_fixed(n: int, wp: int) -> tuple[int, ...]:
+    """G_0(0)..G_{n-1}(0) scaled by 2**wp: Newton inversion of the rounded
+    series log(1+t)/t.  It does not depend on x, so every shift shares it."""
     one = 1 << wp
-    n = n_max + 1
     f = [(2 * one + i + 1) // (2 * i + 2) for i in range(n)]  # 1/(i+1), rounded
     f[1::2] = [-c for c in f[1::2]]
     g = [one]
@@ -139,12 +134,24 @@ def _gregory_fixed(num: int, den: int, n_max: int, wp: int) -> tuple[int, ...]:
         k2 = min(2 * k, n)
         e = [c >> wp for c in _mul(f[:k2], g, k, k2)]
         g += [-c >> wp for c in _mul(g[: k2 - k], e, 0, k2 - k)]
-    binom = [one]
+    return tuple(g)
+
+
+@lru_cache(maxsize=8)
+def _gregory_fixed(num: int, den: int, n_max: int, wp: int) -> tuple[int, ...]:
+    """G_0(x)..G_{n_max}(x) for x = num/den, scaled by 2**wp.
+
+    The Gregory numbers G_n(0) come from Newton inversion of the rounded
+    series log(1+t)/t; their product with the binomial series of (1+t)**x,
+    trimmed of trailing zeros, gives the stream (module docstring).
+    """
+    n = n_max + 1
+    binom = [1 << wp]
     for k in range(1, n):
         binom.append(binom[-1] * (num - den * (k - 1)) // (den * k))
     while not binom[-1]:
         binom.pop()
-    return tuple(c >> wp for c in _mul(binom, g, 0, n))
+    return tuple(c >> wp for c in _mul(binom, _gregory_zero_fixed(n, wp), 0, n))
 
 
 def _validated_fixed(x: Fraction, n_max: int, prec: int) -> tuple[tuple[int, ...], int]:

@@ -152,25 +152,21 @@ def _cmd_seq(args) -> int:
     return 0
 
 
-def _frac_mpf(q: Fraction) -> "mpmath.mpf":
-    return mpmath.mpf(q.numerator) / q.denominator
-
-
 def _cmd_gamma(args) -> int:
     prec = args.prec
     with mpmath.workprec(prec):
         if args.method == "bla101":
             value = analytic.bla101_partial(args.k, args.x, args.terms, prec)
             logsum = sum(
-                mpmath.log(_frac_mpf(args.x + j)) for j in range(1, args.k + 1)
+                mpmath.log(analytic._to_mpf(args.x + j)) for j in range(1, args.k + 1)
             )
             corrections = [(f"-(1/{args.k}) sum log(x+j)", -logsum / args.k)]
         else:
             m = 0 if args.method == "mascheroni" else args.m
             value = analytic.mascheroni_partial(args.x, m, args.terms, prec)
             corrections = [
-                (f"H_{m}", _frac_mpf(euler.harmonic(m))),
-                (f"-log(x+{m + 1})", -mpmath.log(_frac_mpf(args.x + m + 1))),
+                (f"H_{m}", analytic._to_mpf(euler.harmonic(m))),
+                (f"-log(x+{m + 1})", -mpmath.log(analytic._to_mpf(args.x + m + 1))),
             ]
         ref = analytic.gamma_reference(prec)
         print(f"method={args.method} x={args.x} terms={args.terms} prec={prec}")

@@ -5,7 +5,10 @@ b(n) the Bell numbers.  The finite analogue truncates the series at k = p-1
 and reads it mod p; the Bell-side coefficients pick up a correction sequence
 g.  Everything generalizes to an extra power r in the factorial and a
 rational weight x: the coefficient polynomials b_{r,j}(n; x) and g_r(n; x)
-share one binomial-transform recurrence and differ only in initial values.
+share one binomial-transform recurrence and differ only in initial values,
+and so do the integer sequences b and g, so one helper extends them all.
+The truncated sums D^(N)(n) = sum_{k<N} k^n x^k/(k!)^r are exact rationals
+for every n from one pass over k, and residues mod p from another.
 
 Conventions: 0^0 = 1 (the k = 0 term of every sum), and the g recurrence
 starts at shift index 1 -- its initial window spans indices 0..r, one past
@@ -29,20 +32,29 @@ from .report import VerificationReport
 DEFAULT_WINDOW = (5, 2003)
 
 
+def _binomial_transform(row: list, n_max: int, r: int, scale=None) -> list:
+    """Extend row in place to f(0)..f(n_max) by f(n) = scale(sum_k C(n-r, k) f(k)).
+
+    The Bell-type sequences and both coefficient tables obey this one
+    recurrence and differ only in their initial rows.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    for n in range(len(row), n_max + 1):
+        m = n - r
+        total = sum(math.comb(m, k) * row[k] for k in range(m + 1))
+        row.append(total if scale is None else scale(total))
+    return row
+
+
 def bell(n_max: int) -> list[int]:
     """Bell numbers b(0)..b(n_max): 1, 1, 2, 5, 15, 52, ..."""
-    seq = [1]
-    for n in range(n_max):
-        seq.append(sum(math.comb(n, k) * seq[k] for k in range(n + 1)))
-    return seq
+    return _binomial_transform([1], n_max, 1)
 
 
 def g_seq(n_max: int) -> list[int]:
     """The companion sequence 0, 1, 1, 3, 9, 31, ...: g(0)=0, g(1)=1, Bell recurrence."""
-    seq = [0, 1]
-    for n in range(1, n_max):
-        seq.append(sum(math.comb(n, k) * seq[k] for k in range(n + 1)))
-    return seq[: n_max + 1]
+    return _binomial_transform([0, 1][: n_max + 1], n_max, 1)
 
 
 @dataclass(frozen=True)
@@ -77,37 +89,38 @@ def coeff_family(r: int, n_max: int) -> CoeffFamily:
         raise ValueError("r must be positive")
     b_rows = []
     for j in range(r):
-        row = [RationalPolynomial([1] if n == j else []) for n in range(min(r, n_max + 1))]
-        for n in range(r, n_max + 1):
-            m = n - r
-            acc = RationalPolynomial()
-            for k in range(m + 1):
-                acc = acc + math.comb(m, k) * row[k]
-            row.append(_times_x(acc))
-        b_rows.append(tuple(row))
-
+        window = [RationalPolynomial([1] if n == j else []) for n in range(min(r, n_max + 1))]
+        b_rows.append(tuple(_binomial_transform(window, n_max, r, _times_x)))
     spike = RationalPolynomial([0, (-1) ** (r - 1)])  # (-1)^(r-1) * x
+    # the g row starts at r + 1: the index-r value comes from the initial data
     g_row = [spike if n == r else RationalPolynomial() for n in range(min(r, n_max) + 1)]
-    for n in range(r + 1, n_max + 1):
-        m = n - r  # >= 1 here: the index-r value comes from the initial data
-        acc = RationalPolynomial()
-        for k in range(m + 1):
-            acc = acc + math.comb(m, k) * g_row[k]
-        g_row.append(_times_x(acc))
-    return CoeffFamily(r, n_max, tuple(b_rows), tuple(g_row[: n_max + 1]))
+    _binomial_transform(g_row, n_max, r, _times_x)
+    return CoeffFamily(r, n_max, tuple(b_rows), tuple(g_row))
+
+
+def _partial_sums_exact(r: int, n_max: int, N: int, x: Rational) -> list[Fraction]:
+    """D^(N)(n) = sum_{k<N} k^n x^k/(k!)^r for all n = 0..n_max in one pass
+    over k, the exact counterpart of _d_sums_mod.
+
+    With x = a/b every term is an integer over den = b^(N-1) ((N-1)!)^r, so
+    the pass adds integers and each n costs one division at the end.
+    """
+    if r < 1 or n_max < 0 or N < 1:
+        raise ValueError("need r >= 1, n >= 0, N >= 1")
+    x = Fraction(x)
+    a, b = x.numerator, x.denominator
+    w = den = b ** (N - 1) * math.factorial(N - 1) ** r
+    sums = [den] + [0] * n_max  # the k = 0 term, with 0^0 = 1
+    for k in range(1, N):
+        w = w * a // (b * k**r)  # a^k b^(N-1-k) ((N-1)!/k!)^r, exact for k < N
+        for n in range(n_max + 1):
+            sums[n] += w * k**n
+    return [Fraction(s, den) for s in sums]
 
 
 def partial_sum_exact(r: int, n: int, N: int, x: Rational) -> Fraction:
     """Exact value of sum_{k=0}^{N-1} k^n x^k / (k!)^r."""
-    if r < 1 or n < 0 or N < 1:
-        raise ValueError("need r >= 1, n >= 0, N >= 1")
-    x = Fraction(x)
-    total = Fraction(1 if n == 0 else 0)  # k = 0 term, with 0^0 = 1
-    w = Fraction(1)
-    for k in range(1, N):
-        w = w * x / k**r
-        total += k**n * w
-    return total
+    return _partial_sums_exact(r, n, N, x)[n]
 
 
 def check_truncation_identity(r: int, n: int, N: int, x: Rational) -> bool:
@@ -116,13 +129,10 @@ def check_truncation_identity(r: int, n: int, N: int, x: Rational) -> bool:
     D^(N)(n+r) = x sum_k C(n,k) D^(N)(k) - N^n x^N / ((N-1)!)^r.
     """
     x = Fraction(x)
-    lhs = partial_sum_exact(r, n + r, N, x)
-    rhs = x * sum(
-        (math.comb(n, k) * partial_sum_exact(r, k, N, x) for k in range(n + 1)),
-        Fraction(0),
-    )
+    d = _partial_sums_exact(r, n + r, N, x)
+    rhs = x * sum(math.comb(n, k) * d[k] for k in range(n + 1))
     rhs -= Fraction(N**n) * x**N / math.factorial(N - 1) ** r
-    return lhs == rhs
+    return d[n + r] == rhs
 
 
 def _d_sums_mod(r: int, n_max: int, x: Fraction, p: int) -> list[int] | None:
@@ -256,8 +266,6 @@ def numeric_identity_check(
     if err >= tol / 2:
         raise ValueError(f"truncation tail bound {float(err):.3g} exceeds tolerance/2")
 
-    lhs = partial_sum_exact(r, n, N, x)
-    rhs = sum(
-        (b_at[j] * partial_sum_exact(r, j, N, x) for j in range(r)), Fraction(0)
-    )
-    return abs(lhs - rhs) < tol
+    d = _partial_sums_exact(r, max(n, r - 1), N, x)
+    rhs = sum((b_at[j] * d[j] for j in range(r)), Fraction(0))
+    return abs(d[n] - rhs) < tol

@@ -87,9 +87,6 @@ class PrimeCtx:
             inv_fact[k - 1] = inv_fact[k] * k % p
         return inv_fact
 
-    def inv(self, i: int) -> int:
-        return self.inv_table[i % self.p]
-
     def __repr__(self) -> str:
         return f"PrimeCtx({self.p})"
 
@@ -194,9 +191,6 @@ class AElement:
     @classmethod
     def zero(cls, window: Iterable[int], exceptional_bound: int = 0) -> "AElement":
         return cls(window, {p: 0 for p in window}, {}, exceptional_bound)
-
-    def admissible(self, p: int) -> bool:
-        return p in self.components and p > self.exceptional_bound
 
     def __getitem__(self, p: int) -> int:
         if p in self.exceptional:

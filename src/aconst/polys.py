@@ -6,9 +6,13 @@ entries may be Fractions or RationalPolynomials (anything with ring ops),
 and every operation truncates consistently at order M.
 
 Gregory polynomials are the coefficients of t*(1+t)^x / log(1+t).  Over Q
-(polynomials or values) they are computed by the division-free recurrence
+there is one construction: the binomial series (1+t)^x divided by the
+series log(1+t)/t, whose division-free recurrence is
 
     G_n(x) = binom(x, n) - sum_{j<n} (-1)^(n-j) G_j(x) / (n-j+1).
+
+The same call gives values at a rational x and, at the indeterminate
+x = RationalPolynomial([0, 1]), the polynomials themselves.
 
 Over F_p the residue stream uses the factorization
 t(1+t)^x/log(1+t) = (1+t)^x * t/log(1+t): the Gregory numbers G_n(0) mod p
@@ -18,7 +22,10 @@ series product per x.  Every series product mod p is a single big-int
 multiply of coefficients packed into fixed-width slots (Kronecker
 substitution; Harvey, J. Symbolic Comput. 44, 2009).  The residue stream
 deliberately stops at n = p-2: G_{p-1}(x) picks up a 1/p! term and is not
-p-integral.
+p-integral.  It stays apart from the fixed-point stream of
+analytic._gregory_fixed, which has the same shape: running both through
+one signed product and one Newton inversion made the Newton step mod p
+1.2-1.75x slower, and the whole residue stream 25-40% slower at p <= 503.
 """
 
 from __future__ import annotations
@@ -143,12 +150,7 @@ class RationalPolynomial:
         return "RationalPolynomial(" + " + ".join(terms) + ")"
 
 
-def binomial_polynomial(n: int) -> RationalPolynomial:
-    """binom(x, n) = x(x-1)...(x-n+1)/n! as a polynomial in x."""
-    poly = RationalPolynomial([1])
-    for i in range(n):
-        poly = poly * RationalPolynomial([-i, 1]) / (i + 1)
-    return poly
+_X = RationalPolynomial([0, 1])  # the indeterminate
 
 
 class TruncatedSeries:
@@ -209,12 +211,13 @@ class TruncatedSeries:
         b0 = other.coeffs[0]
         if not b0 or isinstance(b0, RationalPolynomial):
             raise ZeroDivisionError("non-unit series")
+        neg = [-c for c in other.coeffs]  # polynomial subtraction would negate a copy
         out = []
         for n in range(self.order + 1):
             acc = self.coeffs[n]
             for i in range(n):
-                if out[i] and other.coeffs[n - i]:
-                    acc = acc - out[i] * other.coeffs[n - i]
+                if out[i] and neg[n - i]:
+                    acc = acc + out[i] * neg[n - i]
             out.append(acc if b0 == 1 else acc / b0)
         return TruncatedSeries(out, self.order)
 
@@ -229,29 +232,33 @@ def series_log1p(order: int) -> TruncatedSeries:
     )
 
 
-def series_pow_binomial(x: Rational, order: int) -> TruncatedSeries:
-    """(1+t)^x = sum binom(x, n) t^n truncated, for rational x."""
-    x = Fraction(x)
-    coeffs = [Fraction(1)]
+def series_pow_binomial(x: Rational | RationalPolynomial, order: int) -> TruncatedSeries:
+    """(1+t)^x = sum binom(x, n) t^n truncated, for rational x or, at the
+    indeterminate RationalPolynomial([0, 1]), with polynomial coefficients."""
+    if not isinstance(x, RationalPolynomial):
+        x = Fraction(x)
+    coeffs = [x * 0 + 1]  # the one of x's ring
     for n in range(1, order + 1):
         coeffs.append(coeffs[-1] * (x - n + 1) / n)
     return TruncatedSeries(coeffs, order)
 
 
+def binomial_polynomial(n: int) -> RationalPolynomial:
+    """binom(x, n) = x(x-1)...(x-n+1)/n! as a polynomial in x."""
+    return series_pow_binomial(_X, n).coeffs[n]
+
+
+def gregory_values_exact(x: Rational | RationalPolynomial, n_max: int) -> list:
+    """G_0(x)..G_{n_max}(x) as exact rationals, or as polynomials at the
+    indeterminate: the series (1+t)^x divided by log(1+t)/t."""
+    log_over_t = TruncatedSeries([Fraction((-1) ** i, i + 1) for i in range(n_max + 1)])
+    return (series_pow_binomial(x, n_max) / log_over_t).coeffs
+
+
 @lru_cache(maxsize=None)
 def gregory_polynomials(n_max: int) -> tuple[RationalPolynomial, ...]:
-    """G_0(x)..G_{n_max}(x) by the division-free recurrence."""
-    g = [RationalPolynomial([1])]
-    binom = RationalPolynomial([1])
-    for n in range(1, n_max + 1):
-        binom = binom * RationalPolynomial([1 - n, 1]) / n  # binom(x, n)
-        acc = binom
-        for j in range(n):
-            i = n - j
-            term = g[j] / (i + 1)
-            acc = acc + term if i % 2 else acc - term
-        g.append(acc)
-    return tuple(g)
+    """G_0(x)..G_{n_max}(x) as polynomials."""
+    return tuple(gregory_values_exact(_X, n_max))
 
 
 def gregory_polynomial(n: int) -> RationalPolynomial:
@@ -273,22 +280,6 @@ def gregory_explicit(n: int) -> RationalPolynomial:
         diff = RationalPolynomial([math.comb(j + 1, i) for i in range(j + 1)])
         acc = acc + diff * Fraction((-1) ** j * row[j], j + 1)
     return acc * Fraction((-1) ** n, math.factorial(n))
-
-
-def gregory_values_exact(x: Rational, n_max: int) -> list[Fraction]:
-    """G_0(x)..G_{n_max}(x) as exact rationals, by the value recurrence."""
-    x = Fraction(x)
-    g = [Fraction(1)]
-    binom = Fraction(1)
-    for n in range(1, n_max + 1):
-        binom = binom * (x - n + 1) / n
-        acc = binom
-        for j in range(n):
-            i = n - j
-            term = g[j] / (i + 1)
-            acc = acc + term if i % 2 else acc - term
-        g.append(acc)
-    return g
 
 
 def _slot_bytes(p: int) -> int:

@@ -12,6 +12,7 @@ from aconst import analytic
 from aconst.analytic import (
     GAMMA_REF_DIGITS,
     _gregory_fixed,
+    _gregory_zero_fixed,
     _mul,
     _signed_pack,
     _signed_unpack,
@@ -283,6 +284,15 @@ class TestBla101Partial:
     def test_k2_converges(self):
         got = bla101_partial(2, 0, 3000, 64)
         assert abs(got - gamma_reference(64)) < 1e-3
+
+    def test_k2_inverts_once_per_precision(self):
+        # G_n(0) depends only on (n, wp): the two shifts share both inversions
+        _gregory_fixed.cache_clear()
+        _gregory_zero_fixed.cache_clear()
+        got = bla101_partial(2, 0, 3000, 64)
+        assert _gregory_zero_fixed.cache_info().misses == 2
+        # bit for bit the value of one inversion per shift
+        assert got._mpf_ == (0, 10647717544068405195, -64, 64)
 
     def test_guards(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aconst.dobinski import (
@@ -13,6 +13,7 @@ from aconst.dobinski import (
     d_r_A,
     d_r_A_range,
     g_seq,
+    _partial_sums_exact,
     numeric_identity_check,
     partial_sum_exact,
     verify_dobinski,
@@ -34,6 +35,16 @@ def brute_d_sum_mod(r, n, x, p):
     return rational_mod(total, PrimeCtx(p))
 
 
+def partial_sum_loop(r, n, N, x):
+    """Oracle: sum_{k=0}^{N-1} k^n x^k / (k!)^r, one Fraction term at a time."""
+    total = F(1 if n == 0 else 0)  # k = 0 term, with 0^0 = 1
+    w = F(1)
+    for k in range(1, N):
+        w = w * x / k**r
+        total += k**n * w
+    return total
+
+
 class TestSequences:
     def test_bell_values(self):
         assert bell(7) == BELL8
@@ -52,6 +63,12 @@ class TestSequences:
     def test_g_is_specialized_family(self):
         fam = coeff_family(1, 12)
         assert [poly(1) for poly in fam.g] == g_seq(12)
+
+
+    def test_families_specialize_to_sequences_at_thirty(self):
+        fam = coeff_family(1, 30)
+        assert [poly(1) for poly in fam.b[0]] == bell(30)
+        assert [poly(1) for poly in fam.g] == g_seq(30)
 
 
 class TestCoeffFamily:
@@ -80,6 +97,15 @@ class TestCoeffFamily:
         spike = RationalPolynomial([0, (-1) ** (r - 1)])
         for n in range(r + 1):
             assert fam.g[n] == (spike if n == r else RationalPolynomial())
+
+    def test_windows_cut_below_r(self):
+        one, zero = RationalPolynomial([1]), RationalPolynomial()
+        fam = coeff_family(3, 1)
+        assert fam.b == ((one, zero), (zero, one), (zero, zero))
+        assert fam.g == (zero, zero)
+        fam = coeff_family(2, 0)
+        assert fam.b == ((one,), (zero,))
+        assert fam.g == (zero,)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_recurrence_rederived(self, r):
@@ -133,6 +159,23 @@ class TestPartialSums:
             partial_sum_exact(0, 0, 3, 1)
         with pytest.raises(ValueError):
             partial_sum_exact(1, 0, 0, 1)
+
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        r=st.integers(1, 3),
+        n_max=st.integers(0, 12),
+        N=st.integers(1, 40),
+        a=st.integers(-9, 9),
+        b=st.integers(1, 9),
+    )
+    @example(r=2, n_max=12, N=40, a=0, b=1)
+    @example(r=3, n_max=5, N=17, a=-7, b=3)
+    def test_one_pass_matches_loop(self, r, n_max, N, a, b):
+        x = F(a, b)
+        expected = [partial_sum_loop(r, n, N, x) for n in range(n_max + 1)]
+        assert _partial_sums_exact(r, n_max, N, x) == expected
+        assert partial_sum_exact(r, n_max, N, x) == expected[n_max]
 
 
 class TestTruncationIdentity:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aconst.dobinski import bell, g_seq
 from aconst.modular import PrimeCtx, rational_mod, sieve_primes
 from aconst.polys import (
     _pack,
@@ -53,6 +54,26 @@ def recurrence_stream(x, n_max, ctx):
         pos = sum(map(mul, g[n - 1 :: -2], inv[2::2]))  # inv[i+1], i = n-j odd
         neg = sum(map(mul, g[n - 2 :: -2], inv[3::2])) if n >= 2 else 0
         g.append((binom + pos - neg) % p)
+    return g
+
+
+def recurrence_values(x, n_max, one):
+    """Oracle: G_0(x)..G_{n_max}(x) by the division-free recurrence over Q or Q[x],
+
+    G_n(x) = binom(x, n) - sum_{j<n} (-1)^(n-j) G_j(x) / (n-j+1),
+
+    with one the unit of x's ring.
+    """
+    g = [one]
+    binom = one
+    for n in range(1, n_max + 1):
+        binom = binom * (x - n + 1) / n
+        acc = binom
+        for j in range(n):
+            i = n - j
+            term = g[j] / (i + 1)
+            acc = acc + term if i % 2 else acc - term
+        g.append(acc)
     return g
 
 
@@ -179,6 +200,36 @@ class TestGregoryPolynomials:
             values = gregory_values_exact(x, 25)
             for n in range(26):
                 assert values[n] == gregory_polynomial(n)(x)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.integers(-9, 9), b=st.integers(1, 9), n_max=st.integers(0, 40))
+    def test_values_match_recurrence(self, a, b, n_max):
+        x = F(a, b)
+        assert gregory_values_exact(x, n_max) == recurrence_values(x, n_max, F(1))
+
+    def test_polynomials_match_recurrence(self):
+        x = RationalPolynomial([0, 1])
+        expected = recurrence_values(x, 20, RationalPolynomial([1]))
+        assert gregory_polynomials(20) == tuple(expected)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gregory_polynomial(-1),
+        lambda: N_nk(-1, 2, 0),
+        lambda: gregory_values_exact(0, -1),
+        lambda: gregory_polynomials(-3),
+        lambda: bell(-1),
+        lambda: g_seq(-1),
+    ],
+    ids=["gregory_polynomial", "N_nk", "gregory_values_exact", "gregory_polynomials",
+         "bell", "g_seq"],
+)
+def test_negative_order_rejected(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 class TestNnkAndShift:
