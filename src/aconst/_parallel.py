@@ -5,6 +5,8 @@ independent per prime; shards are strided so each worker gets a similar mix
 of small and large primes (cost grows with p).  Batches must be module-level
 functions taking one (static_args, primes_shard) tuple and returning
 picklable (checks, skips) lists of CheckRecord and SkipRecord field tuples.
+A congruence given as two side kernels runs its shard through check_shard,
+the one loop that computes the pass flag of such a check.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Mapping, Sequence
 
+from .modular import PrimeCtx
 from .report import CheckRecord, SkipRecord, VerificationReport
 
 
@@ -25,6 +28,27 @@ def run_prime_shards(
         with ProcessPoolExecutor(max_workers=len(shards)) as pool:
             return list(pool.map(fn, [(static_args, s) for s in shards]))
     return [fn((static_args, list(primes)))]
+
+
+def check_shard(
+    primes: Sequence[int], grid: Sequence[tuple[str, tuple]], lhs: Callable, rhs: Callable
+) -> tuple[list, list]:
+    """(checks, skips) of lhs == rhs at each prime and each (label, point) of
+    grid, in that order.  A side is a kernel side(ctx, *point) giving a
+    residue or the reason (a str) it is undefined; where the left side gives
+    a reason, that reason is recorded and the right side is not evaluated.
+    """
+    checks, skips = [], []
+    for p in primes:
+        ctx = PrimeCtx(p)
+        for label, point in grid:
+            left = lhs(ctx, *point)
+            right = left if isinstance(left, str) else rhs(ctx, *point)
+            if isinstance(right, str):
+                skips.append((p, label, right))
+            else:
+                checks.append((p, label, left, right, left == right))
+    return checks, skips
 
 
 def verify_primes(

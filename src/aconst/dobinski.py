@@ -22,6 +22,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from ._parallel import verify_primes
@@ -79,8 +80,10 @@ def _times_x(poly: RationalPolynomial) -> RationalPolynomial:
     return RationalPolynomial([Fraction(0)] + list(poly.coeffs))
 
 
+@lru_cache(maxsize=None)
 def coeff_family(r: int, n_max: int) -> CoeffFamily:
-    """Build both coefficient tables up to index n_max.
+    """Build both coefficient tables up to index n_max, once per (r, n_max):
+    a CoeffFamily is immutable, so every verifier call shares it.
 
     b_{r,j}: delta_{j,n} for n < r, then f(n+r) = x sum_k C(n,k) f(k) for n >= 0.
     g_r: (-1)^(r-1) x delta_{n,r} for n <= r, then the same recurrence for n >= 1.

@@ -6,26 +6,31 @@ alternating sums of Gregory polynomial residues (Mascheroni- and
 Kluyver-style) give others.  The theorems verified here say the two kinds
 differ only by values of x*q_p(x) and rational constants.
 
-Each theorem has one per-prime kernel.  A verifier is a batch of those
-kernels over a shard of primes plus one call of `_parallel.verify_primes`,
-which shards, collects and reports; an AElement family is the same kernel
-read through `AElement.from_kernel`.  Every verifier computes its two sides
-along genuinely independent paths: the sum side from Gregory residue
-streams, the quotient side from Fermat and Wilson quotients mod p^2.  Primes
-2 and 3 are excluded from verifiers wholesale (the congruences are
-sufficiently-large-p statements); primes dividing a relevant numerator or
-denominator are skipped per component, with the reason recorded.
+Each congruence is a pair of module-level side kernels, lhs(ctx, *point)
+and rhs(ctx, *point), each giving a residue mod p or the reason (a str) it
+is undefined.  A verifier's batch only lists its grid of labelled points and
+names its two kernels; `_parallel.check_shard` evaluates them (left side
+first, so the left side's reason wins) and `_parallel.verify_primes` shards,
+collects and reports.  The AElement families gamma_M, G_A, gamma_K and L1
+are the left kernels of mascheroni, interlude, kluyver and eisenstein read
+through `AElement.from_kernel`.  Neither side sees the other's value: the
+sum side comes from Gregory residue streams, the quotient side from Fermat
+and Wilson quotients mod p^2.  Primes 2 and 3 are excluded from verifiers
+wholesale (the congruences are sufficiently-large-p statements); primes
+dividing a relevant numerator or denominator are skipped per point, with
+the reason recorded.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import mul
 from typing import Sequence
 
-from ._parallel import verify_primes
+from ._parallel import check_shard, verify_primes
 from .modular import AElement, PrimeCtx, Rational, rational_mod, rational_pow_mod_p2
 from .polys import gregory_residue_stream
 from .report import VerificationReport
@@ -118,12 +123,6 @@ def _kluyver_sum(stream: list[int], m: int, ctx: PrimeCtx) -> int:
     return _alternating_sum(stream, weights, p) * fact[m] % p
 
 
-def _kluyver_lhs(stream: list[int], m: int, hm: Fraction, ell: int, ctx: PrimeCtx) -> int:
-    # gamma_K's component: the Kluyver sum of order m plus H_m (= hm) minus
-    # ell = ell(x+m+1), mod p
-    return (_kluyver_sum(stream, m, ctx) + rational_mod(hm, ctx) - ell) % ctx.p
-
-
 def _truncated_log(y: int, ctx: PrimeCtx) -> int:
     # -sum_{n=1}^{p-1} y^n / n mod p, the truncated series of log(1 - y)
     p = ctx.p
@@ -136,43 +135,124 @@ def _truncated_log(y: int, ctx: PrimeCtx) -> int:
     return -s % p
 
 
+@lru_cache(maxsize=1)
+def _stream(ctx: PrimeCtx, x: Fraction) -> list[int] | None:
+    # G_0(x)..G_{p-2}(x) mod p.  A grid lists all points of one x in a row,
+    # so this one entry serves every k or m at that x; only left sides read it.
+    return gregory_residue_stream(x, ctx.p - 2, ctx)
+
+
+@lru_cache(maxsize=1)
+def _wilson(p: int) -> int:
+    # one Wilson quotient per prime for the whole grid; only right sides read it
+    return _wilson_component(p)
+
+
+def _mascheroni_lhs(ctx: PrimeCtx, x: Fraction) -> int | str:
+    stream = _stream(ctx, x)
+    return "p divides den(x)" if stream is None else _mascheroni_sum(stream, ctx)
+
+
+def _mascheroni_rhs(ctx: PrimeCtx, x: Fraction) -> int | str:
+    # Wilson quotient + ell(x+2) - ell(x+1) + [x = -1] - 1
+    p = ctx.p
+    e2 = _ell_component(x + 2, p)
+    e1 = _ell_component(x + 1, p)
+    if e2 is None or e1 is None:
+        return "fermat quotient undefined at x+1 or x+2"
+    return (_wilson(p) + e2 - e1 + delta_minus_one(x) - 1) % p
+
+
+def _interlude_lhs(ctx: PrimeCtx, k: int, x: Fraction) -> int | str:
+    # G_{p-k}(x) mod p
+    stream = _stream(ctx, x)
+    if stream is None:
+        return "p divides den(x)"
+    return f"p <= k = {k}" if ctx.p <= k else stream[ctx.p - k]
+
+
+def _interlude_rhs(ctx: PrimeCtx, k: int, x: Fraction) -> int | str:
+    # (-1)^(k-1) sum_{j=0}^{k} (-1)^j C(k, j) ell(x+j+1)
+    p = ctx.p
+    ells = [_ell_component(x + j + 1, p) for j in range(k + 1)]
+    if any(e is None for e in ells):
+        return "fermat quotient undefined at some x+j+1"
+    total = sum((-1) ** j * math.comb(k, j) * e for j, e in enumerate(ells))
+    return (-1) ** (k - 1) * total % p
+
+
+def _kluyver_lhs(ctx: PrimeCtx, m: int, x: Fraction) -> int | str:
+    # the Kluyver sum of order m + H_m (from inv_table) - ell(x+m+1), mod p
+    stream = _stream(ctx, x)
+    if stream is None:
+        return "p divides den(x)"
+    p = ctx.p
+    if p <= m + 1:
+        return f"p <= m+1 = {m + 1}"
+    ell = _ell_component(x + m + 1, p)
+    if ell is None:
+        return "fermat quotient undefined at some x+j+1"
+    return (_kluyver_sum(stream, m, ctx) + sum(ctx.inv_table[1 : m + 1]) - ell) % p
+
+
+def _kluyver_rhs(ctx: PrimeCtx, m: int, x: Fraction) -> int | str:
+    # Wilson quotient + [x+m = -1] - 1 + (H_m - 1) ell(x+m+1)
+    #   + sum_{j<m} (-1)^(m-j) C(m, j)/(m-j) ell(x+j+1); check_shard calls
+    # it only where the left side is defined, so p > m+1 and H_m reduces
+    p = ctx.p
+    ells = [_ell_component(x + j + 1, p) for j in range(m + 1)]
+    if any(e is None for e in ells):
+        return "fermat quotient undefined at some x+j+1"
+    rhs = _wilson(p) + delta_minus_one(x + m) - 1
+    rhs += rational_mod(harmonic(m) - 1, ctx) * ells[m]
+    for j in range(m):
+        rhs += rational_mod(Fraction((-1) ** (m - j) * math.comb(m, j), m - j), ctx) * ells[j]
+    return rhs % p
+
+
+def _eisenstein_lhs(ctx: PrimeCtx, x: Fraction) -> int | str:
+    # sum_{m=1}^{p-1} (-1)^(m-1) x^m/m mod p, the truncated log at y = -x
+    xr = rational_mod(x, ctx)
+    return "quotient or residue undefined" if xr is None else _truncated_log(-xr % ctx.p, ctx)
+
+
+def _eisenstein_rhs(ctx: PrimeCtx, x: Fraction) -> int | str:
+    # (x+1) q_p(x+1) - x q_p(x) mod p
+    e1 = _ell_component(x + 1, ctx.p)
+    e0 = _ell_component(x, ctx.p)
+    if e1 is None or e0 is None:
+        return "quotient or residue undefined"
+    return (e1 - e0) % ctx.p
+
+
+def _logadd_lhs(ctx: PrimeCtx, x: Fraction, y: Fraction) -> int | str:
+    q = fermat_quotient(x * y, ctx.p)
+    return "fermat quotient undefined" if q is None else q
+
+
+def _logadd_rhs(ctx: PrimeCtx, x: Fraction, y: Fraction) -> int | str:
+    qx = fermat_quotient(x, ctx.p)
+    qy = fermat_quotient(y, ctx.p)
+    return "fermat quotient undefined" if qx is None or qy is None else (qx + qy) % ctx.p
+
+
 def gamma_M(x: Rational, window: Sequence[int]) -> AElement:
     """Mascheroni-style analogue: alternating sum of G_n(x)/n for n <= p-2."""
     x = Fraction(x)
-
-    def component(p):
-        ctx = PrimeCtx(p)
-        stream = gregory_residue_stream(x, p - 2, ctx)
-        return "p divides den(x)" if stream is None else _mascheroni_sum(stream, ctx)
-
-    return AElement.from_kernel(window, component)
+    return AElement.from_kernel(window, lambda p: _mascheroni_lhs(PrimeCtx(p), x))
 
 
 def gamma_K(m: int, x: Rational, window: Sequence[int]) -> AElement:
     """Kluyver-style analogue of order m: the rising-factorial sum plus
     H_m minus the ell component at x+m+1.
 
-    A prime is exceptional when p <= m+1 or when the ell part is undefined;
-    the whole component is then dropped rather than split.
+    A prime is exceptional when it divides den(x), when p <= m+1 or when
+    the ell part is undefined; the component is then dropped, not split.
     """
     if m < 1:
         raise ValueError("m must be positive")
     x = Fraction(x)
-    hm = harmonic(m)
-
-    def component(p):
-        if p <= m + 1:
-            return f"p <= m+1 = {m + 1}"
-        ctx = PrimeCtx(p)
-        stream = gregory_residue_stream(x, p - 2, ctx)
-        if stream is None:
-            return "p divides den(x)"
-        ell = _ell_component(x + m + 1, p)
-        if ell is None:
-            return f"fermat quotient undefined at x+m+1={x + m + 1}"
-        return _kluyver_lhs(stream, m, hm, ell, ctx)
-
-    return AElement.from_kernel(window, component)
+    return AElement.from_kernel(window, lambda p: _kluyver_lhs(PrimeCtx(p), m, x))
 
 
 def G_A(k: int, x: Rational, window: Sequence[int]) -> AElement:
@@ -180,49 +260,21 @@ def G_A(k: int, x: Rational, window: Sequence[int]) -> AElement:
     if k < 2:
         raise ValueError("k must be at least 2")
     x = Fraction(x)
-
-    def component(p):
-        if p <= k:
-            return f"p <= k = {k}"
-        stream = gregory_residue_stream(x, p - k, PrimeCtx(p))
-        return "p divides den(x)" if stream is None else stream[p - k]
-
-    return AElement.from_kernel(window, component)
+    return AElement.from_kernel(window, lambda p: _interlude_lhs(PrimeCtx(p), k, x))
 
 
 def L1(x: Rational, window: Sequence[int]) -> AElement:
-    """The log-type family (-sum_{n=1}^{p-1} (1-x)^n / n mod p)_p."""
+    """The log-type family (-sum_{n=1}^{p-1} (1-x)^n / n mod p)_p: Eisenstein's
+    left side at x - 1."""
     x = Fraction(x)
-
-    def component(p):
-        ctx = PrimeCtx(p)
-        y = rational_mod(1 - x, ctx)
-        return "p divides den(x)" if y is None else _truncated_log(y, ctx)
-
-    return AElement.from_kernel(window, component)
-
-
-def _eisenstein_sides(x: Fraction, ctx: PrimeCtx) -> tuple[int, int] | None:
-    # sum_{m=1}^{p-1} (-1)^(m-1) x^m/m  vs  (x+1)q_p(x+1) - x q_p(x), mod p;
-    # the left side is the truncated log at y = -x
-    p = ctx.p
-    xr = rational_mod(x, ctx)
-    if xr is None:
-        return None
-    e1 = _ell_component(x + 1, p)
-    e0 = _ell_component(x, p)
-    if e1 is None or e0 is None:
-        return None
-    return _truncated_log(-xr % p, ctx), (e1 - e0) % p
+    return AElement.from_kernel(window, lambda p: _eisenstein_lhs(PrimeCtx(p), x - 1))
 
 
 def check_eisenstein(x: Rational, p: int) -> bool | None:
     """Eisenstein's congruence for the truncated log series at x; None when
     a needed quotient is undefined at p."""
-    sides = _eisenstein_sides(Fraction(x), PrimeCtx(p))
-    if sides is None:
-        return None
-    return sides[0] == sides[1]
+    checks, _ = check_shard([p], [("", (Fraction(x),))], _eisenstein_lhs, _eisenstein_rhs)
+    return checks[0][4] if checks else None
 
 
 def _small_primes(window: Sequence[int]) -> dict[int, str]:
@@ -231,25 +283,8 @@ def _small_primes(window: Sequence[int]) -> dict[int, str]:
 
 def _mascheroni_batch(payload):
     (xs,), primes = payload
-    checks, skips = [], []
-    for p in primes:
-        ctx = PrimeCtx(p)
-        wilson = _wilson_component(p)
-        for x in xs:
-            label = f"x={x}"
-            stream = gregory_residue_stream(x, p - 2, ctx)
-            if stream is None:
-                skips.append((p, label, "p divides den(x)"))
-                continue
-            e2 = _ell_component(x + 2, p)
-            e1 = _ell_component(x + 1, p)
-            if e2 is None or e1 is None:
-                skips.append((p, label, "fermat quotient undefined at x+1 or x+2"))
-                continue
-            lhs = _mascheroni_sum(stream, ctx)
-            rhs = (wilson + e2 - e1 + delta_minus_one(x) - 1) % p
-            checks.append((p, label, lhs, rhs, lhs == rhs))
-    return checks, skips
+    grid = [(f"x={x}", (x,)) for x in xs]
+    return check_shard(primes, grid, _mascheroni_lhs, _mascheroni_rhs)
 
 
 def verify_mascheroni(
@@ -265,32 +300,8 @@ def verify_mascheroni(
 
 def _interlude_batch(payload):
     (ks, xs), primes = payload
-    checks, skips = [], []
-    for p in primes:
-        ctx = PrimeCtx(p)
-        for x in xs:
-            stream = gregory_residue_stream(x, p - 2, ctx)
-            if stream is None:
-                for k in ks:
-                    skips.append((p, f"k={k} x={x}", "p divides den(x)"))
-                continue
-            for k in ks:
-                label = f"k={k} x={x}"
-                if p <= k:
-                    skips.append((p, label, f"p <= k = {k}"))
-                    continue
-                ells = [_ell_component(x + j + 1, p) for j in range(k + 1)]
-                if any(e is None for e in ells):
-                    skips.append((p, label, "fermat quotient undefined at some x+j+1"))
-                    continue
-                rhs = 0
-                for j, e in enumerate(ells):
-                    t = math.comb(k, j) * e
-                    rhs = rhs - t if j % 2 else rhs + t
-                rhs = rhs % p if k % 2 else -rhs % p  # overall (-1)^(k-1)
-                lhs = stream[p - k]
-                checks.append((p, label, lhs, rhs, lhs == rhs))
-    return checks, skips
+    grid = [(f"k={k} x={x}", (k, x)) for x in xs for k in ks]
+    return check_shard(primes, grid, _interlude_lhs, _interlude_rhs)
 
 
 def verify_interlude(
@@ -308,37 +319,8 @@ def verify_interlude(
 
 def _kluyver_batch(payload):
     (ms, xs), primes = payload
-    checks, skips = [], []
-    for p in primes:
-        ctx = PrimeCtx(p)
-        wilson = _wilson_component(p)
-        for x in xs:
-            stream = gregory_residue_stream(x, p - 2, ctx)
-            if stream is None:
-                for m in ms:
-                    skips.append((p, f"m={m} x={x}", "p divides den(x)"))
-                continue
-            for m in ms:
-                label = f"m={m} x={x}"
-                if p <= m + 1:
-                    skips.append((p, label, f"p <= m+1 = {m + 1}"))
-                    continue
-                ells = [_ell_component(x + j + 1, p) for j in range(m + 1)]
-                if any(e is None for e in ells):
-                    skips.append((p, label, "fermat quotient undefined at some x+j+1"))
-                    continue
-                hm = harmonic(m)
-                lhs = _kluyver_lhs(stream, m, hm, ells[m], ctx)
-                rhs = wilson + delta_minus_one(x + m) - 1
-                rhs += rational_mod(hm - 1, ctx) * ells[m]
-                for j in range(m):
-                    coef = rational_mod(
-                        Fraction((-1) ** (m - j) * math.comb(m, j), m - j), ctx
-                    )
-                    rhs += coef * ells[j]
-                rhs %= p
-                checks.append((p, label, lhs, rhs, lhs == rhs))
-    return checks, skips
+    grid = [(f"m={m} x={x}", (m, x)) for x in xs for m in ms]
+    return check_shard(primes, grid, _kluyver_lhs, _kluyver_rhs)
 
 
 def verify_kluyver(
@@ -357,18 +339,8 @@ def verify_kluyver(
 
 def _eisenstein_batch(payload):
     (xs,), primes = payload
-    checks, skips = [], []
-    for p in primes:
-        ctx = PrimeCtx(p)
-        for x in xs:
-            label = f"x={x}"
-            sides = _eisenstein_sides(x, ctx)
-            if sides is None:
-                skips.append((p, label, "quotient or residue undefined"))
-            else:
-                lhs, rhs = sides
-                checks.append((p, label, lhs, rhs, lhs == rhs))
-    return checks, skips
+    grid = [(f"x={x}", (x,)) for x in xs]
+    return check_shard(primes, grid, _eisenstein_lhs, _eisenstein_rhs)
 
 
 def verify_eisenstein(
@@ -383,19 +355,8 @@ def verify_eisenstein(
 
 def _logadd_batch(payload):
     (pairs,), primes = payload
-    checks, skips = [], []
-    for p in primes:
-        for x, y in pairs:
-            label = f"x={x} y={y}"
-            qx = fermat_quotient(x, p)
-            qy = fermat_quotient(y, p)
-            qxy = fermat_quotient(x * y, p)
-            if qx is None or qy is None or qxy is None:
-                skips.append((p, label, "fermat quotient undefined"))
-            else:
-                rhs = (qx + qy) % p
-                checks.append((p, label, qxy, rhs, qxy == rhs))
-    return checks, skips
+    grid = [(f"x={x} y={y}", (x, y)) for x, y in pairs]
+    return check_shard(primes, grid, _logadd_lhs, _logadd_rhs)
 
 
 def verify_log_additivity(

@@ -143,54 +143,45 @@ class AElement:
 
     components maps each meaningful window prime to its residue; exceptional
     maps the remaining window primes to the reason their value is undefined.
-    Primes <= exceptional_bound are ignored outright (small primes a theorem
-    excludes wholesale).  Equality means agreement at every admissible prime
-    of the common window.
+    Equality means agreement at every admissible prime of the common window.
     """
 
-    __slots__ = ("window", "components", "exceptional", "exceptional_bound")
+    __slots__ = ("window", "components", "exceptional")
 
     def __init__(
         self,
         window: Iterable[int],
         components: Mapping[int, int],
         exceptional: Mapping[int, str] | None = None,
-        exceptional_bound: int = 0,
     ):
         self.window = tuple(window)
         self.components = dict(components)
         self.exceptional = dict(exceptional or {})
-        self.exceptional_bound = exceptional_bound
         for p in self.window:
             if p not in self.components and p not in self.exceptional:
                 raise ValueError(f"window prime {p} has neither residue nor reason")
 
     @classmethod
-    def from_kernel(
-        cls, window: Iterable[int], fn: Callable[[int], int | str], exceptional_bound: int = 0
-    ) -> "AElement":
+    def from_kernel(cls, window: Iterable[int], fn: Callable[[int], int | str]) -> "AElement":
         """The family whose p-component is fn(p): a residue, or the reason
         (a str) it is undefined."""
         window = tuple(window)
         values = {p: fn(p) for p in window}
         bad = {p: v for p, v in values.items() if isinstance(v, str)}
         comps = {p: v for p, v in values.items() if p not in bad}
-        return cls(window, comps, bad, exceptional_bound)
+        return cls(window, comps, bad)
 
     @classmethod
-    def from_rational(
-        cls, q: Rational, window: Iterable[int], exceptional_bound: int = 0
-    ) -> "AElement":
+    def from_rational(cls, q: Rational, window: Iterable[int]) -> "AElement":
         num, den = _num_den(q)
         return cls.from_kernel(
             window,
             lambda p: "p divides denominator" if den % p == 0 else num * pow(den, -1, p) % p,
-            exceptional_bound,
         )
 
     @classmethod
-    def zero(cls, window: Iterable[int], exceptional_bound: int = 0) -> "AElement":
-        return cls(window, {p: 0 for p in window}, {}, exceptional_bound)
+    def zero(cls, window: Iterable[int]) -> "AElement":
+        return cls(window, {p: 0 for p in window})
 
     def __getitem__(self, p: int) -> int:
         if p in self.exceptional:
@@ -205,22 +196,13 @@ class AElement:
             if self.window != other.window:
                 raise ValueError("window mismatch")
             comps = {}
-            bad = dict(self.exceptional)
-            for p, reason in other.exceptional.items():
-                bad.setdefault(p, reason)
+            bad = {**other.exceptional, **self.exceptional}  # self's reason wins
             for p in self.window:
                 if p in self.components and p in other.components:
                     comps[p] = op(self.components[p], other.components[p]) % p
-            return AElement(
-                self.window,
-                comps,
-                bad,
-                max(self.exceptional_bound, other.exceptional_bound),
-            )
+            return AElement(self.window, comps, bad)
         if isinstance(other, (int, Fraction)):
-            return self._binary(
-                AElement.from_rational(other, self.window, self.exceptional_bound), op
-            )
+            return self._binary(AElement.from_rational(other, self.window), op)
         return NotImplemented
 
     def __add__(self, other):
@@ -236,12 +218,7 @@ class AElement:
         return self._binary(other, lambda a, b: b - a)
 
     def __neg__(self):
-        return AElement(
-            self.window,
-            {p: (-r) % p for p, r in self.components.items()},
-            self.exceptional,
-            self.exceptional_bound,
-        )
+        return self.scale(-1)
 
     def scale(self, c: Rational) -> "AElement":
         """Componentwise product with a rational scalar."""
@@ -253,16 +230,11 @@ class AElement:
                 bad[p] = "scalar denominator divisible by p"
             else:
                 comps[p] = r * num % p * pow(den, -1, p) % p
-        return AElement(self.window, comps, bad, self.exceptional_bound)
+        return AElement(self.window, comps, bad)
 
     def comparable_primes(self, other: "AElement") -> list[int]:
         """Window primes where both sides carry a meaningful residue."""
-        bound = max(self.exceptional_bound, other.exceptional_bound)
-        return [
-            p
-            for p in self.window
-            if p > bound and p in self.components and p in other.components
-        ]
+        return [p for p in self.window if p in self.components and p in other.components]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AElement):
@@ -280,5 +252,5 @@ class AElement:
         shown = {p: self.components[p] for p in self.window[:4] if p in self.components}
         return (
             f"AElement(window[{len(self.window)}], {shown}..., "
-            f"exceptional={sorted(self.exceptional)}, bound={self.exceptional_bound})"
+            f"exceptional={sorted(self.exceptional)})"
         )

@@ -93,7 +93,10 @@ class RationalPolynomial:
             other = RationalPolynomial([other])
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        return self + (-other)
+        out = list(self.coeffs) + [_ZERO] * (len(other.coeffs) - len(self.coeffs))
+        for i, c in enumerate(other.coeffs):
+            out[i] -= c
+        return RationalPolynomial(out)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -208,16 +211,16 @@ class TruncatedSeries:
 
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
-        b0 = other.coeffs[0]
+        b = other.coeffs
+        b0 = b[0]
         if not b0 or isinstance(b0, RationalPolynomial):
             raise ZeroDivisionError("non-unit series")
-        neg = [-c for c in other.coeffs]  # polynomial subtraction would negate a copy
         out = []
         for n in range(self.order + 1):
             acc = self.coeffs[n]
             for i in range(n):
-                if out[i] and neg[n - i]:
-                    acc = acc + out[i] * neg[n - i]
+                if out[i] and b[n - i]:
+                    acc = acc - out[i] * b[n - i]
             out.append(acc if b0 == 1 else acc / b0)
         return TruncatedSeries(out, self.order)
 

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -287,19 +289,28 @@ class TestCache:
         assert "MISMATCH" in capsys.readouterr().out
 
 
+def _child_env() -> dict:
+    # the child interpreter imports aconst from this checkout's src/, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "aconst.cli", "seq", "--name", "bell", "--nmax", "3"],
             capture_output=True,
             text=True,
+            env=_child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout == "0 1\n1 1\n2 2\n3 5\n"
 
     def test_help_exits_0(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "aconst.cli", "--help"], capture_output=True
+            [sys.executable, "-m", "aconst.cli", "--help"], capture_output=True, env=_child_env()
         )
         assert proc.returncode == 0
 

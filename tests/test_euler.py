@@ -297,3 +297,51 @@ class TestVerifiers:
             verify_interlude([1], [F(0)], WINDOW)
         with pytest.raises(ValueError):
             verify_kluyver([0], [F(0)], WINDOW)
+
+
+class TestFamiliesAreLeftSides:
+    """gamma_M, G_A, gamma_K and L1 are the left sides of the mascheroni,
+    interlude, kluyver and eisenstein verifiers, prime by prime."""
+
+    XS = [F(0), F(1, 2), F(1, 5), F(7, 3)]
+
+    def cases(self):
+        for x in self.XS:
+            yield verify_mascheroni([x], WINDOW), gamma_M(x, WINDOW)
+            yield verify_eisenstein([x], WINDOW), L1(x + 1, WINDOW)
+            for k in range(2, 6):
+                yield verify_interlude([k], [x], WINDOW), G_A(k, x, WINDOW)
+            for m in range(1, 4):
+                yield verify_kluyver([m], [x], WINDOW), gamma_K(m, x, WINDOW)
+
+    def test_checks_and_skips_match_family(self):
+        for report, family in self.cases():
+            assert report.checks
+            for c in report.checks:
+                assert c.lhs == family[c.prime], (report.theorem, report.params, c)
+            skips = {s.prime: s.reason for s in report.skipped}
+            # every exceptional prime of the family is a left-side skip with the
+            # same reason; any other skip comes from the right side
+            for p, reason in family.exceptional.items():
+                assert skips.get(p) == reason, (report.theorem, report.params, p)
+            assert set(skips) - set(family.exceptional) <= set(family.components)
+
+    def test_reasons_agree_with_verifiers(self):
+        # points where the families once gave their own reason texts
+        reason = "p divides den(x)"
+        assert G_A(5, F(1, 5), [5]).exceptional == {5: reason}
+        assert [s.reason for s in verify_interlude([5], [F(1, 5)], [5]).skipped] == [reason]
+        reason = "fermat quotient undefined at some x+j+1"
+        assert gamma_K(1, F(1, 2), [5]).exceptional == {5: reason}
+        assert [s.reason for s in verify_kluyver([1], [F(1, 2)], [5]).skipped] == [reason]
+        reason = "quotient or residue undefined"
+        assert L1(F(6, 5), [5]).exceptional == {5: reason}
+        assert [s.reason for s in verify_eisenstein([F(1, 5)], [5]).skipped] == [reason]
+
+    def test_check_eisenstein_reads_the_records(self):
+        for x in self.XS + [F(-1), F(5, 3)]:
+            report = verify_eisenstein([x], WINDOW)
+            for c in report.checks:
+                assert check_eisenstein(x, c.prime) is c.passed
+            for s in report.skipped:
+                assert check_eisenstein(x, s.prime) is None

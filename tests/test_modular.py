@@ -195,11 +195,11 @@ class TestAElement:
         with pytest.raises(KeyError):
             a[7]
 
-    def test_equality_skips_exceptional_and_bound(self):
-        a = AElement(self.WINDOW, {5: 1, 7: 2, 11: 3}, {13: "bad"}, 0)
-        b = AElement(self.WINDOW, {5: 9, 7: 2, 11: 3, 13: 12}, {}, 5)
-        # p=5 is below b's bound, p=13 is exceptional for a: only 7, 11 compared
-        assert a.comparable_primes(b) == [7, 11]
+    def test_equality_skips_exceptional(self):
+        a = AElement(self.WINDOW, {5: 1, 7: 2, 11: 3}, {13: "bad"})
+        b = AElement(self.WINDOW, {5: 1, 7: 2, 11: 3, 13: 12}, {})
+        # p=13 is exceptional for a: only 5, 7, 11 compared
+        assert a.comparable_primes(b) == [5, 7, 11]
         assert a == b
 
     def test_inequality(self):
