@@ -5,8 +5,8 @@ independent per prime; shards are strided so each worker gets a similar mix
 of small and large primes (cost grows with p).  Batches must be module-level
 functions taking one (static_args, primes_shard) tuple and returning
 picklable (checks, skips) lists of CheckRecord and SkipRecord field tuples.
-A congruence given as two side kernels runs its shard through check_shard,
-the one loop that computes the pass flag of such a check.
+Every verifier's congruence is two side kernels, and its batch runs its shard
+through check_shard, the one loop in the package that sets a pass flag.
 """
 
 from __future__ import annotations

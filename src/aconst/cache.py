@@ -4,8 +4,9 @@ One file per quantity tag under the cache directory (override with the
 ACONST_CACHE_DIR environment variable), one record per line, one record per
 (tag, params, prime).  Appending is idempotent: records already present are
 skipped byte-identically, so re-runs never grow or reorder the file.  A line
-that does not parse (a torn write, say) is skipped and counted, never fatal;
-the next append starts on a fresh line.
+that does not parse (a torn write, say) or holds a prime below 2 or a residue
+outside [0, prime) is skipped and counted, never fatal; the next append starts
+on a fresh line.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ class ResidueCacheRecord:
         rec = json.loads(line)
         tag, params, prime, residue = rec["tag"], rec["params"], rec["prime"], rec["residue"]
         if not (isinstance(tag, str) and isinstance(params, dict)
-                and type(prime) is int and type(residue) is int):
+                and type(prime) is int and type(residue) is int
+                and prime >= 2 and 0 <= residue < prime):
             raise ValueError(f"malformed cache record: {line.strip()!r}")
         return cls(tag, params, prime, residue)
 
@@ -129,14 +131,18 @@ def verify_sample(
     sample: int = 20, seed: int | None = None, damaged: dict[str, int] | None = None
 ) -> tuple[int, list]:
     """Recompute a random sample of cached records; returns (checked, mismatches).
-    damaged is passed to load_records."""
-    from .searches import recompute
+    damaged is passed to load_records and also counts records no rule can recompute."""
+    from .searches import _TARGET_FNS, recompute
 
+    rules = {tag for tag, _ in _TARGET_FNS.values()}
     rng = random.Random(seed)
     mismatches = []
     checked = 0
     for tag in known_tags():
         records = load_records(tag, damaged)
+        if damaged is not None and (bad := sum(rec.tag not in rules for rec in records)):
+            damaged[tag] = damaged.get(tag, 0) + bad
+        records = [rec for rec in records if rec.tag in rules]
         if not records:
             continue
         for rec in rng.sample(records, min(sample, len(records))):

@@ -3,9 +3,9 @@ export in OEIS b-file form, and the real-series gamma evaluators.
 
 Exit codes: 0 all checks passed, 1 a congruence failed (counterexample
 printed), 2 malformed arguments or nothing checked (a verifier whose window
-is empty or whose every prime was skipped, a `cache verify` that found no
-records).  Negative rationals must use the --x=-2/3 form (a bare "-2/3"
-parses as a flag).
+is empty or whose every prime was skipped, a search whose window is empty, a
+`cache verify` that found no records it can recheck).  Negative rationals must
+use the --x=-2/3 form (a bare "-2/3" parses as a flag).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import analytic, cache, dobinski, euler, searches
 from .modular import sieve_primes
 from .polys import gregory_values_exact
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d*[1-9]\d*)?$")  # a denominator is nonzero
 
 #: partners paired with --x by `verify euler --which logadd`
 LOGADD_PARTNERS = (
@@ -39,7 +39,7 @@ LOGADD_PARTNERS = (
 def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(text):
         raise argparse.ArgumentTypeError(
-            f"{text!r} is not a rational literal (use a/b or an integer)"
+            f"{text!r} is not a rational literal (use a/b with b nonzero, or an integer)"
         )
     return Fraction(text)
 
@@ -115,6 +115,9 @@ def _warn_damaged(damaged: dict[str, int]) -> None:
 
 def _cmd_search(args) -> int:
     window = sieve_primes(args.pmin, args.pmax)
+    if not window:
+        print(f"error: no primes in [{args.pmin}, {args.pmax}]", file=sys.stderr)
+        return 2
     hits, records = searches.search_zero_primes(args.target, window)
     for p in hits:
         print(p)

@@ -8,7 +8,11 @@ rational weight x: the coefficient polynomials b_{r,j}(n; x) and g_r(n; x)
 share one binomial-transform recurrence and differ only in initial values,
 and so do the integer sequences b and g, so one helper extends them all.
 The truncated sums D^(N)(n) = sum_{k<N} k^n x^k/(k!)^r are exact rationals
-for every n from one pass over k, and residues mod p from another.
+for every n from one pass over k, and residues mod p from another.  The
+congruence is a left and a right side kernel run by `_parallel.check_shard`:
+the truncated sums mod p against the coefficient values, as integer
+numerators over one common denominator lcm, applied to the basis D(0..r-1).
+Primes dividing den(x) or lcm are whole-prime skips.
 
 Conventions: 0^0 = 1 (the k = 0 term of every sum), and the g recurrence
 starts at shift index 1 -- its initial window spans indices 0..r, one past
@@ -23,10 +27,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
-from ._parallel import verify_primes
-from .modular import AElement, PrimeCtx, Rational, rational_mod
+from ._parallel import check_shard, verify_primes
+from .modular import AElement, PrimeCtx, Rational
 from .polys import RationalPolynomial
 from .report import VerificationReport
 
@@ -181,60 +186,54 @@ def d_r_A_range(r: int, n_max: int, x: Rational, window: Sequence[int]) -> list[
     ]
 
 
-def _value_denominator_primes(values: list[Fraction], primes: Sequence[int]) -> dict[int, str]:
-    """Window primes dividing the denominator of any of the given values."""
-    lcm = math.lcm(*(v.denominator for v in values))
-    return {
-        p: "p divides a coefficient denominator" for p in primes if lcm % p == 0
-    }
+@lru_cache(maxsize=1)
+def _sums(ctx: PrimeCtx, r: int, n_top: int, num: int, den: int) -> list[int]:
+    # D(0)..D(n_top) mod p.  A grid lists every n of one (r, x) in a row, so
+    # this one entry serves it all; keyed by ints, since hashing a Fraction is slow.
+    return _d_sums_mod(r, n_top, Fraction(num, den), ctx.p)
+
+
+def _dobinski_lhs(ctx: PrimeCtx, key: tuple, n: int, row: tuple, lcm: int) -> int:
+    return _sums(ctx, *key)[n]
+
+
+def _dobinski_rhs(ctx: PrimeCtx, key: tuple, n: int, row: tuple, lcm: int) -> int:
+    # (g + sum_{j<r} b_j D(j)) / lcm, where (g, b_0..b_{r-1}) = row are column n's
+    # numerators over lcm.  The theorem defines this side through the basis
+    # D(0..r-1), so for n >= r it never reads D(n), the entry it is checked against.
+    g, *b = row
+    return (g + sum(map(mul, b, _sums(ctx, *key)))) * pow(lcm, -1, ctx.p) % ctx.p
 
 
 def _dobinski_batch(payload) -> tuple[list[tuple], list[tuple]]:
-    (r, n_max, x, b_vals, g_vals), primes = payload
-    checks = []
-    skips = []
-    n_top = max(n_max, r - 1)  # the right side always needs D(j) for j < r
-    for p in primes:
-        sums = _d_sums_mod(r, n_top, x, p)
-        if sums is None:
-            skips.append((p, "", "p divides den(x)"))
-            continue
-        ctx = PrimeCtx(p)
-        b_res = [[rational_mod(v, ctx) for v in row] for row in b_vals]
-        g_res = [rational_mod(v, ctx) for v in g_vals]
-        for n in range(n_max + 1):
-            rhs = g_res[n]
-            for j in range(r):
-                rhs += b_res[j][n] * sums[j]
-            rhs %= p
-            checks.append((p, f"n={n}", sums[n], rhs, sums[n] == rhs))
-    return checks, skips
+    (key, rows, lcm), primes = payload
+    grid = [(f"n={n}", (key, n, row, lcm)) for n, row in enumerate(rows)]
+    return check_shard(primes, grid, _dobinski_lhs, _dobinski_rhs)
 
 
 def verify_dobinski(
-    r: int,
-    n_max: int,
-    x: Rational,
-    window: Sequence[int],
-    threads: int = 1,
+    r: int, n_max: int, x: Rational, window: Sequence[int], threads: int = 1
 ) -> VerificationReport:
     """Check D_{r,A}(n; x) = sum_j b_{r,j}(n; x) D_{r,A}(j; x) + g_r(n; x)
     at every admissible (prime, n) over the window.
 
     Both sides are computed independently: the left from the truncated sums,
-    the right from the exact coefficient values reduced per prime.  Primes
-    dividing den(x) or any coefficient denominator are skipped and listed.
+    the right from the coefficient values, as integer numerators over one
+    common denominator lcm, and the basis D(0..r-1).  Primes dividing den(x)
+    or lcm are whole-prime skips, decided before sharding (lcm's reason wins).
     """
     x = Fraction(x)
     window = list(window)
     start = time.monotonic()
     fam = coeff_family(r, n_max)
-    b_vals = fam.b_values(x)
-    g_vals = fam.g_values(x)
-    flat = [v for row in b_vals for v in row] + g_vals
+    cols = list(zip(fam.g_values(x), *fam.b_values(x)))  # column n: (g, b_0..b_{r-1})
+    lcm = math.lcm(*(v.denominator for col in cols for v in col))
+    rows = [tuple(v.numerator * (lcm // v.denominator) for v in col) for col in cols]
+    excluded = {p: "p divides den(x)" for p in window if x.denominator % p == 0}
+    excluded.update((p, "p divides a coefficient denominator") for p in window if lcm % p == 0)
+    key = (r, max(n_max, r - 1), x.numerator, x.denominator)  # the right side needs D(j<r)
     params = {"r": r, "n_max": n_max, "x": str(x)}
-    excluded = _value_denominator_primes(flat, window)
-    return verify_primes("dobinski", params, _dobinski_batch, (r, n_max, x, b_vals, g_vals),
+    return verify_primes("dobinski", params, _dobinski_batch, (key, rows, lcm),
                          window, threads, excluded, start)
 
 

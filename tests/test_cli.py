@@ -24,7 +24,7 @@ class TestRationalParsing:
         assert parse_rational("-2") == Fraction(-2)
         assert parse_rational("+1/2") == Fraction(1, 2)
 
-    @pytest.mark.parametrize("bad", ["1//2", "1/2/3", "1.5", "a/b", "2/-3", ""])
+    @pytest.mark.parametrize("bad", ["1//2", "1/2/3", "1.5", "a/b", "2/-3", "", "1/0", "0/0"])
     def test_rejects(self, bad):
         with pytest.raises(Exception):
             parse_rational(bad)
@@ -33,6 +33,21 @@ class TestRationalParsing:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "dobinski", "--x", "1//2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "dobinski", "--x", "1/0"],
+            ["verify", "euler", "--which", "mascheroni", "--x", "0/0"],
+            ["gamma", "--method", "mascheroni", "--x", "1/0"],
+        ],
+        ids=["dobinski", "euler", "gamma"],
+    )
+    def test_zero_denominator_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "is not a rational literal" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -129,6 +144,21 @@ class TestNothingChecked:
         assert "checked 0 cached record(s)" in captured.out
         assert "error: no cached records to check" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--target", "wilson", "--pmin", "24", "--pmax", "28"],
+            ["search", "--target", "wilson", "--pmax", "1"],
+        ],
+        ids=["no-prime-in-window", "pmax-1"],
+    )
+    def test_search_with_empty_window_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: no primes in" in captured.err
+        assert not cache.cache_dir().exists()
+
     def test_cache_verify_on_torn_cache_exits_2(self, capsys):
         main(["search", "--target", "wilson", "--pmin", "5", "--pmax", "5"])
         path = cache.cache_dir() / "wilson_q.jsonl"
@@ -151,11 +181,6 @@ class TestSearch:
         code = main(["search", "--target", "eA-zero", "--pmin", "5", "--pmax", "50"])
         assert code == 0
         assert "5" in capsys.readouterr().out.split()
-
-    def test_empty_window(self, capsys):
-        code = main(["search", "--target", "wilson", "--pmin", "24", "--pmax", "28"])
-        assert code == 0
-        assert capsys.readouterr().out.strip() == ""
 
     def test_unknown_target_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -275,6 +300,32 @@ class TestCache:
         captured = capsys.readouterr()
         assert "skipped 1 damaged line(s)" in captured.err
         assert "checked 23 cached record(s)" in captured.out
+
+    # one line each that nothing can recheck: prime 0, prime 1, a residue >= p, a tag with no rule
+    BAD_LINES = {
+        "prime-0": ("wilson_q", {"params": {}, "prime": 0, "residue": 0, "tag": "wilson_q"}),
+        "prime-1": ("wilson_q", {"params": {}, "prime": 1, "residue": 0, "tag": "wilson_q"}),
+        "residue-out-of-range": ("e_A", {"params": {}, "prime": 7, "residue": 7, "tag": "e_A"}),
+        "no-rule": ("nope", {"params": {}, "prime": 7, "residue": 3, "tag": "nope"}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD_LINES))
+    def test_cache_verify_on_unrecheckable_line(self, name, capsys):
+        tag, rec = self.BAD_LINES[name]
+        path = cache.cache_dir() / f"{tag}.jsonl"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(rec, sort_keys=True) + "\n")
+        assert main(["cache", "verify"]) == 2
+        captured = capsys.readouterr()
+        assert f"skipped 1 damaged line(s) in {path}" in captured.err
+        assert "error: no cached records to check" in captured.err
+        # beside a real search cache, the good records are still checked
+        main(["search", "--target", "wilson", "--pmin", "5", "--pmax", "60"])
+        capsys.readouterr()
+        assert main(["cache", "verify", "--sample", "50"]) == 0
+        captured = capsys.readouterr()
+        assert "checked 15 cached record(s)" in captured.out
+        assert f"skipped 1 damaged line(s) in {path}" in captured.err
 
     def test_cache_verify_detects_corruption(self, capsys):
         main(["search", "--target", "wilson", "--pmin", "5", "--pmax", "60"])

@@ -1,10 +1,12 @@
 import math
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aconst import dobinski
 from aconst.dobinski import (
     CoeffFamily,
     bell,
@@ -13,6 +15,7 @@ from aconst.dobinski import (
     d_r_A,
     d_r_A_range,
     g_seq,
+    _d_sums_mod,
     _partial_sums_exact,
     numeric_identity_check,
     partial_sum_exact,
@@ -43,6 +46,31 @@ def partial_sum_loop(r, n, N, x):
         w = w * x / k**r
         total += k**n * w
     return total
+
+
+def batch_loop(r, n_max, x, primes):
+    """Oracle: the per-prime loop the side kernels replaced.  One _d_sums_mod
+    pass per prime, every coefficient reduced by rational_mod, and its own
+    den(x) skip after the coefficient-denominator one."""
+    fam = coeff_family(r, n_max)
+    b_vals, g_vals = fam.b_values(x), fam.g_values(x)
+    lcm = math.lcm(*(v.denominator for v in g_vals + [v for row in b_vals for v in row]))
+    checks, skips = [], []
+    for p in primes:
+        if lcm % p == 0:
+            skips.append((p, "", "p divides a coefficient denominator"))
+            continue
+        sums = _d_sums_mod(r, max(n_max, r - 1), x, p)
+        if sums is None:
+            skips.append((p, "", "p divides den(x)"))
+            continue
+        ctx = PrimeCtx(p)
+        b_res = [[rational_mod(v, ctx) for v in row] for row in b_vals]
+        g_res = [rational_mod(v, ctx) for v in g_vals]
+        for n in range(n_max + 1):
+            rhs = (g_res[n] + sum(b_res[j][n] * sums[j] for j in range(r))) % p
+            checks.append((p, f"n={n}", sums[n], rhs, sums[n] == rhs))
+    return checks, skips
 
 
 class TestSequences:
@@ -244,6 +272,42 @@ class TestVerifyDobinski:
         assert skipped == {3}
         checked = {c.prime for c in report.checks}
         assert checked == {5, 7}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(0, 8),
+        st.integers(-9, 9),
+        st.integers(1, 9),
+    )
+    @example(3, 1, 1, 3)  # n_max < r with p | den(x): the den(x) reason
+    @example(2, 6, 7, 3)  # n_max >= r: both reasons apply at 3, the coefficient one wins
+    def test_matches_batch_loop(self, r, n_max, a, b):
+        x = F(a, b)
+        primes = sieve_primes(2, 60)
+        report = verify_dobinski(r, n_max, x, primes)
+        checks, skips = batch_loop(r, n_max, x, primes)
+        assert [astuple(c) for c in report.checks] == checks
+        assert [astuple(s) for s in report.skipped] == skips
+
+    def test_right_side_never_reads_its_own_entry(self, monkeypatch):
+        # perturb the last truncated sum, D(n_max) with n_max >= r: only the
+        # n = n_max checks may notice, so the right side never read D(n_max)
+        def perturbed(r, n_max, x, p):
+            sums = _d_sums_mod(r, n_max, x, p)
+            return sums[:-1] + [sums[-1] + 1]
+
+        monkeypatch.setattr(dobinski, "_d_sums_mod", perturbed)
+        window = sieve_primes(5, 60)
+        report = verify_dobinski(2, 5, F(1, 2), window)
+        failed = [(c.prime, c.label) for c in report.checks if not c.passed]
+        assert failed == [(p, "n=5") for p in window]
+        assert len(report.checks) == 6 * len(window)
+
+    def test_den_x_is_a_whole_prime_skip(self):
+        report = verify_dobinski(3, 1, F(1, 3), sieve_primes(2, 20))
+        assert [astuple(s) for s in report.skipped] == [(3, "", "p divides den(x)")]
+        assert report.passed and 3 not in {c.prime for c in report.checks}
 
     def test_threads_match_serial(self):
         window = sieve_primes(5, 120)
