@@ -1,12 +1,13 @@
 """The one driver of the congruence verifiers: shard, collect, report.
 
-A verifier is a batch kernel plus one call of verify_primes.  Work is
-independent per prime; shards are strided so each worker gets a similar mix
-of small and large primes (cost grows with p).  Batches must be module-level
-functions taking one (static_args, primes_shard) tuple and returning
-picklable (checks, skips) lists of CheckRecord and SkipRecord field tuples.
-Every verifier's congruence is two side kernels, and its batch runs its shard
-through check_shard, the one loop in the package that sets a pass flag.
+A verifier is a grid of labelled points, a batch and one call of
+verify_primes.  The batch is check_shard bound to the congruence's two
+module-level side kernels by functools.partial, so check_shard is the one
+loop in the package that sets a pass flag, and the batch pickles by
+reference into worker processes.  The kernels are bound at import: to change
+a side (in a test, say), patch what the kernel calls, not the kernel's own
+name.  Work is independent per prime; shards are strided so each worker gets
+a similar mix of small and large primes (cost grows with p).
 """
 
 from __future__ import annotations
@@ -20,24 +21,22 @@ from .report import CheckRecord, SkipRecord, VerificationReport
 
 
 def run_prime_shards(
-    fn: Callable, static_args: tuple, primes: Sequence[int], threads: int
+    fn: Callable, static_args: Sequence, primes: Sequence[int], threads: int
 ) -> list:
     if threads > 1 and len(primes) > 1:
-        shards = [primes[i::threads] for i in range(threads)]
-        shards = [s for s in shards if s]
+        shards = [primes[i::threads] for i in range(min(threads, len(primes)))]
         with ProcessPoolExecutor(max_workers=len(shards)) as pool:
             return list(pool.map(fn, [(static_args, s) for s in shards]))
     return [fn((static_args, list(primes)))]
 
 
-def check_shard(
-    primes: Sequence[int], grid: Sequence[tuple[str, tuple]], lhs: Callable, rhs: Callable
-) -> tuple[list, list]:
-    """(checks, skips) of lhs == rhs at each prime and each (label, point) of
-    grid, in that order.  A side is a kernel side(ctx, *point) giving a
-    residue or the reason (a str) it is undefined; where the left side gives
-    a reason, that reason is recorded and the right side is not evaluated.
-    """
+def check_shard(lhs: Callable, rhs: Callable, payload: tuple) -> tuple[list, list]:
+    """(checks, skips) field tuples of lhs == rhs at each prime and each
+    (label, point) of the grid, in that order, for payload = (grid, primes).
+    A side is a kernel side(ctx, *point) giving a residue or the reason (a str)
+    it is undefined; where the left side gives a reason, that reason is
+    recorded and the right side is not evaluated."""
+    grid, primes = payload
     checks, skips = [], []
     for p in primes:
         ctx = PrimeCtx(p)
@@ -52,12 +51,13 @@ def check_shard(
 
 
 def verify_primes(
-    theorem: str, params: dict, batch: Callable, static_args: tuple, window: Sequence[int],
+    theorem: str, params: dict, batch: Callable, static_args: Sequence, window: Sequence[int],
     threads: int, excluded: Mapping[int, str], start: float | None = None,
 ) -> VerificationReport:
     """Report of batch over the window primes not in excluded, each of which
-    (prime -> reason) is a whole-prime skip; elapsed counts from start
-    (time.monotonic), by default from this call."""
+    (prime -> reason) is a whole-prime skip; every shard gets static_args (a
+    verifier's grid).  elapsed counts from start (time.monotonic), by default
+    from this call."""
     if start is None:
         start = time.monotonic()
     report = VerificationReport(

@@ -192,6 +192,27 @@ def _rising(n: int, length: int) -> int:
     return math.prod(range(n, n + length))
 
 
+def _kluyver_mean(x, m: int, k: int, terms: int, prec: int) -> mpf:
+    # the mean over j < k of the Kluyver-type partial sums at x + j:
+    # m! sum_n (-1)^(n-1) N_{n,k}(x) / (k n(n+1)...(n+m)) + H_m
+    #   - (1/k) sum_{j=1}^k log(x+m+j), with N_{n,k}(x) = sum_{j<k} G_n(x+j)
+    xf = _as_fraction(x)
+    if xf <= -1:
+        raise ValueError("x must exceed -1")
+    streams, wps = zip(*(_validated_fixed(xf + j, terms, prec) for j in range(k)))
+    column = list(map(sum, zip(*streams)))
+    acc = 0
+    for n in range(1, terms + 1):
+        t = column[n] // _rising(n, m + 1)
+        acc = acc + t if n % 2 else acc - t
+    with workprec(prec):
+        s = mpmath.ldexp(mpf(acc), -wps[0])  # one scale: it depends on prec and terms only
+        logsum = mpf(0)
+        for j in range(1, k + 1):
+            logsum = logsum + mpmath.log(_to_mpf(xf + m + j))
+        return +(mpf(math.factorial(m)) * s / k + _to_mpf(harmonic(m)) - logsum / k)
+
+
 def mascheroni_partial(x, m: int, terms: int, prec: int = 64) -> mpf:
     """Partial Mascheroni/Kluyver-type approximation of Euler's constant:
 
@@ -200,19 +221,7 @@ def mascheroni_partial(x, m: int, terms: int, prec: int = 64) -> mpf:
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    xf = _as_fraction(x)
-    if xf <= -1:
-        raise ValueError("x must exceed -1")
-    stream, wp = _validated_fixed(xf, terms, prec)
-    acc = 0
-    for n in range(1, terms + 1):
-        t = stream[n] // _rising(n, m + 1)
-        acc = acc + t if n % 2 else acc - t
-    with workprec(prec):
-        s = mpmath.ldexp(mpf(acc), -wp)
-        total = mpf(math.factorial(m)) * s
-        total = total + _to_mpf(harmonic(m))
-        return +(total - mpmath.log(_to_mpf(xf + m + 1)))
+    return _kluyver_mean(x, m, 1, terms, prec)
 
 
 def bla101_partial(k: int, x, terms: int, prec: int = 64) -> mpf:
@@ -225,28 +234,7 @@ def bla101_partial(k: int, x, terms: int, prec: int = 64) -> mpf:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    xf = _as_fraction(x)
-    if xf <= -1:
-        raise ValueError("x must exceed -1")
-    streams = []
-    wp = None
-    for j in range(k):
-        st, wp = _validated_fixed(xf + j, terms, prec)
-        streams.append(st)
-    acc = 0
-    for n in range(1, terms + 1):
-        tn = 0
-        for st in streams:
-            tn += st[n]
-        t = tn // n
-        acc = acc + t if n % 2 else acc - t
-    with workprec(prec):
-        s = mpmath.ldexp(mpf(acc), -wp)
-        total = s / k
-        logsum = mpf(0)
-        for j in range(1, k + 1):
-            logsum = logsum + mpmath.log(_to_mpf(xf + j))
-        return +(total - logsum / k)
+    return _kluyver_mean(x, 0, k, terms, prec)
 
 
 def asymptotic_sanity(x, n: int, prec: int = 64) -> mpf:

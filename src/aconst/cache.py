@@ -17,6 +17,8 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
+from .modular import sieve_primes
+
 ENV_VAR = "ACONST_CACHE_DIR"
 
 
@@ -131,7 +133,8 @@ def verify_sample(
     sample: int = 20, seed: int | None = None, damaged: dict[str, int] | None = None
 ) -> tuple[int, list]:
     """Recompute a random sample of cached records; returns (checked, mismatches).
-    damaged is passed to load_records and also counts records no rule can recompute."""
+    damaged is passed to load_records and also counts records no rule can
+    recompute and sampled records whose prime is composite."""
     from .searches import _TARGET_FNS, recompute
 
     rules = {tag for tag, _ in _TARGET_FNS.values()}
@@ -140,14 +143,16 @@ def verify_sample(
     checked = 0
     for tag in known_tags():
         records = load_records(tag, damaged)
-        if damaged is not None and (bad := sum(rec.tag not in rules for rec in records)):
-            damaged[tag] = damaged.get(tag, 0) + bad
+        bad = sum(rec.tag not in rules for rec in records)
         records = [rec for rec in records if rec.tag in rules]
-        if not records:
-            continue
         for rec in rng.sample(records, min(sample, len(records))):
+            if sieve_primes(rec.prime, rec.prime) != [rec.prime]:
+                bad += 1  # a composite prime marks a damaged line
+                continue
             fresh = recompute(rec.tag, rec.params, rec.prime)
             checked += 1
             if fresh != rec.residue:
                 mismatches.append((rec, fresh))
+        if damaged is not None and bad:
+            damaged[tag] = damaged.get(tag, 0) + bad
     return checked, mismatches

@@ -9,10 +9,11 @@ share one binomial-transform recurrence and differ only in initial values,
 and so do the integer sequences b and g, so one helper extends them all.
 The truncated sums D^(N)(n) = sum_{k<N} k^n x^k/(k!)^r are exact rationals
 for every n from one pass over k, and residues mod p from another.  The
-congruence is a left and a right side kernel run by `_parallel.check_shard`:
-the truncated sums mod p against the coefficient values, as integer
-numerators over one common denominator lcm, applied to the basis D(0..r-1).
-Primes dividing den(x) or lcm are whole-prime skips.
+congruence is a left and a right side kernel, and its batch is
+`_parallel.check_shard` bound to them: the truncated sums mod p against the
+coefficient values, as integer numerators over one common denominator lcm,
+applied to the basis D(0..r-1).  verify_dobinski builds the grid, one point
+per n; primes dividing den(x) or lcm are whole-prime skips.
 
 Conventions: 0^0 = 1 (the k = 0 term of every sum), and the g recurrence
 starts at shift index 1 -- its initial window spans indices 0..r, one past
@@ -26,7 +27,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import mul
 from typing import Sequence
 
@@ -205,10 +206,7 @@ def _dobinski_rhs(ctx: PrimeCtx, key: tuple, n: int, row: tuple, lcm: int) -> in
     return (g + sum(map(mul, b, _sums(ctx, *key)))) * pow(lcm, -1, ctx.p) % ctx.p
 
 
-def _dobinski_batch(payload) -> tuple[list[tuple], list[tuple]]:
-    (key, rows, lcm), primes = payload
-    grid = [(f"n={n}", (key, n, row, lcm)) for n, row in enumerate(rows)]
-    return check_shard(primes, grid, _dobinski_lhs, _dobinski_rhs)
+_dobinski_batch = partial(check_shard, _dobinski_lhs, _dobinski_rhs)
 
 
 def verify_dobinski(
@@ -233,8 +231,9 @@ def verify_dobinski(
     excluded.update((p, "p divides a coefficient denominator") for p in window if lcm % p == 0)
     key = (r, max(n_max, r - 1), x.numerator, x.denominator)  # the right side needs D(j<r)
     params = {"r": r, "n_max": n_max, "x": str(x)}
-    return verify_primes("dobinski", params, _dobinski_batch, (key, rows, lcm),
-                         window, threads, excluded, start)
+    grid = [(f"n={n}", (key, n, row, lcm)) for n, row in enumerate(rows)]
+    return verify_primes("dobinski", params, _dobinski_batch, grid, window, threads,
+                         excluded, start)
 
 
 def numeric_identity_check(

@@ -8,24 +8,24 @@ differ only by values of x*q_p(x) and rational constants.
 
 Each congruence is a pair of module-level side kernels, lhs(ctx, *point)
 and rhs(ctx, *point), each giving a residue mod p or the reason (a str) it
-is undefined.  A verifier's batch only lists its grid of labelled points and
-names its two kernels; `_parallel.check_shard` evaluates them (left side
-first, so the left side's reason wins) and `_parallel.verify_primes` shards,
-collects and reports.  The AElement families gamma_M, G_A, gamma_K and L1
-are the left kernels of mascheroni, interlude, kluyver and eisenstein read
-through `AElement.from_kernel`.  Neither side sees the other's value: the
-sum side comes from Gregory residue streams, the quotient side from Fermat
-and Wilson quotients mod p^2.  Primes 2 and 3 are excluded from verifiers
-wholesale (the congruences are sufficiently-large-p statements); primes
-dividing a relevant numerator or denominator are skipped per point, with
-the reason recorded.
+is undefined.  A verifier is its grid of labelled points and its batch,
+`_parallel.check_shard` bound to the two kernels: check_shard evaluates them
+(left side first, so the left side's reason wins) and
+`_parallel.verify_primes` shards, collects and reports.  The AElement
+families gamma_M, G_A, gamma_K and L1 are the left kernels of mascheroni,
+interlude, kluyver and eisenstein read through `AElement.from_kernel`.
+Neither side sees the other's value: the sum side comes from Gregory
+residue streams, the quotient side from Fermat and Wilson quotients mod
+p^2.  Primes 2 and 3 are excluded from verifiers wholesale (the congruences
+are sufficiently-large-p statements); primes dividing a relevant numerator
+or denominator are skipped per point, with the reason recorded.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 from operator import mul
 from typing import Sequence
@@ -36,7 +36,6 @@ from .polys import gregory_residue_stream
 from .report import VerificationReport
 
 DEFAULT_WINDOW = (5, 1009)
-_SMALL_PRIME_BOUND = 3  # verifiers skip p <= 3 outright
 
 
 def fermat_quotient(x: Rational, p: int) -> int | None:
@@ -236,6 +235,13 @@ def _logadd_rhs(ctx: PrimeCtx, x: Fraction, y: Fraction) -> int | str:
     return "fermat quotient undefined" if qx is None or qy is None else (qx + qy) % ctx.p
 
 
+_mascheroni_batch = partial(check_shard, _mascheroni_lhs, _mascheroni_rhs)
+_interlude_batch = partial(check_shard, _interlude_lhs, _interlude_rhs)
+_kluyver_batch = partial(check_shard, _kluyver_lhs, _kluyver_rhs)
+_eisenstein_batch = partial(check_shard, _eisenstein_lhs, _eisenstein_rhs)
+_logadd_batch = partial(check_shard, _logadd_lhs, _logadd_rhs)
+
+
 def gamma_M(x: Rational, window: Sequence[int]) -> AElement:
     """Mascheroni-style analogue: alternating sum of G_n(x)/n for n <= p-2."""
     x = Fraction(x)
@@ -273,18 +279,14 @@ def L1(x: Rational, window: Sequence[int]) -> AElement:
 def check_eisenstein(x: Rational, p: int) -> bool | None:
     """Eisenstein's congruence for the truncated log series at x; None when
     a needed quotient is undefined at p."""
-    checks, _ = check_shard([p], [("", (Fraction(x),))], _eisenstein_lhs, _eisenstein_rhs)
+    checks, _ = _eisenstein_batch(([("", (Fraction(x),))], [p]))
     return checks[0][4] if checks else None
 
 
-def _small_primes(window: Sequence[int]) -> dict[int, str]:
-    return {p: "excluded small prime (p <= 3)" for p in window if p <= _SMALL_PRIME_BOUND}
-
-
-def _mascheroni_batch(payload):
-    (xs,), primes = payload
-    grid = [(f"x={x}", (x,)) for x in xs]
-    return check_shard(primes, grid, _mascheroni_lhs, _mascheroni_rhs)
+def _verify(theorem, params, batch, grid, window, threads) -> VerificationReport:
+    # the congruences are sufficiently-large-p statements: p <= 3 is skipped whole
+    excluded = {p: "excluded small prime (p <= 3)" for p in window if p <= 3}
+    return verify_primes(theorem, params, batch, grid, window, threads, excluded)
 
 
 def verify_mascheroni(
@@ -294,14 +296,8 @@ def verify_mascheroni(
     componentwise over the window, for each sampled x."""
     xs = [Fraction(x) for x in xs]
     params = {"x": [str(x) for x in xs]}
-    return verify_primes("mascheroni", params, _mascheroni_batch, (xs,), window,
-                         threads, _small_primes(window))
-
-
-def _interlude_batch(payload):
-    (ks, xs), primes = payload
-    grid = [(f"k={k} x={x}", (k, x)) for x in xs for k in ks]
-    return check_shard(primes, grid, _interlude_lhs, _interlude_rhs)
+    grid = [(f"x={x}", (x,)) for x in xs]
+    return _verify("mascheroni", params, _mascheroni_batch, grid, window, threads)
 
 
 def verify_interlude(
@@ -313,14 +309,8 @@ def verify_interlude(
     if any(k < 2 for k in ks):
         raise ValueError("k must be at least 2")
     params = {"k": ks, "x": [str(x) for x in xs]}
-    return verify_primes("interlude", params, _interlude_batch, (ks, xs), window,
-                         threads, _small_primes(window))
-
-
-def _kluyver_batch(payload):
-    (ms, xs), primes = payload
-    grid = [(f"m={m} x={x}", (m, x)) for x in xs for m in ms]
-    return check_shard(primes, grid, _kluyver_lhs, _kluyver_rhs)
+    grid = [(f"k={k} x={x}", (k, x)) for x in xs for k in ks]
+    return _verify("interlude", params, _interlude_batch, grid, window, threads)
 
 
 def verify_kluyver(
@@ -333,14 +323,8 @@ def verify_kluyver(
     if any(m < 1 for m in ms):
         raise ValueError("m must be positive")
     params = {"m": ms, "x": [str(x) for x in xs]}
-    return verify_primes("kluyver", params, _kluyver_batch, (ms, xs), window,
-                         threads, _small_primes(window))
-
-
-def _eisenstein_batch(payload):
-    (xs,), primes = payload
-    grid = [(f"x={x}", (x,)) for x in xs]
-    return check_shard(primes, grid, _eisenstein_lhs, _eisenstein_rhs)
+    grid = [(f"m={m} x={x}", (m, x)) for x in xs for m in ms]
+    return _verify("kluyver", params, _kluyver_batch, grid, window, threads)
 
 
 def verify_eisenstein(
@@ -349,14 +333,8 @@ def verify_eisenstein(
     """Eisenstein's congruence for each sampled x over the window."""
     xs = [Fraction(x) for x in xs]
     params = {"x": [str(x) for x in xs]}
-    return verify_primes("eisenstein", params, _eisenstein_batch, (xs,), window,
-                         threads, _small_primes(window))
-
-
-def _logadd_batch(payload):
-    (pairs,), primes = payload
-    grid = [(f"x={x} y={y}", (x, y)) for x, y in pairs]
-    return check_shard(primes, grid, _logadd_lhs, _logadd_rhs)
+    grid = [(f"x={x}", (x,)) for x in xs]
+    return _verify("eisenstein", params, _eisenstein_batch, grid, window, threads)
 
 
 def verify_log_additivity(
@@ -364,7 +342,6 @@ def verify_log_additivity(
 ) -> VerificationReport:
     """q_p(xy) = q_p(x) + q_p(y) for every pair (with repetition) of values."""
     vals = [Fraction(v) for v in values]
-    pairs = list(combinations_with_replacement(vals, 2))
     params = {"values": [str(v) for v in vals]}
-    return verify_primes("log-additivity", params, _logadd_batch, (pairs,), window,
-                         threads, _small_primes(window))
+    grid = [(f"x={x} y={y}", (x, y)) for x, y in combinations_with_replacement(vals, 2)]
+    return _verify("log-additivity", params, _logadd_batch, grid, window, threads)

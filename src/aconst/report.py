@@ -44,13 +44,13 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """Some check ran and every check passed: zero checks never reads as a pass."""
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     @property
     def pass_rate(self) -> float:
-        if not self.checks:
-            return 1.0
-        return sum(c.passed for c in self.checks) / len(self.checks)
+        """Share of checks that passed; 0.0 when no check ran."""
+        return sum(c.passed for c in self.checks) / len(self.checks) if self.checks else 0.0
 
     def counterexamples(self) -> list[CheckRecord]:
         return [c for c in self.checks if not c.passed]

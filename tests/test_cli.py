@@ -307,6 +307,8 @@ class TestCache:
         "prime-1": ("wilson_q", {"params": {}, "prime": 1, "residue": 0, "tag": "wilson_q"}),
         "residue-out-of-range": ("e_A", {"params": {}, "prime": 7, "residue": 7, "tag": "e_A"}),
         "no-rule": ("nope", {"params": {}, "prime": 7, "residue": 3, "tag": "nope"}),
+        "composite-9": ("e_A", {"params": {}, "prime": 9, "residue": 2, "tag": "e_A"}),
+        "composite-4": ("wilson_q", {"params": {}, "prime": 4, "residue": 1, "tag": "wilson_q"}),
     }
 
     @pytest.mark.parametrize("name", sorted(BAD_LINES))

@@ -1,13 +1,15 @@
 """The verifier driver: report bytes pinned across versions, shard
-independence, and the whole-prime skips the driver records."""
+independence, the whole-prime skips the driver records, and every batch
+being check_shard bound to its two side kernels."""
 
 import hashlib
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from aconst import dobinski, euler
-from aconst._parallel import verify_primes
+from aconst._parallel import check_shard, verify_primes
 from aconst.modular import sieve_primes
 
 F = Fraction
@@ -52,6 +54,7 @@ def test_whole_prime_skips():
     small = euler.verify_mascheroni([F(0)], WINDOW)
     assert [(s.prime, s.label) for s in small.skipped] == [(2, ""), (3, "")]
     assert {s.reason for s in small.skipped} == {"excluded small prime (p <= 3)"}
+    assert euler.verify_mascheroni([F(0)], [2, 3]).passed is False
     coeff = VERIFIERS["dobinski"](1)
     assert [(s.prime, s.label, s.reason) for s in coeff.skipped] == [
         (3, "", "p divides a coefficient denominator")
@@ -73,3 +76,16 @@ def test_driver_sorts_and_skips(threads):
     assert [c.prime for c in report.checks] == [p for p in WINDOW if p not in (2, 7)]
     assert [(s.prime, s.reason) for s in report.skipped] == [(2, "two"), (7, "seven")]
     assert report.passed and report.elapsed >= 0
+
+
+@pytest.mark.parametrize("module", [dobinski, euler], ids=lambda m: m.__name__)
+def test_every_batch_is_check_shard_bound_to_its_kernels(module):
+    # a verifier is a grid and a kernel pair: no batch has a loop of its own
+    # that could set a pass flag
+    batches = [name for name in vars(module) if name.endswith("_batch")]
+    assert batches
+    for name in batches:
+        batch, stem = getattr(module, name), name[: -len("_batch")]
+        assert isinstance(batch, partial) and batch.func is check_shard, name
+        assert batch.args == (getattr(module, stem + "_lhs"), getattr(module, stem + "_rhs"))
+        assert not batch.keywords, name

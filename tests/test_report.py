@@ -63,6 +63,7 @@ class TestReport:
         table = rep.format_table()
         assert "no checks ran" in table
         assert "checks passed" not in table
+        assert not rep.passed and rep.pass_rate == 0.0
 
     def test_sort_is_stable_within_prime(self):
         rep = sample_report()
