@@ -6,12 +6,13 @@ module-level side kernels by functools.partial, so check_shard is the one
 loop in the package that sets a pass flag, and the batch pickles by
 reference into worker processes.  The kernels are bound at import: to change
 a side (in a test, say), patch what the kernel calls, not the kernel's own
-name.  Work is independent per prime; shards are strided so each worker gets
-a similar mix of small and large primes (cost grows with p).
+name.  Work is independent per prime; at most one shard per core, strided so
+each worker gets a similar mix of small and large primes (cost grows with p).
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Mapping, Sequence
@@ -23,10 +24,10 @@ from .report import CheckRecord, SkipRecord, VerificationReport
 def run_prime_shards(
     fn: Callable, static_args: Sequence, primes: Sequence[int], threads: int
 ) -> list:
-    if threads > 1 and len(primes) > 1:
-        shards = [primes[i::threads] for i in range(min(threads, len(primes)))]
-        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-            return list(pool.map(fn, [(static_args, s) for s in shards]))
+    n = min(threads, len(primes), os.cpu_count() or 1)
+    if n > 1:
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            return list(pool.map(fn, [(static_args, primes[i::n]) for i in range(n)]))
     return [fn((static_args, list(primes)))]
 
 

@@ -4,9 +4,9 @@ One file per quantity tag under the cache directory (override with the
 ACONST_CACHE_DIR environment variable), one record per line, one record per
 (tag, params, prime).  Appending is idempotent: records already present are
 skipped byte-identically, so re-runs never grow or reorder the file.  A line
-that does not parse (a torn write, say) or holds a prime below 2 or a residue
-outside [0, prime) is skipped and counted, never fatal; the next append starts
-on a fresh line.
+that does not parse (a torn write, or nesting too deep to decode) or holds a
+prime below 2 or a residue outside [0, prime) is skipped and counted, never
+fatal; the next append starts on a fresh line.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def load_records(tag: str, damaged: dict[str, int] | None = None) -> list[Residu
             if line.strip():
                 try:
                     out.append(ResidueCacheRecord.from_json(line))
-                except (ValueError, TypeError, KeyError):
+                except (ValueError, TypeError, KeyError, RecursionError):
                     bad += 1
     if bad and damaged is not None:
         damaged[tag] = damaged.get(tag, 0) + bad

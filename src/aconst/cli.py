@@ -2,10 +2,10 @@
 export in OEIS b-file form, and the real-series gamma evaluators.
 
 Exit codes: 0 all checks passed, 1 a congruence failed (counterexample
-printed), 2 malformed arguments or nothing checked (a verifier whose window
-is empty or whose every prime was skipped, a search whose window is empty, a
-`cache verify` that found no records it can recheck).  Negative rationals must
-use the --x=-2/3 form (a bare "-2/3" parses as a flag).
+printed), 2 malformed arguments, an I/O error or nothing checked (a verifier
+whose window is empty or whose every prime was skipped, a search whose
+window is empty, a `cache verify` that found no records it can recheck).
+Negative rationals must use the --x=-2/3 form (a bare "-2/3" parses as a flag).
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def _cmd_cache_verify(args) -> int:
 def _add_window_opts(p: argparse.ArgumentParser, pmax_default: int) -> None:
     p.add_argument("--pmin", type=int, default=5, help="window lower bound")
     p.add_argument("--pmax", type=int, default=pmax_default, help="window upper bound")
-    p.add_argument("--threads", type=_int_at_least(0), default=0, help="0 = all cores")
+    p.add_argument("--threads", type=_int_at_least(0), default=0, help="capped at cores; 0 = all")
     p.add_argument("--json", metavar="PATH", help="write a JSONL report")
     p.add_argument(
         "--no-timestamp",
@@ -277,7 +277,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "gamma" and args.x <= -1:
         parser.error("gamma series need x > -1")
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

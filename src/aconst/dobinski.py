@@ -32,7 +32,7 @@ from operator import mul
 from typing import Sequence
 
 from ._parallel import check_shard, verify_primes
-from .modular import AElement, PrimeCtx, Rational
+from .modular import AElement, PrimeCtx, Rational, rational_mod
 from .polys import RationalPolynomial
 from .report import VerificationReport
 
@@ -150,11 +150,11 @@ def _d_sums_mod(r: int, n_max: int, x: Fraction, p: int) -> list[int] | None:
     One O(p * n_max) pass: the weight x^k/(k!)^r advances by x * inv(k)^r
     per step and the powers k^n by one multiply per n.
     """
-    if x.denominator % p == 0:
-        return None
     ctx = PrimeCtx(p)
+    xr = rational_mod(x, ctx)
+    if xr is None:
+        return None
     inv = ctx.inv_table
-    xr = x.numerator * pow(x.denominator, -1, p) % p
     acc = [0] * (n_max + 1)
     acc[0] = 1
     w = 1

@@ -4,7 +4,8 @@ The Fermat quotient q_p(x) = (x^(p-1) - 1)/p plays the role of log x; the
 Wilson quotient ((p-1)! + 1)/p gives one analogue of Euler's constant, and
 alternating sums of Gregory polynomial residues (Mascheroni- and
 Kluyver-style) give others.  The theorems verified here say the two kinds
-differ only by values of x*q_p(x) and rational constants.
+differ only by rational constants and rational combinations of the values
+ell(x) = x*q_p(x), which every right side gathers through one _ell_form.
 
 Each congruence is a pair of module-level side kernels, lhs(ctx, *point)
 and rhs(ctx, *point), each giving a residue mod p or the reason (a str) it
@@ -58,15 +59,23 @@ def delta_minus_one(x: Rational) -> int:
     return 1 if Fraction(x) == -1 else 0
 
 
-def _ell_component(x: Fraction, p: int) -> int | None:
+def _ell_component(x: Fraction, ctx: PrimeCtx) -> int | None:
     # x * q_p(x) mod p, with the conventions ell(0) = 0 and ell(1) = 0
     if x == 0 or x == 1:
         return 0
-    q = fermat_quotient(x, p)
-    if q is None:
-        return None
-    xr = x.numerator * pow(x.denominator, -1, p) % p
-    return xr * q % p
+    q = fermat_quotient(x, ctx.p)
+    return None if q is None else rational_mod(x, ctx) * q % ctx.p
+
+
+def _ell_form(ctx: PrimeCtx, x: Fraction, coeffs: Sequence[Rational]) -> int | None:
+    # sum_j coeffs[j] ell(x+j) mod p, or None at the first undefined ell
+    total = 0
+    for j, c in enumerate(coeffs):
+        e = _ell_component(x + j, ctx)
+        if e is None:
+            return None
+        total += rational_mod(c, ctx) * e
+    return total % ctx.p
 
 
 def ell_A(x: Rational, window: Sequence[int]) -> AElement:
@@ -79,7 +88,7 @@ def ell_A(x: Rational, window: Sequence[int]) -> AElement:
     reason = f"fermat quotient undefined at x={x}"
 
     def component(p):
-        c = _ell_component(x, p)
+        c = _ell_component(x, PrimeCtx(p))
         return reason if c is None else c
 
     return AElement.from_kernel(window, component)
@@ -154,12 +163,10 @@ def _mascheroni_lhs(ctx: PrimeCtx, x: Fraction) -> int | str:
 
 def _mascheroni_rhs(ctx: PrimeCtx, x: Fraction) -> int | str:
     # Wilson quotient + ell(x+2) - ell(x+1) + [x = -1] - 1
-    p = ctx.p
-    e2 = _ell_component(x + 2, p)
-    e1 = _ell_component(x + 1, p)
-    if e2 is None or e1 is None:
+    ells = _ell_form(ctx, x + 1, (-1, 1))
+    if ells is None:
         return "fermat quotient undefined at x+1 or x+2"
-    return (_wilson(p) + e2 - e1 + delta_minus_one(x) - 1) % p
+    return (_wilson(ctx.p) + ells + delta_minus_one(x) - 1) % ctx.p
 
 
 def _interlude_lhs(ctx: PrimeCtx, k: int, x: Fraction) -> int | str:
@@ -172,12 +179,8 @@ def _interlude_lhs(ctx: PrimeCtx, k: int, x: Fraction) -> int | str:
 
 def _interlude_rhs(ctx: PrimeCtx, k: int, x: Fraction) -> int | str:
     # (-1)^(k-1) sum_{j=0}^{k} (-1)^j C(k, j) ell(x+j+1)
-    p = ctx.p
-    ells = [_ell_component(x + j + 1, p) for j in range(k + 1)]
-    if any(e is None for e in ells):
-        return "fermat quotient undefined at some x+j+1"
-    total = sum((-1) ** j * math.comb(k, j) * e for j, e in enumerate(ells))
-    return (-1) ** (k - 1) * total % p
+    ells = _ell_form(ctx, x + 1, [(-1) ** (k - 1 + j) * math.comb(k, j) for j in range(k + 1)])
+    return "fermat quotient undefined at some x+j+1" if ells is None else ells
 
 
 def _kluyver_lhs(ctx: PrimeCtx, m: int, x: Fraction) -> int | str:
@@ -188,7 +191,7 @@ def _kluyver_lhs(ctx: PrimeCtx, m: int, x: Fraction) -> int | str:
     p = ctx.p
     if p <= m + 1:
         return f"p <= m+1 = {m + 1}"
-    ell = _ell_component(x + m + 1, p)
+    ell = _ell_component(x + m + 1, ctx)
     if ell is None:
         return "fermat quotient undefined at some x+j+1"
     return (_kluyver_sum(stream, m, ctx) + sum(ctx.inv_table[1 : m + 1]) - ell) % p
@@ -197,16 +200,12 @@ def _kluyver_lhs(ctx: PrimeCtx, m: int, x: Fraction) -> int | str:
 def _kluyver_rhs(ctx: PrimeCtx, m: int, x: Fraction) -> int | str:
     # Wilson quotient + [x+m = -1] - 1 + (H_m - 1) ell(x+m+1)
     #   + sum_{j<m} (-1)^(m-j) C(m, j)/(m-j) ell(x+j+1); check_shard calls
-    # it only where the left side is defined, so p > m+1 and H_m reduces
-    p = ctx.p
-    ells = [_ell_component(x + j + 1, p) for j in range(m + 1)]
-    if any(e is None for e in ells):
+    # it only where the left side is defined, so p > m+1 and every coefficient reduces
+    coeffs = [Fraction((-1) ** (m - j) * math.comb(m, j), m - j) for j in range(m)]
+    ells = _ell_form(ctx, x + 1, coeffs + [harmonic(m) - 1])
+    if ells is None:
         return "fermat quotient undefined at some x+j+1"
-    rhs = _wilson(p) + delta_minus_one(x + m) - 1
-    rhs += rational_mod(harmonic(m) - 1, ctx) * ells[m]
-    for j in range(m):
-        rhs += rational_mod(Fraction((-1) ** (m - j) * math.comb(m, j), m - j), ctx) * ells[j]
-    return rhs % p
+    return (_wilson(ctx.p) + delta_minus_one(x + m) - 1 + ells) % ctx.p
 
 
 def _eisenstein_lhs(ctx: PrimeCtx, x: Fraction) -> int | str:
@@ -217,11 +216,8 @@ def _eisenstein_lhs(ctx: PrimeCtx, x: Fraction) -> int | str:
 
 def _eisenstein_rhs(ctx: PrimeCtx, x: Fraction) -> int | str:
     # (x+1) q_p(x+1) - x q_p(x) mod p
-    e1 = _ell_component(x + 1, ctx.p)
-    e0 = _ell_component(x, ctx.p)
-    if e1 is None or e0 is None:
-        return "quotient or residue undefined"
-    return (e1 - e0) % ctx.p
+    ells = _ell_form(ctx, x, (-1, 1))
+    return "quotient or residue undefined" if ells is None else ells
 
 
 def _logadd_lhs(ctx: PrimeCtx, x: Fraction, y: Fraction) -> int | str:

@@ -2,7 +2,8 @@
 
 Residues are plain ints in [0, p); a PrimeCtx carries the prime and its
 lazily built inverse/factorial tables.  Rationals are reduced into a prime
-field only when the denominator is a unit mod p; otherwise the operations
+field only when the denominator is a unit mod p, and only by rational_mod
+(binomial rows binom(x, 0..n) only by _binom_row); otherwise the operations
 return None ("undefined") rather than assigning an arbitrary value.  An
 AElement is the windowed stand-in for a prime-indexed residue family that
 is only meaningful at all but finitely many primes: it stores one residue
@@ -47,19 +48,13 @@ class PrimeCtx:
     """A prime p with inverse and factorial tables mod p, built on first use.
 
     All tables are index-aligned: inv_table[i] is the inverse of i for
-    1 <= i < p, fact_table[k] = k! mod p for 0 <= k <= p-1.  gregory_zero
-    holds the residues G_0(0)..G_{p-2}(0) in the packed form of
-    polys.gregory_residue_stream, which fills it on first use so that the
-    x values sharing this context share one Newton inversion.
+    1 <= i < p, fact_table[k] = k! mod p for 0 <= k <= p-1.
     """
-
-    __slots__ = ("p", "gregory_zero", "__dict__")
 
     def __init__(self, p: int):
         if p < 2:
             raise ValueError(f"modulus must be a prime >= 2, got {p}")
         self.p = p
-        self.gregory_zero: int | None = None
 
     @cached_property
     def inv_table(self) -> list[int]:
@@ -122,20 +117,24 @@ def rational_pow_mod_p2(x: Rational, e: int, p: int) -> int | None:
     return r
 
 
+def _binom_row(x: Rational, n: int, ctx: PrimeCtx) -> list[int] | None:
+    """binom(x, 0..n) mod p for n < p, the coefficients of (1+t)^x; None if p | den(x)."""
+    xr = rational_mod(x, ctx)
+    if xr is None:
+        return None
+    p, inv = ctx.p, ctx.inv_table
+    row = [1]
+    for k in range(1, n + 1):
+        row.append(row[-1] * (xr - k + 1) % p * inv[k] % p)
+    return row
+
+
 def binom_rational_mod(x: Rational, k: int, ctx: PrimeCtx) -> int | None:
     """Residue of x(x-1)...(x-k+1)/k! mod p; None if p | den(x) or k >= p."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    p = ctx.p
-    if k >= p:
-        return None  # k! not invertible
-    xr = rational_mod(x, ctx)
-    if xr is None:
-        return None
-    prod = 1
-    for i in range(k):
-        prod = prod * (xr - i) % p
-    return prod * ctx.inv_fact_table[k] % p
+    row = None if k >= ctx.p else _binom_row(x, k, ctx)  # k! is not invertible for k >= p
+    return None if row is None else row[k]
 
 
 class AElement:
@@ -173,11 +172,11 @@ class AElement:
 
     @classmethod
     def from_rational(cls, q: Rational, window: Iterable[int]) -> "AElement":
-        num, den = _num_den(q)
-        return cls.from_kernel(
-            window,
-            lambda p: "p divides denominator" if den % p == 0 else num * pow(den, -1, p) % p,
-        )
+        def component(p):
+            r = rational_mod(q, PrimeCtx(p))
+            return "p divides denominator" if r is None else r
+
+        return cls.from_kernel(window, component)
 
     @classmethod
     def zero(cls, window: Iterable[int]) -> "AElement":
@@ -222,14 +221,14 @@ class AElement:
 
     def scale(self, c: Rational) -> "AElement":
         """Componentwise product with a rational scalar."""
-        num, den = _num_den(c)
         comps = {}
         bad = dict(self.exceptional)
         for p, r in self.components.items():
-            if den % p == 0:
+            cr = rational_mod(c, PrimeCtx(p))
+            if cr is None:
                 bad[p] = "scalar denominator divisible by p"
             else:
-                comps[p] = r * num % p * pow(den, -1, p) % p
+                comps[p] = r * cr % p
         return AElement(self.window, comps, bad)
 
     def comparable_primes(self, other: "AElement") -> list[int]:

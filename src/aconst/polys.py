@@ -17,15 +17,16 @@ x = RationalPolynomial([0, 1]), the polynomials themselves.
 Over F_p the residue stream uses the factorization
 t(1+t)^x/log(1+t) = (1+t)^x * t/log(1+t): the Gregory numbers G_n(0) mod p
 come once per prime from Newton inversion of log(1+t)/t (Brent and Kung,
-JACM 25, 1978), and G_n(x) = sum_k binom(x, k) G_{n-k}(0) is then one
-series product per x.  Every series product mod p is a single big-int
-multiply of coefficients packed into fixed-width slots (Kronecker
-substitution; Harvey, J. Symbolic Comput. 44, 2009).  The residue stream
-deliberately stops at n = p-2: G_{p-1}(x) picks up a 1/p! term and is not
-p-integral.  It stays apart from the fixed-point stream of
-analytic._gregory_fixed, which has the same shape: running both through
-one signed product and one Newton inversion made the Newton step mod p
-1.2-1.75x slower, and the whole residue stream 25-40% slower at p <= 503.
+JACM 25, 1978) into their one owner, the memo _gregory_zero_packed, and
+G_n(x) = sum_k binom(x, k) G_{n-k}(0) is then one series product per x.
+Every series product mod p is a single big-int multiply of coefficients
+packed into fixed-width slots (Kronecker substitution; Harvey, J. Symbolic
+Comput. 44, 2009).  The residue stream deliberately stops at n = p-2:
+G_{p-1}(x) picks up a 1/p! term and is not p-integral.  It stays apart from
+the fixed-point stream of analytic._gregory_fixed, which has the same shape:
+running both through one signed product and one Newton inversion made the
+Newton step mod p 1.2-1.75x slower, and the whole residue stream 25-40%
+slower at p <= 503.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 
-from .modular import PrimeCtx, Rational, rational_mod
+from .modular import PrimeCtx, Rational, _binom_row
 
 _ZERO = Fraction(0)
 _NEG_INF = float("-inf")
@@ -305,6 +306,7 @@ def _unpack(packed: int, n: int, width: int, p: int) -> list[int]:
     return [int.from_bytes(raw[i : i + width], "little") % p for i in range(0, size, width)]
 
 
+@lru_cache(maxsize=1)
 def _gregory_zero_packed(ctx: PrimeCtx) -> int:
     """G_0(0)..G_{p-2}(0) mod p, packed, as the inverse of log(1+t)/t.
 
@@ -335,27 +337,21 @@ def gregory_residue_stream(x: Rational, n_max: int, ctx: PrimeCtx) -> list[int] 
     Requires 0 <= n_max <= p-2 (beyond p-2 the values stop being
     p-integral).  The stream is the product of the binomial series
     (1+t)^x, built in one O(n_max) pass, with the Gregory numbers G_n(0)
-    kept on ctx, truncated at n_max.  A call costs O(n_max) steps to build,
-    pack and unpack, plus one multiply of ints of at most p * 3 log2(p)
-    bits; the first call for ctx adds the Newton inversion, O(log p) such
-    multiplies of doubling length.  With M(b) the cost of a b-bit multiply
+    of ctx's prime, truncated at n_max.  A call costs O(n_max) steps to
+    build, pack and unpack, plus one multiply of ints of at most p * 3 log2(p)
+    bits; a call on another ctx than the last adds the Newton inversion,
+    O(log p) such multiplies of doubling length.  With M(b) the cost of a b-bit multiply
     (Karatsuba in CPython), that is O(M(p log p)) per prime and per x,
     against O(n_max^2) steps for the division-free recurrence.
     """
     p = ctx.p
     if not 0 <= n_max <= p - 2:
         raise ValueError(f"n_max={n_max} outside [0, p-2={p - 2}]")
-    xr = rational_mod(x, ctx)
-    if xr is None:
+    binom = _binom_row(x, n_max, ctx)
+    if binom is None:
         return None
-    if ctx.gregory_zero is None:
-        ctx.gregory_zero = _gregory_zero_packed(ctx)
-    inv = ctx.inv_table
-    binom = [1]
-    for k in range(1, n_max + 1):
-        binom.append(binom[-1] * (xr - k + 1) % p * inv[k] % p)
     width = _slot_bytes(p)
-    return _unpack(_pack(binom, width) * ctx.gregory_zero, n_max + 1, width, p)
+    return _unpack(_pack(binom, width) * _gregory_zero_packed(ctx), n_max + 1, width, p)
 
 
 def N_nk(n: int, k: int, x: Rational) -> Fraction:

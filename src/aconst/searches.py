@@ -25,12 +25,7 @@ def e_component(p: int) -> int:
     return _d_sums_mod(1, 0, Fraction(1), p)[0]
 
 
-def wilson_component(p: int) -> int:
-    """Residue of ((p-1)! + 1)/p mod p (the Wilson quotient)."""
-    return _wilson_component(p)
-
-
-_TARGET_FNS = {"eA-zero": ("e_A", e_component), "wilson": ("wilson_q", wilson_component)}
+_TARGET_FNS = {"eA-zero": ("e_A", e_component), "wilson": ("wilson_q", _wilson_component)}
 
 
 def _span(lo: int, hi: int, e: int) -> tuple[int, int]:

@@ -329,6 +329,26 @@ class TestCache:
         assert "checked 15 cached record(s)" in captured.out
         assert f"skipped 1 damaged line(s) in {path}" in captured.err
 
+    def test_deeply_nested_line_is_damaged(self, capsys):
+        # json.loads gives up on this line with RecursionError, not ValueError
+        path = cache.cache_dir() / "e_A.jsonl"
+        path.parent.mkdir(parents=True)
+        path.write_text("[" * 100_000 + "\n")
+        assert main(["cache", "verify"]) == 2
+        captured = capsys.readouterr()
+        assert f"skipped 1 damaged line(s) in {path}" in captured.err
+        assert "error: no cached records to check" in captured.err
+        # beside a real search cache, the good records are still checked
+        main(["search", "--target", "wilson", "--pmin", "5", "--pmax", "60"])
+        capsys.readouterr()
+        assert main(["cache", "verify", "--sample", "50"]) == 0
+        captured = capsys.readouterr()
+        assert "checked 15 cached record(s)" in captured.out
+        assert f"skipped 1 damaged line(s) in {path}" in captured.err
+        # and a search that appends to the damaged file warns and goes on
+        assert main(["search", "--target", "eA-zero", "--pmin", "5", "--pmax", "60"]) == 0
+        assert f"skipped 1 damaged line(s) in {path}" in capsys.readouterr().err
+
     def test_cache_verify_detects_corruption(self, capsys):
         main(["search", "--target", "wilson", "--pmin", "5", "--pmax", "60"])
         path = cache.cache_dir() / "wilson_q.jsonl"
@@ -340,6 +360,33 @@ class TestCache:
         code = main(["cache", "verify", "--sample", "50", "--seed", "3"])
         assert code == 1
         assert "MISMATCH" in capsys.readouterr().out
+
+
+class TestIOErrors:
+    """An I/O failure is a clean exit 2, never a traceback and never the
+    counterexample code 1."""
+
+    @pytest.mark.parametrize(
+        "case", ["report", "bfile", "cache-dir-is-a-file", "cache-file-is-a-dir"]
+    )
+    def test_exits_2(self, case, tmp_path, monkeypatch, capsys):
+        missing = tmp_path / "nonexistent" / "dir"
+        argv = {
+            "report": ["verify", "euler", "--which", "eisenstein", "--x", "2", "--pmax", "30",
+                       "--json", str(missing / "r.jsonl")],
+            "bfile": ["seq", "--name", "bell", "--nmax", "3", "--bfile", str(missing / "b.txt")],
+            "cache-dir-is-a-file": ["search", "--target", "wilson", "--pmax", "30"],
+            "cache-file-is-a-dir": ["cache", "verify"],
+        }[case]
+        if case == "cache-dir-is-a-file":
+            blocker = tmp_path / "blocker"
+            blocker.write_text("")
+            monkeypatch.setenv(cache.ENV_VAR, str(blocker))
+        elif case == "cache-file-is-a-dir":
+            (cache.cache_dir() / "wilson_q.jsonl").mkdir(parents=True)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def _child_env() -> dict:

@@ -3,11 +3,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aconst.euler import (
+    _eisenstein_rhs,
+    _interlude_rhs,
+    _kluyver_rhs,
     _kluyver_sum,
+    _mascheroni_rhs,
     _mascheroni_sum,
     _truncated_log,
+    _wilson_component,
     G_A,
     L1,
     check_eisenstein,
@@ -75,6 +82,77 @@ def loop_kluyver_sum(stream, m, ctx):
         t = stream[n] * iv
         s = s + t if n % 2 else s - t
     return s % p * (math.factorial(m) % p) % p
+
+
+def loop_ell(x, p):
+    """Oracle: x q_p(x) mod p with its own inline reduction of x."""
+    if x == 0 or x == 1:
+        return 0
+    q = fermat_quotient(x, p)
+    if q is None:
+        return None
+    return x.numerator * pow(x.denominator, -1, p) % p * q % p
+
+
+# Oracles: the four Euler right sides, each gathering its own list of ell
+# values and checking it for None before combining.
+
+
+def loop_mascheroni_rhs(ctx, x):
+    p = ctx.p
+    e2 = loop_ell(x + 2, p)
+    e1 = loop_ell(x + 1, p)
+    if e2 is None or e1 is None:
+        return "fermat quotient undefined at x+1 or x+2"
+    return (_wilson_component(p) + e2 - e1 + delta_minus_one(x) - 1) % p
+
+
+def loop_interlude_rhs(ctx, k, x):
+    p = ctx.p
+    ells = [loop_ell(x + j + 1, p) for j in range(k + 1)]
+    if any(e is None for e in ells):
+        return "fermat quotient undefined at some x+j+1"
+    total = sum((-1) ** j * math.comb(k, j) * e for j, e in enumerate(ells))
+    return (-1) ** (k - 1) * total % p
+
+
+def loop_kluyver_rhs(ctx, m, x):
+    p = ctx.p
+    ells = [loop_ell(x + j + 1, p) for j in range(m + 1)]
+    if any(e is None for e in ells):
+        return "fermat quotient undefined at some x+j+1"
+    rhs = _wilson_component(p) + delta_minus_one(x + m) - 1
+    rhs += rational_mod(harmonic(m) - 1, ctx) * ells[m]
+    for j in range(m):
+        rhs += rational_mod(F((-1) ** (m - j) * math.comb(m, j), m - j), ctx) * ells[j]
+    return rhs % p
+
+
+def loop_eisenstein_rhs(ctx, x):
+    e1 = loop_ell(x + 1, ctx.p)
+    e0 = loop_ell(x, ctx.p)
+    if e1 is None or e0 is None:
+        return "quotient or residue undefined"
+    return (e1 - e0) % ctx.p
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-9, 9),
+    st.integers(1, 9),
+    st.integers(2, 5),
+    st.integers(1, 3),
+    st.sampled_from(sieve_primes(5, 101)),
+)
+@example(-1, 1, 2, 1, 5)  # x = -1: the indicator terms
+@example(-3, 5, 2, 1, 5)  # p | den(x): every ell undefined
+@example(4, 1, 5, 3, 7)  # p = x+3: one ell undefined partway through
+def test_right_sides_match_loops(a, b, k, m, p):
+    x, ctx = F(a, b), PrimeCtx(p)
+    assert _mascheroni_rhs(ctx, x) == loop_mascheroni_rhs(ctx, x)
+    assert _interlude_rhs(ctx, k, x) == loop_interlude_rhs(ctx, k, x)
+    assert _kluyver_rhs(ctx, m, x) == loop_kluyver_rhs(ctx, m, x)
+    assert _eisenstein_rhs(ctx, x) == loop_eisenstein_rhs(ctx, x)
 
 
 class TestStreamSums:

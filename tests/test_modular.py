@@ -1,17 +1,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aconst.modular import (
     AElement,
     PrimeCtx,
+    _binom_row,
     binom_rational_mod,
     rational_mod,
     rational_pow_mod_p2,
     sieve_primes,
 )
+from aconst.polys import binomial_polynomial
 
 
 def trial_division_primes(lo, hi):
@@ -172,6 +174,27 @@ class TestBinomRationalMod:
         expected = 1 if x == -1 else 0
         for p in sieve_primes(bound + 1, 120):
             assert binom_rational_mod(x, p - 1, PrimeCtx(p)) == expected
+
+
+BINOMIAL_POLYS = [binomial_polynomial(k) for k in range(31)]  # binom(x, k), k < 31
+
+
+class TestBinomRow:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(-60, 60),
+        st.integers(1, 60),
+        st.sampled_from(sieve_primes(2, 31)),
+        st.data(),
+    )
+    def test_matches_binomial_polynomials(self, a, b, p, data):
+        x = Fraction(a, b)
+        ctx = PrimeCtx(p)
+        n = data.draw(st.integers(0, p - 1))
+        row = _binom_row(x, n, ctx)
+        assert (row is None) == (x.denominator % p == 0)
+        if row is not None:
+            assert row == [rational_mod(BINOMIAL_POLYS[k](x), ctx) for k in range(n + 1)]
 
 
 class TestAElement:

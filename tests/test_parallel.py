@@ -8,8 +8,8 @@ from functools import partial
 
 import pytest
 
-from aconst import dobinski, euler
-from aconst._parallel import check_shard, verify_primes
+from aconst import _parallel, dobinski, euler
+from aconst._parallel import check_shard, run_prime_shards, verify_primes
 from aconst.modular import sieve_primes
 
 F = Fraction
@@ -76,6 +76,37 @@ def test_driver_sorts_and_skips(threads):
     assert [c.prime for c in report.checks] == [p for p in WINDOW if p not in (2, 7)]
     assert [(s.prime, s.reason) for s in report.skipped] == [(2, "two"), (7, "seven")]
     assert report.passed and report.elapsed >= 0
+
+
+def test_workers_capped_at_core_count(monkeypatch):
+    # a huge thread count starts one worker per core, not one per prime, and
+    # the shards, strided by the worker count, still cover every prime once
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 3)
+    primes = sieve_primes(5, 1000)
+    shards = run_prime_shards(_echo_batch, (0,), primes, 10**6)
+    assert workers == [3] and len(shards) == 3
+    serial_checks, _ = _echo_batch(((0,), primes))
+    assert sorted(c for checks, _ in shards for c in checks) == serial_checks
+    # one core: no pool at all
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: None)
+    assert run_prime_shards(_echo_batch, (0,), primes, 10**6) == [(serial_checks, [])]
+    assert workers == [3]
 
 
 @pytest.mark.parametrize("module", [dobinski, euler], ids=lambda m: m.__name__)

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aconst.dobinski import bell, g_seq
+from aconst.euler import verify_interlude
 from aconst.modular import PrimeCtx, rational_mod, sieve_primes
 from aconst.polys import (
+    _gregory_zero_packed,
     _pack,
     _slot_bytes,
     _unpack,
@@ -309,6 +311,23 @@ class TestResidueStream:
                     assert gregory_residue_stream(x, n_max, ctx) == recurrence_stream(
                         x, n_max, ctx
                     ), (p, x, n_max)
+
+    def test_alternating_contexts_match_recurrence(self):
+        # each switch of context evicts the one-entry memo of Gregory numbers
+        ctxs = [PrimeCtx(101), PrimeCtx(103), PrimeCtx(101)]
+        for x in (F(0), F(-7, 3)):
+            for ctx in ctxs + ctxs[::-1]:
+                assert gregory_residue_stream(x, ctx.p - 2, ctx) == recurrence_stream(
+                    x, ctx.p - 2, ctx
+                ), (ctx, x)
+
+    def test_one_inversion_per_prime(self):
+        # the Gregory numbers belong to polys, not to the context, and a
+        # verifier's x values at one prime share one Newton inversion
+        assert not hasattr(PrimeCtx(7), "gregory_zero")
+        before = _gregory_zero_packed.cache_info().misses
+        verify_interlude([2, 3], [F(0), F(1, 2), F(-2)], sieve_primes(5, 60))
+        assert _gregory_zero_packed.cache_info().misses - before == len(sieve_primes(5, 60)) == 15
 
     def test_packed_product_at_the_slot_bound(self):
         # every coefficient p-1 at full length: slot n of the product holds

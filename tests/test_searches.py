@@ -4,11 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aconst import cache, searches
+from aconst.euler import _wilson_component
 from aconst.modular import sieve_primes
-from aconst.searches import e_component, search_zero_primes, wilson_component
+from aconst.searches import e_component, search_zero_primes
 
 PRIMES = sieve_primes(2, 2000)
-ORACLES = {"eA-zero": e_component, "wilson": wilson_component}
+ORACLES = {"eA-zero": e_component, "wilson": _wilson_component}
 
 
 def windows():
