@@ -7,8 +7,8 @@ g.  Everything generalizes to an extra power r in the factorial and a
 rational weight x: the coefficient polynomials b_{r,j}(n; x) and g_r(n; x)
 share one binomial-transform recurrence and differ only in initial values,
 and so do the integer sequences b and g, so one helper extends them all.
-The truncated sums D^(N)(n) = sum_{k<N} k^n x^k/(k!)^r are exact rationals
-for every n from one pass over k, and residues mod p from another.  The
+The truncated sums D^(N)(n) = sum_{k<N} k^n x^k/(k!)^r are the moments of
+the weights x^k/(k!)^r, exact or mod p, in one pass per n (_moments).  The
 congruence is a left and a right side kernel, and its batch is
 `_parallel.check_shard` bound to them: the truncated sums mod p against the
 coefficient values, as integer numerators over one common denominator lcm,
@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import accumulate, repeat
 from operator import mul
 from typing import Sequence
 
@@ -107,24 +108,32 @@ def coeff_family(r: int, n_max: int) -> CoeffFamily:
     return CoeffFamily(r, n_max, tuple(b_rows), tuple(g_row))
 
 
-def _partial_sums_exact(r: int, n_max: int, N: int, x: Rational) -> list[Fraction]:
-    """D^(N)(n) = sum_{k<N} k^n x^k/(k!)^r for all n = 0..n_max in one pass
-    over k, the exact counterpart of _d_sums_mod.
+def _moments(w: list, n_max: int) -> list:
+    """sum_k w[k] k^n for n = 0..n_max (0^0 = 1), one pass over the weights per
+    n.  Nothing is reduced, so exact and mod-p weights share this one pass."""
+    ks = range(len(w))
+    moments = [sum(w)]
+    for _ in range(n_max):
+        w = list(map(mul, w, ks))
+        moments.append(sum(w))
+    return moments
 
-    With x = a/b every term is an integer over den = b^(N-1) ((N-1)!)^r, so
-    the pass adds integers and each n costs one division at the end.
+
+def _partial_sums_exact(r: int, n_max: int, N: int, x: Rational) -> list[Fraction]:
+    """D^(N)(n) = sum_{k<N} k^n x^k/(k!)^r for all n = 0..n_max, the exact
+    counterpart of _d_sums_mod.
+
+    With x = a/b the weights a^k b^(N-1-k) ((N-1)!/k!)^r are integers over
+    the k = 0 one, b^(N-1) ((N-1)!)^r, so each moment costs one division.
     """
     if r < 1 or n_max < 0 or N < 1:
         raise ValueError("need r >= 1, n >= 0, N >= 1")
     x = Fraction(x)
     a, b = x.numerator, x.denominator
-    w = den = b ** (N - 1) * math.factorial(N - 1) ** r
-    sums = [den] + [0] * n_max  # the k = 0 term, with 0^0 = 1
+    w = [b ** (N - 1) * math.factorial(N - 1) ** r]
     for k in range(1, N):
-        w = w * a // (b * k**r)  # a^k b^(N-1-k) ((N-1)!/k!)^r, exact for k < N
-        for n in range(n_max + 1):
-            sums[n] += w * k**n
-    return [Fraction(s, den) for s in sums]
+        w.append(w[-1] * a // (b * k**r))  # exact for k < N
+    return [Fraction(s, w[0]) for s in _moments(w, n_max)]
 
 
 def partial_sum_exact(r: int, n: int, N: int, x: Rational) -> Fraction:
@@ -137,6 +146,8 @@ def check_truncation_identity(r: int, n: int, N: int, x: Rational) -> bool:
 
     D^(N)(n+r) = x sum_k C(n,k) D^(N)(k) - N^n x^N / ((N-1)!)^r.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     x = Fraction(x)
     d = _partial_sums_exact(r, n + r, N, x)
     rhs = x * sum(math.comb(n, k) * d[k] for k in range(n + 1))
@@ -144,31 +155,19 @@ def check_truncation_identity(r: int, n: int, N: int, x: Rational) -> bool:
     return d[n + r] == rhs
 
 
-def _d_sums_mod(r: int, n_max: int, x: Fraction, p: int) -> list[int] | None:
+def _d_sums_mod(r: int, n_max: int, x: Rational, p: int) -> list[int] | None:
     """Residues of sum_{k<p} k^n x^k/(k!)^r for all n = 0..n_max, or None.
 
-    One O(p * n_max) pass: the weight x^k/(k!)^r advances by x * inv(k)^r
-    per step and the powers k^n by one multiply per n.
+    The weights x^k (1/k!)^r mod p come from the inverse factorial table,
+    and one moment pass over them gives every n.
     """
     ctx = PrimeCtx(p)
     xr = rational_mod(x, ctx)
     if xr is None:
         return None
-    inv = ctx.inv_table
-    acc = [0] * (n_max + 1)
-    acc[0] = 1
-    w = 1
-    for k in range(1, p):
-        iv = inv[k]
-        w = w * xr % p
-        for _ in range(r):
-            w = w * iv % p
-        acc[0] += w
-        kp = 1
-        for n in range(1, n_max + 1):
-            kp = kp * k % p
-            acc[n] += kp * w
-    return [a % p for a in acc]
+    xk = accumulate(repeat(xr, p - 1), lambda u, v: u * v % p, initial=1)
+    w = [u * pow(f, r, p) % p for u, f in zip(xk, ctx.inv_fact_table)]
+    return [m % p for m in _moments(w, n_max)]
 
 
 def d_r_A(r: int, n: int, x: Rational, window: Sequence[int]) -> AElement:
@@ -179,6 +178,8 @@ def d_r_A(r: int, n: int, x: Rational, window: Sequence[int]) -> AElement:
 
 def d_r_A_range(r: int, n_max: int, x: Rational, window: Sequence[int]) -> list[AElement]:
     """All of D_{r,A}(0; x)..D_{r,A}(n_max; x) in one pass per prime."""
+    if r < 1 or n_max < 0:
+        raise ValueError("need r >= 1, n >= 0")
     x = Fraction(x)
     sums = {p: _d_sums_mod(r, n_max, x, p) for p in window}
     return [

@@ -10,7 +10,6 @@ independent per-prime kernels below, never with the tree.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .cache import ResidueCacheRecord
@@ -22,7 +21,7 @@ SEARCH_TARGETS = ("eA-zero", "wilson")
 
 def e_component(p: int) -> int:
     """Residue of sum_{k<p} 1/k! mod p (the e-analogue's p-component)."""
-    return _d_sums_mod(1, 0, Fraction(1), p)[0]
+    return _d_sums_mod(1, 0, 1, p)[0]
 
 
 _TARGET_FNS = {"eA-zero": ("e_A", e_component), "wilson": ("wilson_q", _wilson_component)}

@@ -16,6 +16,7 @@ from aconst.dobinski import (
     d_r_A_range,
     g_seq,
     _d_sums_mod,
+    _moments,
     _partial_sums_exact,
     numeric_identity_check,
     partial_sum_exact,
@@ -36,6 +37,30 @@ def brute_d_sum_mod(r, n, x, p):
     for k in range(1, p):
         total += F(k**n) * x**k / math.factorial(k) ** r
     return rational_mod(total, PrimeCtx(p))
+
+
+def d_sums_loop(r, n_max, x, p):
+    """Oracle: the per-prime loop the moment pass replaced.  The weight
+    x^k/(k!)^r advances by x * inv(k)^r per step and k^n by one multiply per n."""
+    ctx = PrimeCtx(p)
+    xr = rational_mod(x, ctx)
+    if xr is None:
+        return None
+    inv = ctx.inv_table
+    acc = [0] * (n_max + 1)
+    acc[0] = 1
+    w = 1
+    for k in range(1, p):
+        iv = inv[k]
+        w = w * xr % p
+        for _ in range(r):
+            w = w * iv % p
+        acc[0] += w
+        kp = 1
+        for n in range(1, n_max + 1):
+            kp = kp * k % p
+            acc[n] += kp * w
+    return [a % p for a in acc]
 
 
 def partial_sum_loop(r, n, N, x):
@@ -212,6 +237,10 @@ class TestTruncationIdentity:
         assert check_truncation_identity(3, 4, 12, F(1, 2))
         assert check_truncation_identity(2, 0, 1, -2)
 
+    def test_rejects_negative_n(self):
+        with pytest.raises(ValueError):
+            check_truncation_identity(2, -1, 5, 1)
+
     @settings(deadline=None, max_examples=60)
     @given(
         r=st.integers(1, 3),
@@ -221,6 +250,36 @@ class TestTruncationIdentity:
     )
     def test_holds_everywhere(self, r, n, N, x):
         assert check_truncation_identity(r, n, N, x)
+
+
+class TestDSumsMod:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        r=st.integers(1, 3),
+        n_max=st.integers(0, 20),
+        a=st.integers(-9, 9),
+        b=st.integers(1, 9),
+        p=st.sampled_from(sieve_primes(2, 400)),
+    )
+    @example(r=1, n_max=0, a=0, b=1, p=2)  # x = 0: only the k = 0 term
+    @example(r=2, n_max=20, a=1, b=1, p=2)
+    @example(r=3, n_max=7, a=-9, b=2, p=3)  # p | a
+    @example(r=1, n_max=5, a=7, b=3, p=3)  # p | b: undefined
+    @example(r=2, n_max=20, a=-5, b=7, p=397)
+    def test_matches_loop_and_brute_force(self, r, n_max, a, b, p):
+        x = F(a, b)
+        got = _d_sums_mod(r, n_max, x, p)
+        assert got == d_sums_loop(r, n_max, x, p)
+        if x.denominator % p == 0:
+            assert got is None
+            return
+        assert len(got) == n_max + 1 and all(0 <= v < p for v in got)
+        if p <= 31:
+            assert got == [brute_d_sum_mod(r, n, x, p) for n in range(n_max + 1)]
+
+    def test_moments(self):
+        assert _moments([5, 2, 3], 3) == [10, 8, 14, 26]
+        assert _moments([7], 2) == [7, 0, 0]  # 0^0 = 1, 0^n = 0 for n >= 1
 
 
 class TestDrA:
@@ -240,6 +299,13 @@ class TestDrA:
         for n in range(6):
             for p in (7, 11, 13):
                 assert elems[n][p] == brute_d_sum_mod(2, n, F(1, 2), p)
+
+    @pytest.mark.parametrize("r, n", [(0, 2), (-1, 0), (1, -1)])
+    def test_rejects_undefined_family(self, r, n):
+        with pytest.raises(ValueError):
+            d_r_A_range(r, n, 1, [5, 7])
+        with pytest.raises(ValueError):
+            d_r_A(r, n, 1, [5])
 
     def test_exceptional_denominator(self):
         elem = d_r_A(1, 0, F(1, 7), [5, 7, 11])
