@@ -8,12 +8,16 @@ rational weight x: the coefficient polynomials b_{r,j}(n; x) and g_r(n; x)
 share one binomial-transform recurrence and differ only in initial values,
 and so do the integer sequences b and g, so one helper extends them all.
 The truncated sums D^(N)(n) = sum_{k<N} k^n x^k/(k!)^r are the moments of
-the weights x^k/(k!)^r, exact or mod p, in one pass per n (_moments).  The
+the weights x^k/(k!)^r, exact or, at one prime, mod p, in one pass per n
+(_moments).  Over a window of primes, D(0..n)(p) mod p at every prime comes
+from one accumulating remainder tree (_d_sums_tree), which the verifier and
+d_r_A_range share; the per-prime pass _d_sums_mod is its oracle.  The
 congruence is a left and a right side kernel, and its batch is
-`_parallel.check_shard` bound to them: the truncated sums mod p against the
+`_parallel.check_shard` bound to them: the window's table of sums against the
 coefficient values, as integer numerators over one common denominator lcm,
-applied to the basis D(0..r-1).  verify_dobinski builds the grid, one point
-per n; primes dividing den(x) or lcm are whole-prime skips.
+applied to the basis D(0..r-1).  verify_dobinski builds the table and the
+grid, one point per n; primes dividing den(x) or lcm are whole-prime skips.
+With the table built, the check loop runs in one process.
 
 Conventions: 0^0 = 1 (the k = 0 term of every sum), and the g recurrence
 starts at shift index 1 -- its initial window spans indices 0..r, one past
@@ -30,10 +34,10 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ._parallel import check_shard, verify_primes
-from .modular import AElement, PrimeCtx, Rational, rational_mod
+from .modular import AElement, PrimeCtx, Rational, rational_mod, require_primes
 from .polys import RationalPolynomial
 from .report import VerificationReport
 
@@ -170,6 +174,80 @@ def _d_sums_mod(r: int, n_max: int, x: Rational, p: int) -> list[int] | None:
     return [m % p for m in _moments(w, n_max)]
 
 
+def _compose(f: tuple, g: tuple) -> tuple:
+    """The map f then g, where a map (M, c, al) sends the state (U, alpha) to
+    (M U + c alpha, al alpha)."""
+    (m1, c1, a1), (m2, c2, a2) = f, g
+    return m2 * m1, [m2 * u + a1 * v for u, v in zip(c1, c2)], a2 * a1
+
+
+def _advance(f: tuple, state: tuple, q: int) -> tuple:
+    """The state (U_0..U_n, alpha) after the map f, reduced mod q."""
+    (m, c, al), (u, alpha) = f, state
+    return [(m * v + alpha * w) % q for v, w in zip(u, c)], al * alpha % q
+
+
+def _sum_span(lo: int, hi: int, a: int, b: int, r: int, n_top: int) -> tuple:
+    """The map (M, c_0..c_n_top, alpha) of the steps K = lo, ..., hi-1 of
+    U_m(K) = b K^r U_m(K-1) + K^m a^K, alpha(K) = a^K."""
+    if hi - lo > 64:  # binary splitting keeps long spans quasi-linear
+        mid = (lo + hi) // 2
+        return _compose(_sum_span(lo, mid, a, b, r, n_top), _sum_span(mid, hi, a, b, r, n_top))
+    m, c, al = 1, [0] * (n_top + 1), 1
+    for k in range(lo, hi):
+        s = b * k**r
+        al *= a
+        c = [s * u + v for u, v in zip(c, accumulate(repeat(k, n_top), mul, initial=al))]
+        m *= s
+    return m, c, al
+
+
+def _d_sums_tree(r: int, n_top: int, x: Rational, window: Iterable[int]) -> dict[int, list[int]]:
+    """p -> [D(0), ..., D(n_top)] mod p, D(m) = sum_{k<p} k^m x^k/(k!)^r, for
+    every distinct window prime not dividing den(x), in one tree pass.
+
+    With x = a/b, U_m(K) = sum_{k<=K} k^m a^k b^(K-k) (K!/k!)^r obeys
+    U_m(K) = b K^r U_m(K-1) + K^m a^K, so a span of K is one map (M, c, alpha)
+    of the state (U_0..U_n_top, a^K), and maps compose by _compose.  As in the
+    scans of `searches` (Costa, Gerbicz and Harvey), leaf i is the span
+    [p_{i-1}, p_i) (p_0 = 1) with modulus p_i, a node holds the composite of
+    its leaves and the product of their moduli, and the descent hands each
+    node the state at the start of its span, reduced mod its modulus, from
+    (e_0, 1) at K = 0.  At K = p-1, Wilson and Fermat give
+    D(m) = (-1)^r U_m(p-1) mod p, since p does not divide b; a prime
+    dividing a needs no special case.  _d_sums_mod is the per-prime oracle.
+    """
+    x = Fraction(x)
+    a, b = x.numerator, x.denominator
+    primes = sorted({p for p in window if b % p})
+    if not primes:
+        return {}
+    levels = [([_sum_span(lo, hi, a, b, r, n_top) for lo, hi in zip([1] + primes, primes)],
+               primes)]
+    while len(levels[-1][1]) > 1:
+        maps, mods = levels[-1]
+        up_maps = [_compose(f, g) for f, g in zip(maps[::2], maps[1::2])]
+        up_mods = [p * q for p, q in zip(mods[::2], mods[1::2])]
+        if len(mods) % 2:
+            up_maps.append(maps[-1])
+            up_mods.append(mods[-1])
+        levels.append((up_maps, up_mods))
+    starts = [([1] + [0] * n_top, 1)]  # (e_0, a^0) at K = 0
+    maps, mods = levels.pop()
+    while levels:
+        maps, mods = levels.pop()
+        below = []
+        for j, (u, alpha) in enumerate(starts):
+            q = mods[2 * j]
+            below.append(([v % q for v in u], alpha % q))
+            if 2 * j + 1 < len(mods):
+                below.append(_advance(maps[2 * j], (u, alpha), mods[2 * j + 1]))
+        starts = below
+    sign = (-1) ** r
+    return {p: [sign * v % p for v in _advance(f, state, p)[0]]
+            for p, f, state in zip(primes, maps, starts)}
+
+
 def d_r_A(r: int, n: int, x: Rational, window: Sequence[int]) -> AElement:
     """The windowed finite analogue of D_r(n; x): residue of the truncated
     sum at each window prime not dividing den(x)."""
@@ -177,34 +255,27 @@ def d_r_A(r: int, n: int, x: Rational, window: Sequence[int]) -> AElement:
 
 
 def d_r_A_range(r: int, n_max: int, x: Rational, window: Sequence[int]) -> list[AElement]:
-    """All of D_{r,A}(0; x)..D_{r,A}(n_max; x) in one pass per prime."""
+    """All of D_{r,A}(0; x)..D_{r,A}(n_max; x) from one tree pass over the window."""
     if r < 1 or n_max < 0:
         raise ValueError("need r >= 1, n >= 0")
-    x = Fraction(x)
-    sums = {p: _d_sums_mod(r, n_max, x, p) for p in window}
+    require_primes(window)
+    table = _d_sums_tree(r, n_max, x, window)
     return [
-        AElement.from_kernel(window, lambda p: sums[p][n] if sums[p] else "p divides den(x)")
+        AElement.from_kernel(window, lambda p: table[p][n] if p in table else "p divides den(x)")
         for n in range(n_max + 1)
     ]
 
 
-@lru_cache(maxsize=1)
-def _sums(ctx: PrimeCtx, r: int, n_top: int, num: int, den: int) -> list[int]:
-    # D(0)..D(n_top) mod p.  A grid lists every n of one (r, x) in a row, so
-    # this one entry serves it all; keyed by ints, since hashing a Fraction is slow.
-    return _d_sums_mod(r, n_top, Fraction(num, den), ctx.p)
+def _dobinski_lhs(ctx: PrimeCtx, table: dict, n: int, row: tuple, lcm: int) -> int:
+    return table[ctx.p][n]
 
 
-def _dobinski_lhs(ctx: PrimeCtx, key: tuple, n: int, row: tuple, lcm: int) -> int:
-    return _sums(ctx, *key)[n]
-
-
-def _dobinski_rhs(ctx: PrimeCtx, key: tuple, n: int, row: tuple, lcm: int) -> int:
+def _dobinski_rhs(ctx: PrimeCtx, table: dict, n: int, row: tuple, lcm: int) -> int:
     # (g + sum_{j<r} b_j D(j)) / lcm, where (g, b_0..b_{r-1}) = row are column n's
     # numerators over lcm.  The theorem defines this side through the basis
     # D(0..r-1), so for n >= r it never reads D(n), the entry it is checked against.
     g, *b = row
-    return (g + sum(map(mul, b, _sums(ctx, *key)))) * pow(lcm, -1, ctx.p) % ctx.p
+    return (g + sum(map(mul, b, table[ctx.p]))) * pow(lcm, -1, ctx.p) % ctx.p
 
 
 _dobinski_batch = partial(check_shard, _dobinski_lhs, _dobinski_rhs)
@@ -214,15 +285,20 @@ def verify_dobinski(
     r: int, n_max: int, x: Rational, window: Sequence[int], threads: int = 1
 ) -> VerificationReport:
     """Check D_{r,A}(n; x) = sum_j b_{r,j}(n; x) D_{r,A}(j; x) + g_r(n; x)
-    at every admissible (prime, n) over the window.
+    at every admissible (prime, n) over the window, whose entries must be primes.
 
     Both sides are computed independently: the left from the truncated sums,
     the right from the coefficient values, as integer numerators over one
     common denominator lcm, and the basis D(0..r-1).  Primes dividing den(x)
-    or lcm are whole-prime skips, decided before sharding (lcm's reason wins).
+    or lcm are whole-prime skips, decided first (lcm's reason wins); one tree
+    pass (_d_sums_tree) then gives the sums at every other prime.
+
+    threads is accepted and ignored: once the tree has run, each check is a
+    table lookup, so a process pool would cost more than the loop it splits.
     """
     x = Fraction(x)
     window = list(window)
+    require_primes(window)
     start = time.monotonic()
     fam = coeff_family(r, n_max)
     cols = list(zip(fam.g_values(x), *fam.b_values(x)))  # column n: (g, b_0..b_{r-1})
@@ -230,11 +306,11 @@ def verify_dobinski(
     rows = [tuple(v.numerator * (lcm // v.denominator) for v in col) for col in cols]
     excluded = {p: "p divides den(x)" for p in window if x.denominator % p == 0}
     excluded.update((p, "p divides a coefficient denominator") for p in window if lcm % p == 0)
-    key = (r, max(n_max, r - 1), x.numerator, x.denominator)  # the right side needs D(j<r)
+    # the right side needs the basis D(0..r-1)
+    table = _d_sums_tree(r, max(n_max, r - 1), x, [p for p in window if p not in excluded])
     params = {"r": r, "n_max": n_max, "x": str(x)}
-    grid = [(f"n={n}", (key, n, row, lcm)) for n, row in enumerate(rows)]
-    return verify_primes("dobinski", params, _dobinski_batch, grid, window, threads,
-                         excluded, start)
+    grid = [(f"n={n}", (table, n, row, lcm)) for n, row in enumerate(rows)]
+    return verify_primes("dobinski", params, _dobinski_batch, grid, window, 1, excluded, start)
 
 
 def numeric_identity_check(

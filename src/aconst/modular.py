@@ -44,6 +44,16 @@ def sieve_primes(lo: int, hi: int) -> list[int]:
     ]
 
 
+def require_primes(window: Iterable[int]) -> None:
+    """Raise ValueError unless every window entry is a prime.  One sieve over
+    the entries' range: linear in the largest entry, like a window's tree."""
+    entries = set(window)
+    if entries:
+        bad = entries.difference(sieve_primes(min(entries), max(entries)))
+        if bad:
+            raise ValueError(f"window entries must be primes, got {min(bad)}")
+
+
 class PrimeCtx:
     """A prime p with inverse and factorial tables mod p, built on first use.
 

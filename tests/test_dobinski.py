@@ -16,6 +16,7 @@ from aconst.dobinski import (
     d_r_A_range,
     g_seq,
     _d_sums_mod,
+    _d_sums_tree,
     _moments,
     _partial_sums_exact,
     numeric_identity_check,
@@ -282,6 +283,52 @@ class TestDSumsMod:
         assert _moments([7], 2) == [7, 0, 0]  # 0^0 = 1, 0^n = 0 for n >= 1
 
 
+def _tree_one_off(r, n_top, x, window):
+    """A mutant of the tree: one entry of one prime's row is off by one."""
+    table = _d_sums_tree(r, n_top, x, window)
+    if table:
+        p = max(table)
+        table[p] = table[p][:-1] + [(table[p][-1] + 1) % p]
+    return table
+
+
+class TestDSumsTree:
+    @staticmethod
+    def mismatches(tree, r, n_max, a, b, window):
+        x = F(a, b)
+        table = tree(r, n_max, x, window)
+        # p | den(x) is excluded, never 0
+        assert set(table) == {p for p in window if x.denominator % p}
+        return [p for p in set(window) if table.get(p) != _d_sums_mod(r, n_max, x, p)]
+
+    @settings(deadline=None, max_examples=120)
+    @given(
+        r=st.integers(1, 3),
+        n_max=st.integers(0, 20),
+        a=st.integers(-9, 9),
+        b=st.integers(1, 9),
+        window=st.lists(st.sampled_from(sieve_primes(2, 400)), max_size=12),
+        small=st.lists(st.sampled_from([2, 3, 5, 7]), max_size=4),
+    )
+    @example(r=1, n_max=0, a=0, b=1, window=[], small=[2, 3])  # x = 0
+    @example(r=3, n_max=20, a=-9, b=2, window=[397, 3, 397], small=[2])  # p | a, p | b
+    @example(r=2, n_max=5, a=7, b=9, window=[7, 5], small=[3, 3])  # p | a, p | b
+    @example(r=2, n_max=3, a=-5, b=7, window=[389], small=[])  # a leaf split in two
+    def test_matches_per_prime_sums(self, r, n_max, a, b, window, small):
+        # unsorted windows with repeated entries, 2 and 3 among them
+        window = small + window
+        assert self.mismatches(_d_sums_tree, r, n_max, a, b, window) == []
+
+    @pytest.mark.parametrize("r, n_max, a, b", [(1, 0, 1, 1), (3, 20, 7, 3), (2, 4, 0, 1)])
+    def test_one_entry_off_mutant_is_caught(self, r, n_max, a, b):
+        window = [11, 2, 7, 3, 11, 5]
+        assert self.mismatches(_tree_one_off, r, n_max, a, b, window) == [11]
+
+    def test_empty_and_all_excluded(self):
+        assert _d_sums_tree(2, 3, F(1, 6), []) == {}
+        assert _d_sums_tree(2, 3, F(1, 6), [3, 2, 3]) == {}
+
+
 class TestDrA:
     def test_e_component_at_five(self):
         e_A = d_r_A(1, 0, 1, [5, 7, 11])
@@ -306,6 +353,19 @@ class TestDrA:
             d_r_A_range(r, n, 1, [5, 7])
         with pytest.raises(ValueError):
             d_r_A(r, n, 1, [5])
+
+    @pytest.mark.parametrize("window", [[9], [1, 5], [0, 7], [5, 7, 15]])
+    def test_rejects_non_prime_entries(self, window):
+        with pytest.raises(ValueError, match="primes"):
+            d_r_A_range(1, 1, 1, window)
+
+    def test_window_order_and_duplicates_kept(self):
+        elems = d_r_A_range(2, 3, F(7, 3), [13, 3, 7, 13, 5])
+        for n, elem in enumerate(elems):
+            assert elem.window == (13, 3, 7, 13, 5)
+            assert elem.exceptional == {3: "p divides den(x)"}
+            for p in (5, 7, 13):
+                assert elem[p] == _d_sums_mod(2, 3, F(7, 3), p)[n]
 
     def test_exceptional_denominator(self):
         elem = d_r_A(1, 0, F(1, 7), [5, 7, 11])
@@ -357,18 +417,24 @@ class TestVerifyDobinski:
         assert [astuple(s) for s in report.skipped] == skips
 
     def test_right_side_never_reads_its_own_entry(self, monkeypatch):
-        # perturb the last truncated sum, D(n_max) with n_max >= r: only the
-        # n = n_max checks may notice, so the right side never read D(n_max)
-        def perturbed(r, n_max, x, p):
-            sums = _d_sums_mod(r, n_max, x, p)
-            return sums[:-1] + [sums[-1] + 1]
+        # perturb the last truncated sum in the window table, D(n_max) with
+        # n_max >= r: only the n = n_max checks may notice, so the right side
+        # never read D(n_max)
+        def perturbed(r, n_top, x, window):
+            table = _d_sums_tree(r, n_top, x, window)
+            return {p: sums[:-1] + [sums[-1] + 1] for p, sums in table.items()}
 
-        monkeypatch.setattr(dobinski, "_d_sums_mod", perturbed)
+        monkeypatch.setattr(dobinski, "_d_sums_tree", perturbed)
         window = sieve_primes(5, 60)
         report = verify_dobinski(2, 5, F(1, 2), window)
         failed = [(c.prime, c.label) for c in report.checks if not c.passed]
         assert failed == [(p, "n=5") for p in window]
         assert len(report.checks) == 6 * len(window)
+
+    @pytest.mark.parametrize("window", [[1, 5, 7], [0, 5], [9, 11], [5, -7]])
+    def test_rejects_non_prime_entries(self, window):
+        with pytest.raises(ValueError, match="primes"):
+            verify_dobinski(1, 3, 1, window)
 
     def test_den_x_is_a_whole_prime_skip(self):
         report = verify_dobinski(3, 1, F(1, 3), sieve_primes(2, 20))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aconst import euler
 from aconst.euler import (
     _eisenstein_rhs,
     _interlude_rhs,
@@ -375,6 +376,36 @@ class TestVerifiers:
             verify_interlude([1], [F(0)], WINDOW)
         with pytest.raises(ValueError):
             verify_kluyver([0], [F(0)], WINDOW)
+
+
+class TestNegativeControls:
+    """Each Euler verifier fails every defined check at every prime when one
+    thing its right kernel calls is off by one.  No grid holds a point where
+    both sides are 0 by convention (Eisenstein at x = 0, a log-additivity
+    value of 1)."""
+
+    XS = [F(-1), F(1, 2), F(-3), F(7, 3)]
+
+    @pytest.mark.parametrize("name, modulus, verify", [
+        ("_wilson", lambda p: p, lambda xs: verify_mascheroni(xs, WINDOW)),
+        ("_ell_form", lambda ctx, *_: ctx.p, lambda xs: verify_interlude([2, 3, 4, 5], xs, WINDOW)),
+        ("_wilson", lambda p: p, lambda xs: verify_kluyver([1, 2, 3], xs, WINDOW)),
+        ("_ell_form", lambda ctx, *_: ctx.p, lambda xs: verify_eisenstein(xs, WINDOW)),
+        # both sides read q_p, so the right side, q_p(x) + q_p(y), moves one more
+        ("fermat_quotient", lambda x, p: p,
+         lambda xs: verify_log_additivity([2, 3, -4, F(1, 2), F(7, 3)], WINDOW)),
+    ], ids=["mascheroni", "interlude", "kluyver", "eisenstein", "log-additivity"])
+    def test_every_check_fails(self, monkeypatch, name, modulus, verify):
+        orig = getattr(euler, name)
+
+        def off_by_one(*args):
+            v = orig(*args)
+            return None if v is None else (v + 1) % modulus(*args)
+
+        monkeypatch.setattr(euler, name, off_by_one)
+        report = verify(self.XS)
+        assert {c.prime for c in report.checks} == set(WINDOW)
+        assert not any(c.passed for c in report.checks)
 
 
 class TestFamiliesAreLeftSides:
