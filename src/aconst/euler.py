@@ -17,14 +17,20 @@ families gamma_M, G_A, gamma_K and L1 are the left kernels of mascheroni,
 interlude, kluyver and eisenstein read through `AElement.from_kernel`.
 Neither side sees the other's value: the sum side comes from Gregory
 residue streams, the quotient side from Fermat and Wilson quotients mod
-p^2.  Primes 2 and 3 are excluded from verifiers wholesale (the congruences
-are sufficiently-large-p statements); primes dividing a relevant numerator
-or denominator are skipped per point, with the reason recorded.
+p^2.  The streams have one owner, the process-wide memo _stream keyed by
+(p, x), so the mascheroni, interlude and kluyver verifiers and their
+families build each distinct G_0(x)..G_{p-2}(x) mod p once; only left
+kernels read it, as only right kernels read the Wilson quotient memo.
+Primes 2 and 3 are excluded from verifiers wholesale (the congruences are
+sufficiently-large-p statements); primes dividing a relevant numerator or
+denominator are skipped per point, with the reason recorded.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement
@@ -108,7 +114,7 @@ def wilson_gamma(window: Sequence[int]) -> AElement:
     return AElement.from_kernel(window, _wilson_component)
 
 
-def _alternating_sum(stream: list[int], weights: list[int], p: int) -> int:
+def _alternating_sum(stream: Sequence[int], weights: list[int], p: int) -> int:
     # sum_{n>=1} (-1)^(n-1) stream[n] * weights[n-1] mod p over the n that
     # weights covers, as two O(p) dot products over strided slices
     odd = sum(map(mul, stream[1::2], weights[0::2]))
@@ -116,13 +122,13 @@ def _alternating_sum(stream: list[int], weights: list[int], p: int) -> int:
     return (odd - even) % p
 
 
-def _mascheroni_sum(stream: list[int], ctx: PrimeCtx) -> int:
+def _mascheroni_sum(stream: Sequence[int], ctx: PrimeCtx) -> int:
     # sum_{n=1}^{p-2} (-1)^(n-1) G_n(x) / n mod p
     p = ctx.p
     return _alternating_sum(stream, ctx.inv_table[1 : p - 1], p)
 
 
-def _kluyver_sum(stream: list[int], m: int, ctx: PrimeCtx) -> int:
+def _kluyver_sum(stream: Sequence[int], m: int, ctx: PrimeCtx) -> int:
     # m! sum_{n=1}^{p-m-1} (-1)^(n-1) G_n(x) / (n(n+1)...(n+m)) mod p,
     # where 1/(n(n+1)...(n+m)) = (n-1)!/(n+m)!
     p = ctx.p
@@ -143,11 +149,47 @@ def _truncated_log(y: int, ctx: PrimeCtx) -> int:
     return -s % p
 
 
-@lru_cache(maxsize=1)
-def _stream(ctx: PrimeCtx, x: Fraction) -> list[int] | None:
-    # G_0(x)..G_{p-2}(x) mod p.  A grid lists all points of one x in a row,
-    # so this one entry serves every k or m at that x; only left sides read it.
-    return gregory_residue_stream(x, ctx.p - 2, ctx)
+# Byte cap of the stream memo.  Acceptance criterion 4, five x over [5, 1009],
+# fills it with 835 streams, 384820 residues in 1.6 MB.
+_STREAM_MEMO_BYTES = 4 << 20
+
+
+class _StreamMemo:
+    """G_0(x)..G_{p-2}(x) mod p by (p, x), for the whole process.
+
+    Every verifier call and every family at one (p, x) reads one stream, so
+    each distinct stream is built once; only the left kernels read it, and
+    none changes it, since every later caller gets the same array.  A
+    stream is kept as 4-byte residues (array "I" holds every p < 2^32), and
+    None, the stream where p | den(x), is a stored value, not a miss.  Past
+    _STREAM_MEMO_BYTES in all (sys.getsizeof of each value) the oldest entries
+    go first.  Pool workers inherit the memo by fork and lose what they add.
+    """
+
+    def __init__(self) -> None:
+        self.entries: dict[tuple[int, Fraction], array | None] = {}
+        self.nbytes = 0
+
+    def __call__(self, ctx: PrimeCtx, x: Fraction) -> array | None:
+        key = (ctx.p, x)
+        try:
+            return self.entries[key]
+        except KeyError:
+            pass
+        stream = gregory_residue_stream(x, ctx.p - 2, ctx)
+        value = None if stream is None else array("I", stream)
+        self.entries[key] = value
+        self.nbytes += sys.getsizeof(value)
+        while self.nbytes > _STREAM_MEMO_BYTES:
+            self.nbytes -= sys.getsizeof(self.entries.pop(next(iter(self.entries))))
+        return value
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.nbytes = 0
+
+
+_stream = _StreamMemo()
 
 
 @lru_cache(maxsize=1)

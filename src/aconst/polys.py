@@ -19,6 +19,9 @@ t(1+t)^x/log(1+t) = (1+t)^x * t/log(1+t): the Gregory numbers G_n(0) mod p
 come once per prime from Newton inversion of log(1+t)/t (Brent and Kung,
 JACM 25, 1978) into their one owner, the memo _gregory_zero_packed, and
 G_n(x) = sum_k binom(x, k) G_{n-k}(0) is then one series product per x.
+The finished streams G_0(x)..G_{p-2}(x) have their own owner, euler's
+process-wide (p, x) memo, which calls gregory_residue_stream once per
+distinct (p, x) across every Euler verifier and family.
 Every series product mod p is a single big-int multiply of coefficients
 packed into fixed-width slots (Kronecker substitution; Harvey, J. Symbolic
 Comput. 44, 2009).  The residue stream deliberately stops at n = p-2:
@@ -342,7 +345,11 @@ def gregory_residue_stream(x: Rational, n_max: int, ctx: PrimeCtx) -> list[int] 
     bits; a call on another ctx than the last adds the Newton inversion,
     O(log p) such multiplies of doubling length.  With M(b) the cost of a b-bit multiply
     (Karatsuba in CPython), that is O(M(p log p)) per prime and per x,
-    against O(n_max^2) steps for the division-free recurrence.
+    against O(n_max^2) steps for the division-free recurrence.  The Euler
+    verifiers call it only through euler's (p, x) stream memo, and their
+    grids list every x at a prime together, so a window of verifier calls
+    inverts once per prime for the x of its first call, and once more at a
+    prime only where a later call brings a new x.
     """
     p = ctx.p
     if not 0 <= n_max <= p - 2:

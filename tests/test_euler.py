@@ -1,5 +1,8 @@
 import math
 import random
+import sys
+from array import array
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -380,9 +383,9 @@ class TestVerifiers:
 
 class TestNegativeControls:
     """Each Euler verifier fails every defined check at every prime when one
-    thing its right kernel calls is off by one.  No grid holds a point where
-    both sides are 0 by convention (Eisenstein at x = 0, a log-additivity
-    value of 1)."""
+    thing one of its side kernels calls is off by one.  No grid holds a point
+    where both sides are 0 by convention (Eisenstein at x = 0, a
+    log-additivity value of 1)."""
 
     XS = [F(-1), F(1, 2), F(-3), F(7, 3)]
 
@@ -406,6 +409,113 @@ class TestNegativeControls:
         report = verify(self.XS)
         assert {c.prime for c in report.checks} == set(WINDOW)
         assert not any(c.passed for c in report.checks)
+
+    @pytest.mark.parametrize("name, bump, verify", [
+        ("_mascheroni_sum", lambda v, stream, ctx: (v + 1) % ctx.p,
+         lambda xs: verify_mascheroni(xs, WINDOW)),
+        # every entry of every stream, so G_{p-k}(x) is off by one at each k
+        ("gregory_residue_stream",
+         lambda v, x, n_max, ctx: None if v is None else [(g + 1) % ctx.p for g in v],
+         lambda xs: verify_interlude([2, 3, 4, 5], xs, WINDOW)),
+        ("_kluyver_sum", lambda v, stream, m, ctx: (v + 1) % ctx.p,
+         lambda xs: verify_kluyver([1, 2, 3], xs, WINDOW)),
+        ("_truncated_log", lambda v, y, ctx: (v + 1) % ctx.p,
+         lambda xs: verify_eisenstein(xs, WINDOW)),
+    ], ids=["mascheroni", "interlude", "kluyver", "eisenstein"])
+    def test_every_check_fails_on_the_left(self, monkeypatch, name, bump, verify):
+        orig = getattr(euler, name)
+        monkeypatch.setattr(euler, name, lambda *args: bump(orig(*args), *args))
+        # a stream built before the patch would stand in for the patched one,
+        # and a patched stream must not outlive the test
+        euler._stream.clear()
+        try:
+            report = verify(self.XS)
+        finally:
+            euler._stream.clear()
+        assert {c.prime for c in report.checks} == set(WINDOW)
+        assert not any(c.passed for c in report.checks)
+
+
+class TestStreamMemo:
+    """The process-wide (p, x) memo of Gregory residue streams moves no byte
+    of any report and no family component, cold, warm or evicting on every
+    insert, and builds each distinct stream once."""
+
+    XS = [F(-1), F(1, 2), F(1, 5), F(7, 3)]  # p = 5 divides den(1/5)
+
+    def run(self):
+        reports = [
+            verify_mascheroni(self.XS, WINDOW),
+            verify_interlude([2, 3, 4, 5], self.XS, WINDOW),
+            verify_kluyver([1, 2, 3], self.XS, WINDOW),
+        ]
+        families = [gamma_M(x, WINDOW) for x in self.XS]
+        families += [G_A(k, x, WINDOW) for x in self.XS for k in (2, 5)]
+        families += [gamma_K(m, x, WINDOW) for x in self.XS for m in (1, 3)]
+        return ([r.to_jsonl(include_timing=False) for r in reports],
+                [(f.components, f.exceptional) for f in families])
+
+    def test_cold_warm_and_evicting_agree(self, monkeypatch):
+        euler._stream.clear()
+        cold = self.run()
+        assert len(euler._stream.entries) == len(WINDOW) * len(self.XS)
+        warm = self.run()
+        monkeypatch.setattr(euler, "_STREAM_MEMO_BYTES", 1)
+        euler._stream.clear()
+        evicting = self.run()
+        assert euler._stream.entries == {} and euler._stream.nbytes == 0
+        assert warm == cold
+        assert evicting == cold
+
+    def test_one_build_per_distinct_stream(self, monkeypatch):
+        builds = Counter()
+        orig = euler.gregory_residue_stream
+
+        def counted(x, n_max, ctx):
+            builds[ctx.p, x] += 1
+            return orig(x, n_max, ctx)
+
+        monkeypatch.setattr(euler, "gregory_residue_stream", counted)
+        verify_mascheroni(self.XS, WINDOW)
+        verify_interlude([2, 3, 4, 5], self.XS, WINDOW)
+        verify_kluyver([1, 2, 3], self.XS, WINDOW)
+        gamma_M(-1, WINDOW)
+        assert set(builds) == {(p, x) for p in WINDOW for x in self.XS}
+        assert set(builds.values()) == {1}
+
+    def test_byte_cap_evicts_oldest_first(self, monkeypatch):
+        def size(p):
+            return sys.getsizeof(array("I", [0] * (p - 1)))
+
+        monkeypatch.setattr(euler, "_STREAM_MEMO_BYTES", size(103) + size(107))
+        for p in (101, 103, 107):
+            euler._stream(PrimeCtx(p), F(1, 2))
+        assert list(euler._stream.entries) == [(103, F(1, 2)), (107, F(1, 2))]
+        assert euler._stream.nbytes == size(103) + size(107)
+
+    def test_undefined_stream_skips_when_warm(self):
+        reason = "p divides den(x)"
+        for _ in range(2):  # cold, then warm
+            for report in (verify_mascheroni([F(1, 5)], [5, 13]),
+                           verify_interlude([3], [F(1, 5)], [5, 13]),
+                           verify_kluyver([1], [F(1, 5)], [5, 13])):
+                assert [(s.prime, s.reason) for s in report.skipped] == [(5, reason)]
+                assert [c.prime for c in report.checks] == [13]
+            assert G_A(3, F(1, 5), [5]).exceptional == {5: reason}
+            assert euler._stream.entries[5, F(1, 5)] is None
+
+    def test_right_kernels_never_read_the_memo(self, monkeypatch):
+        def forbidden(ctx, x):
+            raise AssertionError("a right kernel read the stream memo")
+
+        monkeypatch.setattr(euler, "_stream", forbidden)
+        for p in WINDOW:
+            ctx = PrimeCtx(p)
+            for x in self.XS:
+                _mascheroni_rhs(ctx, x)
+                _interlude_rhs(ctx, 3, x)
+                _kluyver_rhs(ctx, 2, x)
+                _eisenstein_rhs(ctx, x)
 
 
 class TestFamiliesAreLeftSides:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aconst import euler
 from aconst.dobinski import bell, g_seq
 from aconst.euler import verify_interlude
 from aconst.modular import PrimeCtx, rational_mod, sieve_primes
@@ -323,11 +324,17 @@ class TestResidueStream:
 
     def test_one_inversion_per_prime(self):
         # the Gregory numbers belong to polys, not to the context, and a
-        # verifier's x values at one prime share one Newton inversion
+        # verifier's x values at one prime share one Newton inversion; a
+        # second call over the same window reads every stream from euler's
+        # (p, x) memo and inverts nothing
         assert not hasattr(PrimeCtx(7), "gregory_zero")
+        euler._stream.clear()
         before = _gregory_zero_packed.cache_info().misses
         verify_interlude([2, 3], [F(0), F(1, 2), F(-2)], sieve_primes(5, 60))
         assert _gregory_zero_packed.cache_info().misses - before == len(sieve_primes(5, 60)) == 15
+        before = _gregory_zero_packed.cache_info().misses
+        verify_interlude([2, 3], [F(0), F(1, 2), F(-2)], sieve_primes(5, 60))
+        assert _gregory_zero_packed.cache_info().misses - before == 0
 
     def test_packed_product_at_the_slot_bound(self):
         # every coefficient p-1 at full length: slot n of the product holds
