@@ -14,11 +14,34 @@ path uses mod p too (polys.gregory_residue_stream):
   integer x >= 0 the trimmed series has x + 1 terms and the product costs
   O(n) steps.
 
-Each product is one big-int multiply by Kronecker substitution (Harvey,
+Each product is one big-number multiply by Kronecker substitution (Harvey,
 J. Symbolic Comput. 44, 2009): signed coefficients go into slots sized from
 the operands' bit lengths and term count, and come out through a half-slot
 bias.  A stream of n terms costs O(M(n wp)), with M(b) the cost of a b-bit
-multiply, against O(n^2) wp-bit steps for the recurrence it replaced.
+multiply, against O(n^2) wp-bit steps for the recurrence it replaced.  The
+top Newton product (f g)[k:2k] is taken as (f[:k] g)[k:2k] + (f[k:] g)[:k],
+two balanced products whose transforms peak lower than one 2k x k product.
+
+Two engines do the multiply, and _mul picks one per product:
+
+* CPython int (Karatsuba), in byte slots, for products whose shorter
+  operand packs to fewer than _DECIMAL_MIN_BITS bits, and for slots wider
+  than _DECIMAL_MAX_SLOT_DIGITS decimal digits;
+* the standard library's decimal (libmpdec, a number-theoretic transform),
+  in base-10^w slots packed by string join, for the rest.  The crossover is
+  about where the two break even on the Newton and binomial products
+  (BENCH_14.json); at 4000 terms every Newton product from k = 512 on
+  is above it.
+
+Both engines pack each operand once, as its slots plus a half-slot bias
+less the bias, and read a slot of the product only after the bias is
+added back, so no slot borrows from its neighbour.  The decimal engine is
+exact by construction and by trap: it runs only through the module context
+_EXACT (precision MAX_PREC, Inexact, Rounded, InvalidOperation and Overflow
+trapped), never the ambient context, so a rounding raises instead of
+returning wrong digits.  Only single slots, never a whole product, pass
+between int and str, so the interpreter's int/str digit limit never applies
+to a product.
 
 Error bound, in ulps, with H = 1 + 1/2 + ... + 1/(n+1).  Each floor and
 each rounding costs under one ulp.  In a Newton step the new block of the
@@ -48,7 +71,9 @@ its own oracle.
 
 from __future__ import annotations
 
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -88,10 +113,32 @@ def _working_bits(prec: int, n_max: int) -> int:
     return prec + 32 + max(n_max, 1).bit_length()
 
 
+#: A product goes to the decimal engine once its shorter operand packs to at
+#: least this many bits: break-even lies between 56k and 105k bits on the
+#: Newton and binomial products, and this puts each measured one on its
+#: faster side (BENCH_14.json).
+_DECIMAL_MIN_BITS = 3 << 15
+#: Slots wider than this stay on int, so that converting one slot between int
+#: and str never meets the lowest limit sys.set_int_max_str_digits accepts.
+_DECIMAL_MAX_SLOT_DIGITS = 640
+#: Exact integer arithmetic: any rounding, overflow or invalid operation raises.
+#: Used only through its methods, never as the ambient context.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
+)
+
+
+def _int_bias(n: int, width: int) -> int:
+    """A half slot, 2**(8 width - 1), in each of n slots of width bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+
+
 def _signed_pack(coeffs: list[int], width: int) -> int:
-    """sum c_i 2**(8 width i) for signed c_i with |c_i| < 2**(8 width)."""
-    pos = _pack([c if c > 0 else 0 for c in coeffs], width)
-    return pos - _pack([-c if c < 0 else 0 for c in coeffs], width)
+    """sum c_i 2**(8 width i) for signed c_i with |c_i| < 2**(8 width - 1):
+    one pack of the biased slots c_i + 2**(8 width - 1), less the bias."""
+    half = 1 << (8 * width - 1)
+    return _pack([c + half for c in coeffs], width) - _int_bias(len(coeffs), width)
 
 
 def _signed_unpack(packed: int, lo: int, hi: int, width: int) -> list[int]:
@@ -103,11 +150,52 @@ def _signed_unpack(packed: int, lo: int, hi: int, width: int) -> list[int]:
     neighbour; a carry out of slot hi-1 lands in one spare byte.
     """
     half = 1 << (8 * width - 1)
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * hi, "little")
     low = packed & ((1 << 8 * width * hi) - 1)
-    raw = (low + bias).to_bytes(width * hi + 1, "little")
+    raw = (low + _int_bias(hi, width)).to_bytes(width * hi + 1, "little")
     return [int.from_bytes(raw[i : i + width], "little") - half
             for i in range(width * lo, width * hi, width)]
+
+
+def _decimal_bias(n: int, digits: int) -> Decimal:
+    """A half slot, 5 * 10**(digits - 1), in each of n >= 1 slots of digits digits.
+
+    Built by doubling the slot count with shifted adds, which is several times
+    cheaper than parsing the n-slot string.
+    """
+    half = Decimal(5 * 10 ** (digits - 1))
+    bias, slots = half, 1
+    for bit in bin(n)[3:]:
+        bias = _EXACT.add(_EXACT.scaleb(bias, slots * digits), bias)
+        slots *= 2
+        if bit == "1":
+            bias = _EXACT.add(_EXACT.scaleb(bias, digits), half)
+            slots += 1
+    return bias
+
+
+def _decimal_pack(coeffs: list[int], digits: int) -> Decimal:
+    """sum c_i 10**(digits i) for signed c_i with |c_i| < 4 * 10**(digits - 1):
+    one string join of the biased slots c_i + 5 * 10**(digits - 1), each
+    exactly digits digits long, less the bias."""
+    half = 5 * 10 ** (digits - 1)
+    text = "".join(map(str, [c + half for c in reversed(coeffs)]))
+    if len(text) != digits * len(coeffs):
+        raise ArithmeticError("coefficient too wide for its decimal slot")
+    return _EXACT.subtract(Decimal(text), _decimal_bias(len(coeffs), digits))
+
+
+def _decimal_mul(a: list[int], b: list[int], lo: int, hi: int, digits: int) -> list[int]:
+    """Slots lo..hi-1 of a b, packed base 10**digits with slots below 10**digits / 2.
+
+    The product comes out with a half-slot bias added to every slot, so each
+    slot is a digit string c_n + 10**digits / 2 read by slicing; only slots,
+    never the whole product, pass between str and int.
+    """
+    n = max(len(a) + len(b) - 1, hi)  # slots past the product read 0
+    half = 5 * 10 ** (digits - 1)
+    prod = _EXACT.fma(_decimal_pack(a, digits), _decimal_pack(b, digits), _decimal_bias(n, digits))
+    text = str(prod).zfill(n * digits)  # the top slot may have lost leading zeros
+    return [int(text[(n - i - 1) * digits : (n - i) * digits]) - half for i in range(lo, hi)]
 
 
 def _mul(a: list[int], b: list[int], lo: int, hi: int) -> list[int]:
@@ -117,7 +205,11 @@ def _mul(a: list[int], b: list[int], lo: int, hi: int) -> list[int]:
     slots one bit wider than those bounds never carry into the next.
     """
     bits = max(map(int.bit_length, a)) + max(map(int.bit_length, b))
-    width = (bits + min(len(a), len(b)).bit_length() + 8) // 8
+    slot_bits = bits + min(len(a), len(b)).bit_length() + 1
+    digits = slot_bits * 30103 // 100000 + 1  # 10**digits >= 2**slot_bits
+    if min(len(a), len(b)) * bits >= _DECIMAL_MIN_BITS and digits <= _DECIMAL_MAX_SLOT_DIGITS:
+        return _decimal_mul(a, b, lo, hi, digits)
+    width = (slot_bits + 7) // 8
     return _signed_unpack(_signed_pack(a, width) * _signed_pack(b, width), lo, hi, width)
 
 
@@ -132,7 +224,9 @@ def _gregory_zero_fixed(n: int, wp: int) -> tuple[int, ...]:
     while len(g) < n:
         k = len(g)
         k2 = min(2 * k, n)
-        e = [c >> wp for c in _mul(f[:k2], g, k, k2)]
+        # (f g)[k:k2] = (f[:k] g)[k:k2] + (f[k:k2] g)[:k2-k]: two k x k
+        # products, whose transforms peak lower than one 2k x k product
+        e = [(c + d) >> wp for c, d in zip(_mul(f[:k], g, k, k2), _mul(f[k:k2], g, 0, k2 - k))]
         g += [-c >> wp for c in _mul(g[: k2 - k], e, 0, k2 - k)]
     return tuple(g)
 

@@ -1,4 +1,7 @@
+import decimal
 import math
+import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -28,7 +31,7 @@ from aconst.analytic import (
 )
 from aconst.dobinski import bell
 from aconst.euler import harmonic
-from aconst.polys import gregory_values_exact
+from aconst.polys import _pack, gregory_values_exact
 
 F = Fraction
 
@@ -52,6 +55,25 @@ def recurrence_fixed(num, den, n_max, wp):
         neg = sum(map(mul, g[n - 2 :: -2], invf_even_i)) if n >= 2 else 0
         g.append(binom + ((pos - neg) >> wp))
     return tuple(g)
+
+
+def oracle_mul(a, b, lo, hi):
+    """Oracle: slots lo..hi-1 of a b by the int Kronecker product that the
+    engines replaced.  Each operand packs as its positive parts less its
+    negated negative parts, and the product unpacks through a half-slot bias."""
+    bits = max(map(int.bit_length, a)) + max(map(int.bit_length, b))
+    width = (bits + min(len(a), len(b)).bit_length() + 8) // 8
+
+    def pack(coeffs):
+        pos = _pack([c if c > 0 else 0 for c in coeffs], width)
+        return pos - _pack([-c if c < 0 else 0 for c in coeffs], width)
+
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * hi, "little")
+    low = (pack(a) * pack(b)) & ((1 << 8 * width * hi) - 1)
+    raw = (low + bias).to_bytes(width * hi + 1, "little")
+    return [int.from_bytes(raw[i : i + width], "little") - half
+            for i in range(width * lo, width * hi, width)]
 
 
 def binomial_errors(x, n_max, wp):
@@ -207,6 +229,134 @@ class TestFixedPointKernel:
         narrow = (120 + L.bit_length() + 8) // 8 - 1
         packed = _signed_pack(a, narrow) * _signed_pack(b, narrow)
         assert _signed_unpack(packed, 0, n, narrow) != expected
+
+
+#: values of _DECIMAL_MIN_BITS that force each engine of _mul
+ENGINES = {"int": 1 << 62, "decimal": 0}
+OPERAND_KINDS = ("mixed", "zero", "positive", "negative", "full+", "full-", "full+-")
+
+
+def operand(rnd, n, bits, kind):
+    """n coefficients below 2**bits of one kind; the "full" kinds sit at the
+    magnitude 2**bits - 1, so same-sign operands reach the slot bound."""
+    mag = (1 << bits) - 1
+    if kind == "zero":
+        return [0] * n
+    if kind.startswith("full"):
+        signs = {"full+": [1], "full-": [-1], "full+-": [1, -1]}[kind]
+        return [mag * rnd.choice(signs) for _ in range(n)]
+    lo = 0 if kind == "positive" else -mag
+    hi = 0 if kind == "negative" else mag
+    return [rnd.randint(lo, hi) for _ in range(n)]
+
+
+@st.composite
+def products(draw, max_len=60, max_bits=200):
+    lengths = st.one_of(st.just(1), st.integers(1, max_len))  # one-term operands often
+    a_len, b_len = draw(lengths), draw(lengths)
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    a = operand(rnd, a_len, draw(st.integers(0, max_bits)), draw(st.sampled_from(OPERAND_KINDS)))
+    b = operand(rnd, b_len, draw(st.integers(0, max_bits)), draw(st.sampled_from(OPERAND_KINDS)))
+    top = a_len + b_len - 1
+    lo = draw(st.integers(0, top))
+    hi = draw(st.integers(lo, top + 2))  # slots past the product read 0
+    return a, b, lo, hi
+
+
+def crossover_operands(delta):
+    """Operands of 127-bit coefficients whose shorter one is delta terms past
+    the shortest length the decimal engine takes."""
+    c = (1 << 127) - 1
+    short = -(-analytic._DECIMAL_MIN_BITS // 254) + delta
+    a = [c if i % 3 else -c for i in range(2 * short)]
+    b = [(-1) ** (i // 5) * (c - i) for i in range(short)]
+    return a, b
+
+
+class TestProductEngines:
+    """The int and decimal engines of _mul against the int Kronecker oracle."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @settings(max_examples=150, deadline=None)
+    @given(case=products())
+    def test_matches_the_int_oracle(self, engine, case):
+        a, b, lo, hi = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analytic, "_DECIMAL_MIN_BITS", ENGINES[engine])
+            assert _mul(a, b, lo, hi) == oracle_mul(a, b, lo, hi)
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=products(max_len=700, max_bits=140))
+    def test_matches_the_int_oracle_near_the_crossover(self, case):
+        a, b, lo, hi = case
+        assert _mul(a, b, lo, hi) == oracle_mul(a, b, lo, hi)
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_both_sides_of_the_crossover(self, monkeypatch, delta):
+        a, b = crossover_operands(delta)
+        calls = []
+        real = analytic._decimal_mul
+        monkeypatch.setattr(analytic, "_decimal_mul", lambda *args: calls.append(1) or real(*args))
+        n = len(a) + len(b) - 1
+        assert _mul(a, b, 0, n) == oracle_mul(a, b, 0, n)
+        assert _mul(b, a, 7, n - 3) == oracle_mul(a, b, 7, n - 3)
+        assert bool(calls) == (delta >= 0)
+
+    def test_wide_slots_stay_on_int(self, monkeypatch):
+        called = []
+        monkeypatch.setattr(analytic, "_decimal_mul", lambda *args: called.append(1))
+        c = (1 << 1100) - 1
+        a = [c, -c] * 40
+        assert _mul(a, a, 0, 159) == oracle_mul(a, a, 0, 159)
+        assert not called
+
+    @pytest.mark.parametrize("wp", [_working_bits(64, 4000), _working_bits(128, 4000)])
+    def test_gregory_stream_identical_on_both_engines(self, monkeypatch, wp):
+        streams = []
+        for threshold in ENGINES.values():
+            monkeypatch.setattr(analytic, "_DECIMAL_MIN_BITS", threshold)
+            _gregory_fixed.cache_clear()
+            _gregory_zero_fixed.cache_clear()
+            streams.append(_gregory_fixed(0, 1, 4000, wp))
+        _gregory_fixed.cache_clear()
+        _gregory_zero_fixed.cache_clear()
+        assert streams[0] == streams[1]
+
+    def test_ignores_the_ambient_context(self):
+        a, b = crossover_operands(1)
+        n = len(a) + len(b) - 1
+        with decimal.localcontext() as ctx:
+            ctx.prec = 3
+            ctx.rounding = decimal.ROUND_FLOOR
+            ctx.clear_traps()
+            got = _mul(a, b, 0, n)
+        assert got == oracle_mul(a, b, 0, n)
+
+    def test_an_exact_context_too_short_raises(self, monkeypatch):
+        short = analytic._EXACT.copy()
+        short.prec = 50
+        monkeypatch.setattr(analytic, "_EXACT", short)
+        a, b = crossover_operands(1)
+        with pytest.raises((decimal.Rounded, decimal.Inexact)):
+            _mul(a, b, 0, len(a) + len(b) - 1)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this interpreter has no int/str digit limit")
+    def test_no_whole_number_passes_between_int_and_str(self):
+        a, b = crossover_operands(1)
+        n = len(a) + len(b) - 1
+        expected = oracle_mul(a, b, 0, n)
+        _gregory_fixed.cache_clear()
+        _gregory_zero_fixed.cache_clear()
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            got = _mul(a, b, 0, n)
+            value = mascheroni_partial(0, 1, 4000, 64)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert got == expected
+        assert abs(value - gamma_reference()) < 1e-3
 
 
 class TestValidation:
