@@ -10,8 +10,9 @@ and so do the integer sequences b and g, so one helper extends them all.
 The truncated sums D^(N)(n) = sum_{k<N} k^n x^k/(k!)^r are the moments of
 the weights x^k/(k!)^r, exact or, at one prime, mod p, in one pass per n
 (_moments).  Over a window of primes, D(0..n)(p) mod p at every prime comes
-from one accumulating remainder tree (_d_sums_tree), which the verifier and
-d_r_A_range share; the per-prime pass _d_sums_mod is its oracle.  The
+from _d_sums_tree, which the verifier and d_r_A_range share: its maps on
+the one accumulating remainder tree `modular.remainder_tree`, which the
+prime scans also use.  The per-prime pass _d_sums_mod is its oracle.  The
 congruence is a left and a right side kernel, and its batch is
 `_parallel.check_shard` bound to them: the window's table of sums against the
 coefficient values, as integer numerators over one common denominator lcm,
@@ -37,7 +38,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from ._parallel import check_shard, verify_primes
-from .modular import AElement, PrimeCtx, Rational, rational_mod, require_primes
+from .modular import AElement, PrimeCtx, Rational, rational_mod, remainder_tree, require_primes
 from .polys import RationalPolynomial
 from .report import VerificationReport
 
@@ -181,18 +182,16 @@ def _compose(f: tuple, g: tuple) -> tuple:
     return m2 * m1, [m2 * u + a1 * v for u, v in zip(c1, c2)], a2 * a1
 
 
-def _advance(f: tuple, state: tuple, q: int) -> tuple:
-    """The state (U_0..U_n, alpha) after the map f, reduced mod q."""
-    (m, c, al), (u, alpha) = f, state
-    return [(m * v + alpha * w) % q for v, w in zip(u, c)], al * alpha % q
+def _advance(f: tuple, state: list, q: int) -> list:
+    """The state [U_0, ..., U_n, alpha] after the map f, reduced mod q."""
+    (m, c, al), alpha = f, state[-1]
+    # c has one entry fewer than the state, so zip stops before alpha
+    return [(m * v + alpha * w) % q for v, w in zip(state, c)] + [al * alpha % q]
 
 
-def _sum_span(lo: int, hi: int, a: int, b: int, r: int, n_top: int) -> tuple:
+def _steps(a: int, b: int, r: int, n_top: int, lo: int, hi: int) -> tuple:
     """The map (M, c_0..c_n_top, alpha) of the steps K = lo, ..., hi-1 of
     U_m(K) = b K^r U_m(K-1) + K^m a^K, alpha(K) = a^K."""
-    if hi - lo > 64:  # binary splitting keeps long spans quasi-linear
-        mid = (lo + hi) // 2
-        return _compose(_sum_span(lo, mid, a, b, r, n_top), _sum_span(mid, hi, a, b, r, n_top))
     m, c, al = 1, [0] * (n_top + 1), 1
     for k in range(lo, hi):
         s = b * k**r
@@ -208,44 +207,20 @@ def _d_sums_tree(r: int, n_top: int, x: Rational, window: Iterable[int]) -> dict
 
     With x = a/b, U_m(K) = sum_{k<=K} k^m a^k b^(K-k) (K!/k!)^r obeys
     U_m(K) = b K^r U_m(K-1) + K^m a^K, so a span of K is one map (M, c, alpha)
-    of the state (U_0..U_n_top, a^K), and maps compose by _compose.  As in the
-    scans of `searches` (Costa, Gerbicz and Harvey), leaf i is the span
-    [p_{i-1}, p_i) (p_0 = 1) with modulus p_i, a node holds the composite of
-    its leaves and the product of their moduli, and the descent hands each
-    node the state at the start of its span, reduced mod its modulus, from
-    (e_0, 1) at K = 0.  At K = p-1, Wilson and Fermat give
-    D(m) = (-1)^r U_m(p-1) mod p, since p does not divide b; a prime
-    dividing a needs no special case.  _d_sums_mod is the per-prime oracle.
+    of the state [U_0, ..., U_n_top, a^K], and maps compose by _compose.  The
+    tree is `modular.remainder_tree` (Costa, Gerbicz and Harvey), the one the
+    scans of `searches` use with scalar maps, run mod p from [e_0, 1] at
+    K = 0.  At K = p-1, Wilson and Fermat give D(m) = (-1)^r U_m(p-1) mod p,
+    since p does not divide b; a prime dividing a needs no special case.
+    _d_sums_mod is the per-prime oracle.
     """
     x = Fraction(x)
     a, b = x.numerator, x.denominator
     primes = sorted({p for p in window if b % p})
-    if not primes:
-        return {}
-    levels = [([_sum_span(lo, hi, a, b, r, n_top) for lo, hi in zip([1] + primes, primes)],
-               primes)]
-    while len(levels[-1][1]) > 1:
-        maps, mods = levels[-1]
-        up_maps = [_compose(f, g) for f, g in zip(maps[::2], maps[1::2])]
-        up_mods = [p * q for p, q in zip(mods[::2], mods[1::2])]
-        if len(mods) % 2:
-            up_maps.append(maps[-1])
-            up_mods.append(mods[-1])
-        levels.append((up_maps, up_mods))
-    starts = [([1] + [0] * n_top, 1)]  # (e_0, a^0) at K = 0
-    maps, mods = levels.pop()
-    while levels:
-        maps, mods = levels.pop()
-        below = []
-        for j, (u, alpha) in enumerate(starts):
-            q = mods[2 * j]
-            below.append(([v % q for v in u], alpha % q))
-            if 2 * j + 1 < len(mods):
-                below.append(_advance(maps[2 * j], (u, alpha), mods[2 * j + 1]))
-        starts = below
+    states = remainder_tree(primes, primes, partial(_steps, a, b, r, n_top),
+                            _compose, _advance, [1] + [0] * n_top + [1])
     sign = (-1) ** r
-    return {p: [sign * v % p for v in _advance(f, state, p)[0]]
-            for p, f, state in zip(primes, maps, starts)}
+    return {p: [sign * v % p for v in state[:-1]] for p, state in zip(primes, states)}
 
 
 def d_r_A(r: int, n: int, x: Rational, window: Sequence[int]) -> AElement:

@@ -21,9 +21,10 @@ p^2.  The streams have one owner, the process-wide memo _stream keyed by
 (p, x), so the mascheroni, interlude and kluyver verifiers and their
 families build each distinct G_0(x)..G_{p-2}(x) mod p once; only left
 kernels read it, as only right kernels read the Wilson quotient memo.
-Primes 2 and 3 are excluded from verifiers wholesale (the congruences are
-sufficiently-large-p statements); primes dividing a relevant numerator or
-denominator are skipped per point, with the reason recorded.
+A window entry that is not a prime raises ValueError.  Primes 2 and 3 are
+excluded from verifiers wholesale (the congruences are sufficiently-large-p
+statements); primes dividing a relevant numerator or denominator are
+skipped per point, with the reason recorded.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from operator import mul
 from typing import Sequence
 
 from ._parallel import check_shard, verify_primes
-from .modular import AElement, PrimeCtx, Rational, rational_mod, rational_pow_mod_p2
+from .modular import AElement, PrimeCtx, Rational, rational_mod, rational_pow_mod_p2, require_primes
 from .polys import gregory_residue_stream
 from .report import VerificationReport
 
@@ -316,12 +317,14 @@ def L1(x: Rational, window: Sequence[int]) -> AElement:
 
 def check_eisenstein(x: Rational, p: int) -> bool | None:
     """Eisenstein's congruence for the truncated log series at x; None when
-    a needed quotient is undefined at p."""
+    a needed quotient is undefined at p, which must be a prime."""
+    require_primes([p])
     checks, _ = _eisenstein_batch(([("", (Fraction(x),))], [p]))
     return checks[0][4] if checks else None
 
 
 def _verify(theorem, params, batch, grid, window, threads) -> VerificationReport:
+    require_primes(window)
     # the congruences are sufficiently-large-p statements: p <= 3 is skipped whole
     excluded = {p: "excluded small prime (p <= 3)" for p in window if p <= 3}
     return verify_primes(theorem, params, batch, grid, window, threads, excluded)

@@ -8,6 +8,10 @@ return None ("undefined") rather than assigning an arbitrary value.  An
 AElement is the windowed stand-in for a prime-indexed residue family that
 is only meaningful at all but finitely many primes: it stores one residue
 per window prime, plus the primes where its value carries no meaning.
+The one accumulating remainder tree (remainder_tree) reads a recurrence
+stepped over K at K = p-1 for every prime of a window in one pass; the
+Dobinski window sums and both prime scans are its callers, each with only
+its own map type.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -52,6 +56,50 @@ def require_primes(window: Iterable[int]) -> None:
         bad = entries.difference(sieve_primes(min(entries), max(entries)))
         if bad:
             raise ValueError(f"window entries must be primes, got {min(bad)}")
+
+
+def remainder_tree(primes: list[int], mods: Iterable[int], steps: Callable,
+                   compose: Callable, advance: Callable, start: Sequence[int]) -> list:
+    """The state at K = p-1, reduced mod mods[i], for each p = primes[i] of an
+    ascending list, where a recurrence steps its state at K = 1, 2, ... from
+    start at K = 0: one accumulating remainder tree (Costa, Gerbicz and
+    Harvey, "A search for Wilson primes", Math. Comp. 83, 2014).
+
+    A state is a sequence of ints; steps(lo, hi) is the map of the steps
+    K = lo, ..., hi-1 of a short span, compose(f, g) is f then g, and
+    advance(f, s, q) is the state s after f, reduced mod q.  Leaf i is the
+    span [p_{i-1}, p_i) (p_0 = 1) with modulus mods[i]; a node holds the
+    composite of its leaves and the product of their moduli.  The descent
+    hands each node the state at the start of its span, reduced mod its
+    modulus, so the levels are dropped one by one.
+    """
+
+    def span(lo: int, hi: int):
+        if hi - lo > 64:  # binary splitting keeps long spans quasi-linear
+            mid = (lo + hi) // 2
+            return compose(span(lo, mid), span(mid, hi))
+        return steps(lo, hi)
+
+    maps, mods = [span(lo, hi) for lo, hi in zip([1] + primes, primes)], list(mods)
+    levels = []
+    while len(mods) > 1:
+        levels.append((maps, mods))
+        up_maps = [compose(f, g) for f, g in zip(maps[::2], maps[1::2])]
+        up_mods = [q * s for q, s in zip(mods[::2], mods[1::2])]
+        if len(mods) % 2:  # an odd node rises unchanged
+            up_maps.append(maps[-1])
+            up_mods.append(mods[-1])
+        maps, mods = up_maps, up_mods
+    starts = [start]  # at the root
+    while levels:
+        maps, mods = levels.pop()
+        below = []
+        for j, s in enumerate(starts):
+            below.append([v % mods[2 * j] for v in s])
+            if 2 * j + 1 < len(mods):
+                below.append(advance(maps[2 * j], s, mods[2 * j + 1]))
+        starts = below
+    return [advance(f, s, q) for f, s, q in zip(maps, starts, mods)]
 
 
 class PrimeCtx:

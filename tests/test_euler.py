@@ -380,6 +380,21 @@ class TestVerifiers:
         with pytest.raises(ValueError):
             verify_kluyver([0], [F(0)], WINDOW)
 
+    @pytest.mark.parametrize("verify", [
+        lambda w: verify_mascheroni([F(0)], w),
+        lambda w: verify_interlude([2], [F(0)], w),
+        lambda w: verify_kluyver([1], [F(0)], w),
+        lambda w: verify_eisenstein([F(2)], w),
+        lambda w: verify_log_additivity([2, 3], w),
+        lambda w: check_eisenstein(2, w[-1]),
+    ], ids=["mascheroni", "interlude", "kluyver", "eisenstein", "log-additivity",
+            "check_eisenstein"])
+    @pytest.mark.parametrize("window", [[4], [9], [5, 7, 9]])
+    def test_composite_window_entries_are_rejected(self, verify, window):
+        # a check at a composite would be a counterexample invented there
+        with pytest.raises(ValueError, match="must be primes"):
+            verify(window)
+
 
 class TestNegativeControls:
     """Each Euler verifier fails every defined check at every prime when one
@@ -434,6 +449,20 @@ class TestNegativeControls:
             euler._stream.clear()
         assert {c.prime for c in report.checks} == set(WINDOW)
         assert not any(c.passed for c in report.checks)
+
+
+    def test_wrong_theorem_fails_exactly_where_it_is_wrong(self, monkeypatch):
+        # Mascheroni without its [x = -1] term is a different theorem, which
+        # differs from the true one only at x = -1
+        monkeypatch.setattr(euler, "delta_minus_one", lambda x: 0)
+        window = sieve_primes(5, 200)
+        report = verify_mascheroni([F(-1), F(0), F(1, 2), F(7, 3)], window)
+        at_minus_one = [c for c in report.checks if c.label == "x=-1"]
+        others = [c for c in report.checks if c.label != "x=-1"]
+        assert {c.prime for c in at_minus_one} == set(window)
+        assert not any(c.passed for c in at_minus_one)
+        assert {c.label for c in others} == {"x=0", "x=1/2", "x=7/3"}
+        assert all(c.passed for c in others)
 
 
 class TestStreamMemo:

@@ -1,9 +1,11 @@
 """The remainder-tree scans against the per-prime kernels they replaced."""
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aconst import cache, searches
+from aconst import cache, dobinski, modular, searches
+from aconst.dobinski import _d_sums_tree
 from aconst.euler import _wilson_component
 from aconst.modular import sieve_primes
 from aconst.searches import e_component, search_zero_primes
@@ -38,6 +40,23 @@ def test_tree_matches_per_prime_kernels(target, window):
     assert {r.tag for r in records} <= {searches._TARGET_FNS[target][0]}
 
 
+@settings(max_examples=60, deadline=None)
+@given(windows())
+def test_scalar_and_vector_maps_agree(window):
+    # the eA-zero scan and the Dobinski tree at (r, n, x) = (1, 0, 1) step the
+    # same recurrence U(K) = K U(K-1) + 1 with different maps
+    records = search_zero_primes("eA-zero", window)[1]
+    table = _d_sums_tree(1, 0, 1, window)
+    assert [r.residue for r in records] == [table[p][0] for p in window]
+
+
+@pytest.mark.parametrize("target", sorted(ORACLES))
+@pytest.mark.parametrize("window", [[4], [9], [5, 9, 7]])
+def test_composite_window_entries_are_rejected(target, window):
+    with pytest.raises(ValueError, match="must be primes"):
+        search_zero_primes(target, window)
+
+
 def test_wilson_primes_below_1e5():
     assert search_zero_primes("wilson", sieve_primes(5, 10**5))[0] == [5, 13, 563]
 
@@ -62,7 +81,8 @@ def test_cache_verify_recomputes_per_prime(tmp_path, monkeypatch):
         return recompute(tag, params, p)
 
     recompute = searches.recompute
-    monkeypatch.setattr(searches, "_remainder_tree", no_tree)
+    for module in (modular, searches, dobinski):  # every binding of the one tree
+        monkeypatch.setattr(module, "remainder_tree", no_tree)
     monkeypatch.setattr(searches, "recompute", counted)
     checked, mismatches = cache.verify_sample(10, seed=5)
     assert checked == 20 and mismatches == []
