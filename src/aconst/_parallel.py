@@ -71,8 +71,8 @@ def verify_primes(
     report.skipped.extend(SkipRecord(p, "", reason) for p, reason in excluded.items())
     todo = [p for p in window if p not in excluded]
     for checks, skips in run_prime_shards(batch, static_args, todo, threads):
-        report.checks.extend(CheckRecord(*c) for c in checks)
-        report.skipped.extend(SkipRecord(*s) for s in skips)
+        report.checks.extend(map(CheckRecord._make, checks))
+        report.skipped.extend(map(SkipRecord._make, skips))
     report.sort_records()
     report.elapsed = time.monotonic() - start
     return report

@@ -221,8 +221,9 @@ class AElement:
     @classmethod
     def from_kernel(cls, window: Iterable[int], fn: Callable[[int], int | str]) -> "AElement":
         """The family whose p-component is fn(p): a residue, or the reason
-        (a str) it is undefined."""
+        (a str) it is undefined.  Every window entry must be a prime."""
         window = tuple(window)
+        require_primes(window)
         values = {p: fn(p) for p in window}
         bad = {p: v for p, v in values.items() if isinstance(v, str)}
         comps = {p: v for p, v in values.items() if p not in bad}

@@ -6,16 +6,24 @@ SkipRecord per excluded component with the reason, and summary metadata.
 Reports serialize to JSON-lines (header / check / skip / summary records)
 and round-trip losslessly; timing metadata is optional so that identical
 runs can produce byte-identical files.
+
+The bytes are pinned: every line is what json.dumps(record, sort_keys=True)
+writes with its default separators (", " and ": ") and ASCII-escaped
+strings.  Check and skip lines come from fixed templates that reproduce
+that contract, each distinct string going through json.dumps once; a
+record whose prime, residues or flag are not exactly int and bool falls
+back to json.dumps.  tests/test_report.py keeps the json.dumps serializer
+as the oracle the templates must match byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     prime: int
     label: str
     lhs: int
@@ -23,11 +31,18 @@ class CheckRecord:
     passed: bool
 
 
-@dataclass(frozen=True)
-class SkipRecord:
+class SkipRecord(NamedTuple):
     prime: int
     label: str
     reason: str
+
+
+class _Quoted(dict):
+    """str -> its JSON encoding, encoded on first lookup."""
+
+    def __missing__(self, s: str) -> str:
+        q = self[s] = json.dumps(s)
+        return q
 
 
 @dataclass
@@ -56,48 +71,29 @@ class VerificationReport:
         return [c for c in self.checks if not c.passed]
 
     def to_jsonl(self, include_timing: bool = True) -> str:
-        lines = [
-            json.dumps(
-                {
-                    "type": "header",
-                    "theorem": self.theorem,
-                    "params": self.params,
-                    "window": {
-                        "lo": self.window_lo,
-                        "hi": self.window_hi,
-                        "primes": self.prime_count,
-                    },
-                },
-                sort_keys=True,
-            )
-        ]
-        for c in self.checks:
-            lines.append(
-                json.dumps(
-                    {
-                        "type": "check",
-                        "p": c.prime,
-                        "label": c.label,
-                        "lhs": c.lhs,
-                        "rhs": c.rhs,
-                        "pass": c.passed,
-                    },
-                    sort_keys=True,
+        window = {"lo": self.window_lo, "hi": self.window_hi, "primes": self.prime_count}
+        lines = [json.dumps({"type": "header", "theorem": self.theorem, "params": self.params,
+                             "window": window}, sort_keys=True)]
+        quoted, passed, failed = _Quoted(), 0, 0
+        for p, label, lhs, rhs, ok in self.checks:
+            if type(p) is type(lhs) is type(rhs) is int and type(ok) is bool and type(label) is str:
+                lines.append(
+                    f'{{"label": {quoted[label]}, "lhs": {lhs}, "p": {p}, '
+                    f'"pass": {"true" if ok else "false"}, "rhs": {rhs}, "type": "check"}}'
                 )
-            )
-        for s in self.skipped:
-            lines.append(
-                json.dumps(
-                    {"type": "skip", "p": s.prime, "label": s.label, "reason": s.reason},
-                    sort_keys=True,
-                )
-            )
-        summary = {
-            "type": "summary",
-            "checks": len(self.checks),
-            "passed": sum(c.passed for c in self.checks),
-            "failed": sum(not c.passed for c in self.checks),
-        }
+            else:
+                lines.append(json.dumps({"type": "check", "p": p, "label": label, "lhs": lhs,
+                                         "rhs": rhs, "pass": ok}, sort_keys=True))
+            passed += ok
+            failed += not ok
+        for p, label, reason in self.skipped:
+            if type(p) is int and type(label) is type(reason) is str:
+                lines.append(f'{{"label": {quoted[label]}, "p": {p}, '
+                             f'"reason": {quoted[reason]}, "type": "skip"}}')
+            else:
+                lines.append(json.dumps({"type": "skip", "p": p, "label": label, "reason": reason},
+                                        sort_keys=True))
+        summary = {"type": "summary", "checks": len(self.checks), "passed": passed, "failed": failed}
         if include_timing:
             summary["elapsed"] = self.elapsed
             summary["timestamp"] = self.timestamp

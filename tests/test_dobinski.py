@@ -1,5 +1,4 @@
 import math
-from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -354,10 +353,12 @@ class TestDrA:
         with pytest.raises(ValueError):
             d_r_A(r, n, 1, [5])
 
-    @pytest.mark.parametrize("window", [[9], [1, 5], [0, 7], [5, 7, 15]])
+    @pytest.mark.parametrize("window", [[9], [5, 9], [1, 5], [0, 7], [5, 7, 15]])
     def test_rejects_non_prime_entries(self, window):
         with pytest.raises(ValueError, match="primes"):
             d_r_A_range(1, 1, 1, window)
+        with pytest.raises(ValueError, match="primes"):
+            d_r_A(1, 1, 1, window)
 
     def test_window_order_and_duplicates_kept(self):
         elems = d_r_A_range(2, 3, F(7, 3), [13, 3, 7, 13, 5])
@@ -413,8 +414,8 @@ class TestVerifyDobinski:
         primes = sieve_primes(2, 60)
         report = verify_dobinski(r, n_max, x, primes)
         checks, skips = batch_loop(r, n_max, x, primes)
-        assert [astuple(c) for c in report.checks] == checks
-        assert [astuple(s) for s in report.skipped] == skips
+        assert [tuple(c) for c in report.checks] == checks
+        assert [tuple(s) for s in report.skipped] == skips
 
     def test_right_side_never_reads_its_own_entry(self, monkeypatch):
         # perturb the last truncated sum in the window table, D(n_max) with
@@ -438,8 +439,15 @@ class TestVerifyDobinski:
 
     def test_den_x_is_a_whole_prime_skip(self):
         report = verify_dobinski(3, 1, F(1, 3), sieve_primes(2, 20))
-        assert [astuple(s) for s in report.skipped] == [(3, "", "p divides den(x)")]
+        assert [tuple(s) for s in report.skipped] == [(3, "", "p divides den(x)")]
         assert report.passed and 3 not in {c.prime for c in report.checks}
+
+    def test_records_are_immutable(self):
+        report = verify_dobinski(3, 1, F(1, 3), sieve_primes(2, 20))
+        with pytest.raises(AttributeError):
+            report.checks[0].lhs = 1
+        with pytest.raises(AttributeError):
+            report.skipped[0].reason = "other"
 
     def test_threads_match_serial(self):
         window = sieve_primes(5, 120)

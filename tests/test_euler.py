@@ -395,6 +395,20 @@ class TestVerifiers:
         with pytest.raises(ValueError, match="must be primes"):
             verify(window)
 
+    @pytest.mark.parametrize("family", [
+        lambda w: gamma_M(0, w),
+        lambda w: gamma_K(1, F(1, 2), w),
+        lambda w: G_A(2, 0, w),
+        lambda w: L1(2, w),
+        lambda w: ell_A(2, w),
+        lambda w: wilson_gamma(w),
+    ], ids=["gamma_M", "gamma_K", "G_A", "L1", "ell_A", "wilson_gamma"])
+    @pytest.mark.parametrize("window", [[9], [5, 9]])
+    def test_families_reject_composite_entries(self, family, window):
+        # a residue read at 9 would be a component of no prime
+        with pytest.raises(ValueError, match="must be primes"):
+            family(window)
+
 
 class TestNegativeControls:
     """Each Euler verifier fails every defined check at every prime when one

@@ -211,6 +211,13 @@ class TestAElement:
         assert a.exceptional == {11: "odd reason"}
         assert a.window == self.WINDOW
 
+    @pytest.mark.parametrize("window", [[9], [5, 9], [1, 5]])
+    def test_composite_window_rejected(self, window):
+        with pytest.raises(ValueError, match="must be primes"):
+            AElement.from_kernel(window, lambda p: 0)
+        with pytest.raises(ValueError, match="must be primes"):
+            AElement.from_rational(Fraction(1, 2), window)
+
     def test_exceptional_recorded(self):
         a = AElement.from_rational(Fraction(2, 7), self.WINDOW)
         assert 7 in a.exceptional
