@@ -11,9 +11,10 @@ The bytes are pinned: every line is what json.dumps(record, sort_keys=True)
 writes with its default separators (", " and ": ") and ASCII-escaped
 strings.  Check and skip lines come from fixed templates that reproduce
 that contract, each distinct string going through json.dumps once; a
-record whose prime, residues or flag are not exactly int and bool falls
-back to json.dumps.  tests/test_report.py keeps the json.dumps serializer
-as the oracle the templates must match byte for byte.
+record whose prime and residues are not exactly int, flag not exactly
+bool or strings not exactly str falls back to json.dumps.
+tests/test_report.py keeps the json.dumps serializer as the oracle the
+templates must match byte for byte.
 """
 
 from __future__ import annotations
