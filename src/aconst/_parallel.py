@@ -6,8 +6,9 @@ module-level side kernels by functools.partial, so check_shard is the one
 loop in the package that sets a pass flag, and the batch pickles by
 reference into worker processes.  The kernels are bound at import: to change
 a side (in a test, say), patch what the kernel calls, not the kernel's own
-name.  Work is independent per prime; at most one shard per core, strided so
-each worker gets a similar mix of small and large primes (cost grows with p).
+name.  Work is independent per prime; at most one shard per core (a thread
+count below 1 asks for one per core), strided so each worker gets a similar
+mix of small and large primes (cost grows with p).
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .report import CheckRecord, SkipRecord, VerificationReport
 def run_prime_shards(
     fn: Callable, static_args: Sequence, primes: Sequence[int], threads: int
 ) -> list:
-    n = min(threads, len(primes), os.cpu_count() or 1)
+    cores = os.cpu_count() or 1
+    n = min(threads if threads > 0 else cores, len(primes), cores)
     if n > 1:
         with ProcessPoolExecutor(max_workers=n) as pool:
             return list(pool.map(fn, [(static_args, primes[i::n]) for i in range(n)]))

@@ -11,7 +11,6 @@ Negative rationals must use the --x=-2/3 form (a bare "-2/3" parses as a flag).
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from datetime import datetime, timezone
@@ -59,10 +58,6 @@ def _int_at_least(low: int):
     return parse
 
 
-def _threads(value: int) -> int:
-    return value if value > 0 else (os.cpu_count() or 1)
-
-
 def _emit_report(report, args) -> int:
     report.timestamp = datetime.now(timezone.utc).isoformat()
     print(report.format_table())
@@ -79,29 +74,26 @@ def _emit_report(report, args) -> int:
 
 def _cmd_verify_dobinski(args) -> int:
     window = sieve_primes(args.pmin, args.pmax)
-    report = dobinski.verify_dobinski(
-        args.r, args.nmax, args.x, window, threads=_threads(args.threads)
-    )
+    report = dobinski.verify_dobinski(args.r, args.nmax, args.x, window, threads=args.threads)
     return _emit_report(report, args)
 
 
 def _cmd_verify_euler(args) -> int:
     window = sieve_primes(args.pmin, args.pmax)
-    threads = _threads(args.threads)
     which = args.which
     if which == "mascheroni":
-        report = euler.verify_mascheroni([args.x], window, threads=threads)
+        report = euler.verify_mascheroni([args.x], window, threads=args.threads)
         if args.x == -1:
             print("note: at x = -1 the right side reduces to the Wilson quotient")
     elif which == "interlude":
-        report = euler.verify_interlude([args.k], [args.x], window, threads=threads)
+        report = euler.verify_interlude([args.k], [args.x], window, threads=args.threads)
     elif which == "kluyver":
-        report = euler.verify_kluyver([args.m], [args.x], window, threads=threads)
+        report = euler.verify_kluyver([args.m], [args.x], window, threads=args.threads)
     elif which == "eisenstein":
-        report = euler.verify_eisenstein([args.x], window, threads=threads)
+        report = euler.verify_eisenstein([args.x], window, threads=args.threads)
     else:  # logadd
         values = [args.x] + [v for v in LOGADD_PARTNERS if v != args.x]
-        report = euler.verify_log_additivity(values, window, threads=threads)
+        report = euler.verify_log_additivity(values, window, threads=args.threads)
     return _emit_report(report, args)
 
 

@@ -233,12 +233,11 @@ def d_r_A_range(r: int, n_max: int, x: Rational, window: Sequence[int]) -> list[
     """All of D_{r,A}(0; x)..D_{r,A}(n_max; x) from one tree pass over the window."""
     if r < 1 or n_max < 0:
         raise ValueError("need r >= 1, n >= 0")
-    require_primes(window)
+    require_primes(window)  # once: each element below meets the remembered window
     table = _d_sums_tree(r, n_max, x, window)
-    return [
-        AElement.from_kernel(window, lambda p: table[p][n] if p in table else "p divides den(x)")
-        for n in range(n_max + 1)
-    ]
+    bad = {p: "p divides den(x)" for p in window if p not in table}
+    return [AElement(window, {p: table[p][n] for p in window if p in table}, bad)
+            for n in range(n_max + 1)]
 
 
 def _dobinski_lhs(ctx: PrimeCtx, table: dict, n: int, row: tuple, lcm: int) -> int:

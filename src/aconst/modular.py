@@ -8,6 +8,10 @@ return None ("undefined") rather than assigning an arbitrary value.  An
 AElement is the windowed stand-in for a prime-indexed residue family that
 is only meaningful at all but finitely many primes: it stores one residue
 per window prime, plus the primes where its value carries no meaning.
+Every AElement's window is checked when it is built, and require_primes
+remembers the last window it accepted, so a window, its families and their
+arithmetic results share one sieve.  Arithmetic is one path, _binary, and a
+rational operand reduces there only through from_rational.
 The one accumulating remainder tree (remainder_tree) reads a recurrence
 stepped over K at K = p-1 for every prime of a window in one pass; the
 Dobinski window sums and both prime scans are its callers, each with only
@@ -18,7 +22,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from operator import add, mul, sub
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -50,8 +55,13 @@ def sieve_primes(lo: int, hi: int) -> list[int]:
 
 def require_primes(window: Iterable[int]) -> None:
     """Raise ValueError unless every window entry is a prime.  One sieve over
-    the entries' range: linear in the largest entry, like a window's tree."""
-    entries = set(window)
+    the entries' range (linear in the largest entry, like a window's tree),
+    none when the entries are the ones last accepted."""
+    _require_prime_set(frozenset(window))
+
+
+@lru_cache(maxsize=1)
+def _require_prime_set(entries: frozenset) -> None:  # remembers no raise
     if entries:
         bad = entries.difference(sieve_primes(min(entries), max(entries)))
         if bad:
@@ -212,6 +222,7 @@ class AElement:
         exceptional: Mapping[int, str] | None = None,
     ):
         self.window = tuple(window)
+        require_primes(self.window)
         self.components = dict(components)
         self.exceptional = dict(exceptional or {})
         for p in self.window:
@@ -223,7 +234,7 @@ class AElement:
         """The family whose p-component is fn(p): a residue, or the reason
         (a str) it is undefined.  Every window entry must be a prime."""
         window = tuple(window)
-        require_primes(window)
+        require_primes(window)  # before fn meets a composite
         values = {p: fn(p) for p in window}
         bad = {p: v for p, v in values.items() if isinstance(v, str)}
         comps = {p: v for p, v in values.items() if p not in bad}
@@ -239,7 +250,7 @@ class AElement:
 
     @classmethod
     def zero(cls, window: Iterable[int]) -> "AElement":
-        return cls(window, {p: 0 for p in window})
+        return cls.from_kernel(window, lambda p: 0)
 
     def __getitem__(self, p: int) -> int:
         if p in self.exceptional:
@@ -264,13 +275,12 @@ class AElement:
         return NotImplemented
 
     def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
+        return self._binary(other, add)
 
-    def __radd__(self, other):
-        return self._binary(other, lambda a, b: b + a)
+    __radd__ = __add__  # addition mod p commutes; self's reasons still win
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+        return self._binary(other, sub)
 
     def __rsub__(self, other):
         return self._binary(other, lambda a, b: b - a)
@@ -280,15 +290,7 @@ class AElement:
 
     def scale(self, c: Rational) -> "AElement":
         """Componentwise product with a rational scalar."""
-        comps = {}
-        bad = dict(self.exceptional)
-        for p, r in self.components.items():
-            cr = rational_mod(c, PrimeCtx(p))
-            if cr is None:
-                bad[p] = "scalar denominator divisible by p"
-            else:
-                comps[p] = r * cr % p
-        return AElement(self.window, comps, bad)
+        return self._binary(Fraction(c), mul)  # a non-rational raises, never NotImplemented
 
     def comparable_primes(self, other: "AElement") -> list[int]:
         """Window primes where both sides carry a meaningful residue."""

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aconst import dobinski
+from aconst import dobinski, modular
 from aconst.dobinski import (
     CoeffFamily,
     bell,
@@ -368,6 +368,20 @@ class TestDrA:
             for p in (5, 7, 13):
                 assert elem[p] == _d_sums_mod(2, 3, F(7, 3), p)[n]
 
+    def test_one_sieve_per_call(self, monkeypatch):
+        # the window is checked once, not once per element: every element and
+        # every arithmetic result meets the remembered window
+        window = sieve_primes(5, 2000)
+        sieves = []
+        orig = modular.sieve_primes
+        monkeypatch.setattr(modular, "sieve_primes", lambda lo, hi: sieves.append(hi) or orig(lo, hi))
+        modular._require_prime_set.cache_clear()
+        elems = d_r_A_range(1, 20, 1, window)
+        assert (elems[20] - elems[19].scale(F(1, 2)) + 1).window == tuple(window)
+        assert sieves == [window[-1]] and len(elems) == 21
+        d_r_A_range(2, 3, F(1, 2), window)  # the same window: no sieve at all
+        assert sieves == [window[-1]]
+
     def test_exceptional_denominator(self):
         elem = d_r_A(1, 0, F(1, 7), [5, 7, 11])
         assert 7 in elem.exceptional
@@ -431,6 +445,36 @@ class TestVerifyDobinski:
         failed = [(c.prime, c.label) for c in report.checks if not c.passed]
         assert failed == [(p, "n=5") for p in window]
         assert len(report.checks) == 6 * len(window)
+
+    # x = 7/3 over the 44 primes in [5, 200], n = 0..8: every coefficient
+    # denominator is a power of 3, so no prime is skipped and 396 checks run
+    CONTROL_WINDOW = sieve_primes(5, 200)
+
+    @pytest.mark.parametrize("r, failing, definitional", [(1, 352, 44), (2, 308, 88), (3, 264, 132)])
+    def test_every_check_fails_on_the_left(self, monkeypatch, r, failing, definitional):
+        # D(n) off by one at every n >= r: each of those checks fails.  The
+        # n < r rows are definitional: column n of the table is the unit
+        # vector e_n with g = 0, so both sides read the same entry D(n)
+        def perturbed(r, n_top, x, window):
+            table = _d_sums_tree(r, n_top, x, window)
+            return {p: sums[:r] + [(d + 1) % p for d in sums[r:]] for p, sums in table.items()}
+
+        monkeypatch.setattr(dobinski, "_d_sums_tree", perturbed)
+        report = verify_dobinski(r, 8, F(7, 3), self.CONTROL_WINDOW)
+        below_r = [c for c in report.checks if int(c.label[2:]) < r]
+        from_r = [c for c in report.checks if int(c.label[2:]) >= r]
+        assert len(from_r) == failing and not any(c.passed for c in from_r)
+        assert len(below_r) == definitional and all(c.passed for c in below_r)
+        assert report.skipped == []
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_every_check_fails_on_the_right(self, monkeypatch, r):
+        # every g value one higher moves the right side by one at every n,
+        # the definitional n < r rows included
+        orig = CoeffFamily.g_values
+        monkeypatch.setattr(CoeffFamily, "g_values", lambda fam, x: [g + 1 for g in orig(fam, x)])
+        report = verify_dobinski(r, 8, F(7, 3), self.CONTROL_WINDOW)
+        assert len(report.checks) == 396 and not any(c.passed for c in report.checks)
 
     @pytest.mark.parametrize("window", [[1, 5, 7], [0, 5], [9, 11], [5, -7]])
     def test_rejects_non_prime_entries(self, window):

@@ -4,6 +4,7 @@ import sys
 from array import array
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, settings
@@ -465,6 +466,24 @@ class TestNegativeControls:
         assert not any(c.passed for c in report.checks)
 
 
+    def test_log_additivity_fails_on_the_left(self, monkeypatch):
+        # q_p off by one only at the products x*y, which only the left side
+        # reads, since no product is itself one of the values
+        values = [F(2), F(3), F(5), F(1, 2), F(-4), F(7, 3)]
+        products = {x * y for x, y in combinations_with_replacement(values, 2)}
+        assert products.isdisjoint(values)
+        orig = euler.fermat_quotient
+
+        def off_at_products(x, p):
+            q = orig(x, p)
+            return q if q is None or x not in products else (q + 1) % p
+
+        monkeypatch.setattr(euler, "fermat_quotient", off_at_products)
+        report = verify_log_additivity(values, sieve_primes(5, 200))
+        assert len(report.checks) == 912 and not any(c.passed for c in report.checks)
+        # the pairs with 5 at p = 5 and with 7/3 at p = 7
+        assert len(report.skipped) == 12
+
     def test_wrong_theorem_fails_exactly_where_it_is_wrong(self, monkeypatch):
         # Mascheroni without its [x = -1] term is a different theorem, which
         # differs from the true one only at x = -1
@@ -535,6 +554,26 @@ class TestStreamMemo:
             euler._stream(PrimeCtx(p), F(1, 2))
         assert list(euler._stream.entries) == [(103, F(1, 2)), (107, F(1, 2))]
         assert euler._stream.nbytes == size(103) + size(107)
+
+    def test_one_stream_cap_keeps_reuse_within_a_call(self, monkeypatch):
+        # room for the window's largest stream alone still builds each (p, x)
+        # once, as the k at one x read it in a row: a memo that refused new
+        # streams once full, instead of evicting the oldest, would rebuild
+        # them for every k
+        window = sieve_primes(5, 200)
+        monkeypatch.setattr(euler, "_STREAM_MEMO_BYTES",
+                            sys.getsizeof(array("I", [0] * (window[-1] - 1))))
+        builds = Counter()
+        orig = euler.gregory_residue_stream
+
+        def counted(x, n_max, ctx):
+            builds[ctx.p, x] += 1
+            return orig(x, n_max, ctx)
+
+        monkeypatch.setattr(euler, "gregory_residue_stream", counted)
+        euler._stream.clear()
+        verify_interlude([2, 3, 4, 5], [F(-1), F(1, 2), F(7, 3)], window)
+        assert len(builds) == 132 and set(builds.values()) == {1}
 
     def test_undefined_stream_skips_when_warm(self):
         reason = "p divides den(x)"

@@ -213,10 +213,41 @@ class TestAElement:
 
     @pytest.mark.parametrize("window", [[9], [5, 9], [1, 5]])
     def test_composite_window_rejected(self, window):
-        with pytest.raises(ValueError, match="must be primes"):
-            AElement.from_kernel(window, lambda p: 0)
-        with pytest.raises(ValueError, match="must be primes"):
-            AElement.from_rational(Fraction(1, 2), window)
+        # every way to build an AElement checks its window, so no arithmetic
+        # result can hold a composite either
+        builds = [
+            lambda: AElement.from_kernel(window, lambda p: 0),
+            lambda: AElement.from_rational(Fraction(1, 2), window),
+            lambda: AElement.zero(window),
+            lambda: AElement(window, {p: 0 for p in window}),
+        ]
+        for build in builds:
+            with pytest.raises(ValueError, match="must be primes"):
+                build()
+
+    @pytest.mark.parametrize("c", [2, -1, Fraction(3, 7), Fraction(-5, 11), Fraction(1, 65)])
+    def test_scale_is_componentwise(self, c):
+        a = AElement.from_kernel(self.WINDOW, lambda p: "a's reason" if p == 11 else p - 2)
+        scaled = a.scale(c)
+        for p in self.WINDOW:
+            if p == 11:  # a's reason wins over the scalar's
+                assert scaled.exceptional[p] == "a's reason"
+            elif Fraction(c).denominator % p == 0:
+                assert scaled.exceptional[p] == "p divides denominator"
+            else:
+                assert scaled[p] == a[p] * rational_mod(c, PrimeCtx(p)) % p
+        assert all((-a)[p] == -a[p] % p for p in a.components)
+
+    def test_scale_rejects_a_non_rational(self):
+        a = AElement.zero(self.WINDOW)
+        with pytest.raises(TypeError):
+            a.scale(a)
+
+    def test_reflected_add_keeps_own_reasons(self):
+        a = AElement.from_kernel(self.WINDOW, lambda p: "a's reason" if p == 5 else 1)
+        for total in (Fraction(1, 5) + a, a + Fraction(1, 5)):
+            assert total.exceptional == {5: "a's reason"}
+            assert total.components == {7: 4, 11: 10, 13: 9}  # 1 + 1/5 = 6/5
 
     def test_exceptional_recorded(self):
         a = AElement.from_rational(Fraction(2, 7), self.WINDOW)

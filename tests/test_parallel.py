@@ -103,10 +103,14 @@ def test_workers_capped_at_core_count(monkeypatch):
     assert workers == [3] and len(shards) == 3
     serial_checks, _ = _echo_batch(((0,), primes))
     assert sorted(c for checks, _ in shards for c in checks) == serial_checks
+    # threads = 0 asks for one worker per core
+    assert run_prime_shards(_echo_batch, (0,), primes, 0) == shards
+    assert workers == [3, 3]
     # one core: no pool at all
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: None)
     assert run_prime_shards(_echo_batch, (0,), primes, 10**6) == [(serial_checks, [])]
-    assert workers == [3]
+    assert run_prime_shards(_echo_batch, (0,), primes, 0) == [(serial_checks, [])]
+    assert workers == [3, 3]
 
 
 @pytest.mark.parametrize("module", [dobinski, euler], ids=lambda m: m.__name__)
