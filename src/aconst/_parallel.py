@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Mapping, Sequence
 
 from .modular import PrimeCtx
@@ -28,6 +27,7 @@ def run_prime_shards(
     cores = os.cpu_count() or 1
     n = min(threads if threads > 0 else cores, len(primes), cores)
     if n > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~50 ms to import: poolless runs skip it
         with ProcessPoolExecutor(max_workers=n) as pool:
             return list(pool.map(fn, [(static_args, primes[i::n]) for i in range(n)]))
     return [fn((static_args, list(primes)))]

@@ -76,12 +76,12 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 import mpmath
 from mpmath import mpf, workprec
 
 from .euler import harmonic
-from .polys import _pack
 
 #: Euler's constant to 100 decimal digits, from OEIS A001620.
 GAMMA_REF_DIGITS = (
@@ -138,7 +138,8 @@ def _signed_pack(coeffs: list[int], width: int) -> int:
     """sum c_i 2**(8 width i) for signed c_i with |c_i| < 2**(8 width - 1):
     one pack of the biased slots c_i + 2**(8 width - 1), less the bias."""
     half = 1 << (8 * width - 1)
-    return _pack([c + half for c in coeffs], width) - _int_bias(len(coeffs), width)
+    raw = b"".join(map(int.to_bytes, [c + half for c in coeffs], repeat(width), repeat("little")))
+    return int.from_bytes(raw, "little") - _int_bias(len(coeffs), width)
 
 
 def _signed_unpack(packed: int, lo: int, hi: int, width: int) -> list[int]:

@@ -2,7 +2,8 @@
 export in OEIS b-file form, and the real-series gamma evaluators.
 
 Exit codes: 0 all checks passed, 1 a congruence failed (counterexample
-printed), 2 malformed arguments, an I/O error or nothing checked (a verifier
+printed), 2 malformed arguments, a window a kernel cannot take (a Gregory
+residue stream needs p < 2642247), an I/O error or nothing checked (a verifier
 whose window is empty or whose every prime was skipped, a search whose
 window is empty, a `cache verify` that found no records it can recheck).
 Negative rationals must use the --x=-2/3 form (a bare "-2/3" parses as a flag).
@@ -271,7 +272,7 @@ def main(argv=None) -> int:
         parser.error("gamma series need x > -1")
     try:
         return args.fn(args)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

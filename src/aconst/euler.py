@@ -19,8 +19,9 @@ Neither side sees the other's value: the sum side comes from Gregory
 residue streams, the quotient side from Fermat and Wilson quotients mod
 p^2.  The streams have one owner, the process-wide memo _stream keyed by
 (p, x), so the mascheroni, interlude and kluyver verifiers and their
-families build each distinct G_0(x)..G_{p-2}(x) mod p once; only left
-kernels read it, as only right kernels read the Wilson quotient memo.
+families build each distinct G_0(x)..G_{p-2}(x) mod p once; only left kernels
+read it and the Kluyver weights, as only right kernels read the Wilson
+quotient and _ell_rows, one prime's rows ell(x), ell(x+1), ... of _ell_form.
 A window entry that is not a prime raises ValueError.  Primes 2 and 3 are
 excluded from verifiers wholesale (the congruences are sufficiently-large-p
 statements); primes dividing a relevant numerator or denominator are
@@ -74,15 +75,18 @@ def _ell_component(x: Fraction, ctx: PrimeCtx) -> int | None:
     return None if q is None else rational_mod(x, ctx) * q % ctx.p
 
 
+@lru_cache(maxsize=1)
+def _ell_rows(p: int) -> dict:
+    return {}  # one prime's rows x -> [ell(x), ell(x+1), ...], None where undefined
+
+
 def _ell_form(ctx: PrimeCtx, x: Fraction, coeffs: Sequence[Rational]) -> int | None:
-    # sum_j coeffs[j] ell(x+j) mod p, or None at the first undefined ell
-    total = 0
-    for j, c in enumerate(coeffs):
-        e = _ell_component(x + j, ctx)
-        if e is None:
-            return None
-        total += rational_mod(c, ctx) * e
-    return total % ctx.p
+    # sum_j coeffs[j] ell(x+j) mod p, or None where some ell is undefined
+    row = _ell_rows(ctx.p).setdefault(x, [])
+    row += [_ell_component(x + j, ctx) for j in range(len(row), len(coeffs))]
+    if None in row[: len(coeffs)]:
+        return None
+    return sum(rational_mod(c, ctx) * e for c, e in zip(coeffs, row)) % ctx.p
 
 
 def ell_A(x: Rational, window: Sequence[int]) -> AElement:
@@ -129,13 +133,20 @@ def _mascheroni_sum(stream: Sequence[int], ctx: PrimeCtx) -> int:
     return _alternating_sum(stream, ctx.inv_table[1 : p - 1], p)
 
 
+@lru_cache(maxsize=1)
+def _kluyver_weights(p: int) -> dict[int, list[int]]:
+    return {}  # one prime's weights (n-1)!/(n+m)! mod p, n = 1..p-m-1, by m
+
+
 def _kluyver_sum(stream: Sequence[int], m: int, ctx: PrimeCtx) -> int:
     # m! sum_{n=1}^{p-m-1} (-1)^(n-1) G_n(x) / (n(n+1)...(n+m)) mod p,
     # where 1/(n(n+1)...(n+m)) = (n-1)!/(n+m)!
     p = ctx.p
     fact = ctx.fact_table
-    weights = list(map(mul, fact[: p - m - 1], ctx.inv_fact_table[m + 1 :]))
-    return _alternating_sum(stream, weights, p) * fact[m] % p
+    weights = _kluyver_weights(p)
+    if m not in weights:
+        weights[m] = list(map(mul, fact[: p - m - 1], ctx.inv_fact_table[m + 1 :]))
+    return _alternating_sum(stream, weights[m], p) * fact[m] % p
 
 
 def _truncated_log(y: int, ctx: PrimeCtx) -> int:
@@ -240,12 +251,16 @@ def _kluyver_lhs(ctx: PrimeCtx, m: int, x: Fraction) -> int | str:
     return (_kluyver_sum(stream, m, ctx) + sum(ctx.inv_table[1 : m + 1]) - ell) % p
 
 
+@lru_cache(maxsize=None)
+def _kluyver_coeffs(m: int) -> tuple[Fraction, ...]:
+    return (*(Fraction((-1) ** (m - j) * math.comb(m, j), m - j) for j in range(m)), harmonic(m) - 1)
+
+
 def _kluyver_rhs(ctx: PrimeCtx, m: int, x: Fraction) -> int | str:
     # Wilson quotient + [x+m = -1] - 1 + (H_m - 1) ell(x+m+1)
     #   + sum_{j<m} (-1)^(m-j) C(m, j)/(m-j) ell(x+j+1); check_shard calls
     # it only where the left side is defined, so p > m+1 and every coefficient reduces
-    coeffs = [Fraction((-1) ** (m - j) * math.comb(m, j), m - j) for j in range(m)]
-    ells = _ell_form(ctx, x + 1, coeffs + [harmonic(m) - 1])
+    ells = _ell_form(ctx, x + 1, _kluyver_coeffs(m))
     if ells is None:
         return "fermat quotient undefined at some x+j+1"
     return (_wilson(ctx.p) + delta_minus_one(x + m) - 1 + ells) % ctx.p

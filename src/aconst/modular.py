@@ -193,7 +193,7 @@ def _binom_row(x: Rational, n: int, ctx: PrimeCtx) -> list[int] | None:
     p, inv = ctx.p, ctx.inv_table
     row = [1]
     for k in range(1, n + 1):
-        row.append(row[-1] * (xr - k + 1) % p * inv[k] % p)
+        row.append(row[-1] * (xr - k + 1) * inv[k] % p)  # |product| < p^3
     return row
 
 

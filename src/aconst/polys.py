@@ -23,8 +23,10 @@ The finished streams G_0(x)..G_{p-2}(x) have their own owner, euler's
 process-wide (p, x) memo, which calls gregory_residue_stream once per
 distinct (p, x) across every Euler verifier and family.
 Every series product mod p is a single big-int multiply of coefficients
-packed into fixed-width slots (Kronecker substitution; Harvey, J. Symbolic
-Comput. 44, 2009).  The residue stream deliberately stops at n = p-2:
+packed into slots just wide enough for (p-1)^3 (Kronecker substitution;
+Harvey, J. Symbolic Comput. 44, 2009), copied byte by byte to and from 8-byte
+cells by strided slices, so p < 2642247 (8-byte slots at every p would make
+the multiply 1.7x slower at p = 10007).  The residue stream stops at n = p-2:
 G_{p-1}(x) picks up a 1/p! term and is not p-integral.  It stays apart from
 the fixed-point stream of analytic._gregory_fixed, which has the same shape:
 running both through one signed product and one Newton inversion made the
@@ -35,15 +37,17 @@ slower at p <= 503.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 
 from .modular import PrimeCtx, Rational, _binom_row
 
 _ZERO = Fraction(0)
 _NEG_INF = float("-inf")
+_CELL = range(8) if sys.byteorder == "little" else range(7, -1, -1)  # slot byte b's cell byte
 
 
 class RationalPolynomial:
@@ -297,16 +301,22 @@ def _slot_bytes(p: int) -> int:
 
 
 def _pack(coeffs: list[int], width: int) -> int:
-    """Residues in [0, p) as one int, coefficient n in bytes [n*width, (n+1)*width)."""
-    raw = b"".join(map(int.to_bytes, coeffs, repeat(width), repeat("little")))
+    """Values below 2**(8 width) as one int, coefficient n in bytes [n*width, (n+1)*width)."""
+    cells = array("Q", coeffs).tobytes()
+    raw = bytearray(len(coeffs) * width)
+    for b, c in zip(range(width), _CELL):
+        raw[b::width] = cells[c::8]
     return int.from_bytes(raw, "little")
 
 
 def _unpack(packed: int, n: int, width: int, p: int) -> list[int]:
-    """The first n slots of a packed int, each reduced mod p."""
+    """The first n slots (of width <= 8 bytes) of a packed int, each reduced mod p."""
     size = n * width
     raw = (packed & ((1 << 8 * size) - 1)).to_bytes(size, "little")
-    return [int.from_bytes(raw[i : i + width], "little") % p for i in range(0, size, width)]
+    cells = bytearray(8 * n)
+    for b, c in zip(range(width), _CELL):
+        cells[c::8] = raw[b::width]
+    return [v % p for v in memoryview(cells).cast("Q")]
 
 
 @lru_cache(maxsize=1)
@@ -338,26 +348,28 @@ def gregory_residue_stream(x: Rational, n_max: int, ctx: PrimeCtx) -> list[int] 
     """Residues of G_0(x)..G_{n_max}(x) mod p, or None when p | den(x).
 
     Requires 0 <= n_max <= p-2 (beyond p-2 the values stop being
-    p-integral).  The stream is the product of the binomial series
-    (1+t)^x, built in one O(n_max) pass, with the Gregory numbers G_n(0)
-    of ctx's prime, truncated at n_max.  A call costs O(n_max) steps to
-    build, pack and unpack, plus one multiply of ints of at most p * 3 log2(p)
-    bits; a call on another ctx than the last adds the Newton inversion,
-    O(log p) such multiplies of doubling length.  With M(b) the cost of a b-bit multiply
-    (Karatsuba in CPython), that is O(M(p log p)) per prime and per x,
-    against O(n_max^2) steps for the division-free recurrence.  The Euler
-    verifiers call it only through euler's (p, x) stream memo, and their
-    grids list every x at a prime together, so a window of verifier calls
-    inverts once per prime for the x of its first call, and once more at a
-    prime only where a later call brings a new x.
+    p-integral) and p < 2642247, checked before any O(p) work.  The stream
+    is the product of the binomial series (1+t)^x, built in one O(n_max)
+    pass, with the Gregory numbers G_n(0) of ctx's prime, truncated at
+    n_max.  A call costs O(n_max) steps to build, pack and unpack, plus one
+    multiply of ints of at most p * 3 log2(p) bits; a call on another ctx
+    than the last adds the Newton inversion, O(log p) such multiplies of
+    doubling length.  With M(b) the cost of a b-bit multiply (Karatsuba in
+    CPython), that is O(M(p log p)) per prime and per x, against O(n_max^2)
+    steps for the division-free recurrence.  Its one caller is euler's (p, x)
+    stream memo, and verifier grids list every x of a prime together, so a
+    window inverts once per prime, and again only where a later call brings
+    a new x.
     """
     p = ctx.p
     if not 0 <= n_max <= p - 2:
         raise ValueError(f"n_max={n_max} outside [0, p-2={p - 2}]")
+    width = _slot_bytes(p)
+    if width > 8:
+        raise ValueError(f"residue streams need p < 2642247 (8-byte slots), got p={p}")
     binom = _binom_row(x, n_max, ctx)
     if binom is None:
         return None
-    width = _slot_bytes(p)
     return _unpack(_pack(binom, width) * _gregory_zero_packed(ctx), n_max + 1, width, p)
 
 

@@ -3,10 +3,17 @@ import pytest
 from aconst import euler
 
 
+def _clear_memos():
+    euler._stream.clear()
+    euler._ell_rows.cache_clear()
+    euler._kluyver_weights.cache_clear()
+
+
 @pytest.fixture(autouse=True)
-def empty_stream_memo():
-    """Every test starts and ends with an empty Gregory stream memo, so no
-    test depends on which tests ran before it."""
-    euler._stream.clear()
+def empty_memos():
+    """Every test starts and ends with empty Euler memos (the Gregory streams,
+    the right sides' ell rows and the Kluyver weights), so no test depends on
+    which tests ran before it."""
+    _clear_memos()
     yield
-    euler._stream.clear()
+    _clear_memos()

@@ -31,7 +31,7 @@ from aconst.analytic import (
 )
 from aconst.dobinski import bell
 from aconst.euler import harmonic
-from aconst.polys import _pack, gregory_values_exact
+from aconst.polys import gregory_values_exact
 
 F = Fraction
 
@@ -59,14 +59,13 @@ def recurrence_fixed(num, den, n_max, wp):
 
 def oracle_mul(a, b, lo, hi):
     """Oracle: slots lo..hi-1 of a b by the int Kronecker product that the
-    engines replaced.  Each operand packs as its positive parts less its
-    negated negative parts, and the product unpacks through a half-slot bias."""
+    engines replaced.  Each operand packs as the sum of its shifted signed
+    coefficients, and the product unpacks through a half-slot bias."""
     bits = max(map(int.bit_length, a)) + max(map(int.bit_length, b))
     width = (bits + min(len(a), len(b)).bit_length() + 8) // 8
 
     def pack(coeffs):
-        pos = _pack([c if c > 0 else 0 for c in coeffs], width)
-        return pos - _pack([-c if c < 0 else 0 for c in coeffs], width)
+        return sum(c << 8 * width * i for i, c in enumerate(coeffs))
 
     half = 1 << (8 * width - 1)
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * hi, "little")

@@ -138,6 +138,15 @@ class TestNothingChecked:
         assert main(argv) == 2
         assert VerificationReport.from_jsonl(path.read_text()).checks == []
 
+    def test_stream_beyond_the_slot_bound_exits_2(self, capsys):
+        # residue streams pack into 8-byte slots; a window past them is bad input
+        argv = ["verify", "euler", "--which", "mascheroni", "--pmin", "2642247",
+                "--pmax", "2642260"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: residue streams need p < 2642247")
+        assert "Traceback" not in err
+
     def test_cache_verify_on_empty_cache_exits_2(self, capsys):
         assert main(["cache", "verify"]) == 2
         captured = capsys.readouterr()

@@ -587,10 +587,11 @@ class TestStreamMemo:
             assert euler._stream.entries[5, F(1, 5)] is None
 
     def test_right_kernels_never_read_the_memo(self, monkeypatch):
-        def forbidden(ctx, x):
-            raise AssertionError("a right kernel read the stream memo")
+        def forbidden(*args):
+            raise AssertionError("a right kernel read a left-side memo")
 
         monkeypatch.setattr(euler, "_stream", forbidden)
+        monkeypatch.setattr(euler, "_kluyver_weights", forbidden)
         for p in WINDOW:
             ctx = PrimeCtx(p)
             for x in self.XS:
@@ -598,6 +599,36 @@ class TestStreamMemo:
                 _interlude_rhs(ctx, 3, x)
                 _kluyver_rhs(ctx, 2, x)
                 _eisenstein_rhs(ctx, x)
+
+    def test_left_kernels_never_read_the_right_memo(self, monkeypatch):
+        def forbidden(p):
+            raise AssertionError("a left kernel read the right sides' ell rows")
+
+        monkeypatch.setattr(euler, "_ell_rows", forbidden)
+        for x in self.XS:
+            gamma_M(x, WINDOW)
+            G_A(3, x, WINDOW)
+            gamma_K(2, x, WINDOW)
+            L1(x, WINDOW)
+
+    def test_one_fermat_quotient_per_distinct_argument(self, monkeypatch):
+        # the interlude right sides at k = 2..5 read ell(x+1)..ell(x+6); each
+        # argument other than 0 and 1 (where ell is 0 by convention) costs one
+        # quotient per prime, undefined ones included
+        calls = Counter()
+        orig = euler.fermat_quotient
+
+        def counted(x, p):
+            calls[p, x] += 1
+            return orig(x, p)
+
+        monkeypatch.setattr(euler, "fermat_quotient", counted)
+        xs = [F(0), F(1, 2), F(7, 3)]
+        window = sieve_primes(7, 101)  # p > k, so no left side skips a point
+        verify_interlude([2, 3, 4, 5], xs, window)
+        assert set(calls) == {(p, x + j) for p in window for x in xs
+                              for j in range(1, 7) if x + j not in (0, 1)}
+        assert set(calls.values()) == {1}
 
 
 class TestFamiliesAreLeftSides:

@@ -2,6 +2,7 @@
 independence, the whole-prime skips the driver records, and every batch
 being check_shard bound to its two side kernels."""
 
+import concurrent.futures
 import hashlib
 from fractions import Fraction
 from functools import partial
@@ -96,7 +97,7 @@ def test_workers_capped_at_core_count(monkeypatch):
         def map(self, fn, payloads):
             return map(fn, payloads)
 
-    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 3)
     primes = sieve_primes(5, 1000)
     shards = run_prime_shards(_echo_batch, (0,), primes, 10**6)

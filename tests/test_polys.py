@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from operator import mul
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aconst import euler
+from aconst import euler, polys
 from aconst.dobinski import bell, g_seq
 from aconst.euler import verify_interlude
 from aconst.modular import PrimeCtx, rational_mod, sieve_primes
@@ -261,6 +262,22 @@ class TestNnkAndShift:
                 assert check_shift_identity(n, N, F(3, 5))
 
 
+#: the largest prime of each residue slot width, 1 to 8 bytes
+WIDEST_PRIMES = (7, 41, 251, 1621, 10321, 65521, 416107, 2642239)
+
+
+def slot_pack(coeffs, width):
+    """Oracle: one int.to_bytes per slot, the packing the strided copies replaced."""
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+
+
+def slot_unpack(packed, n, width, p):
+    """Oracle: one int.from_bytes per slot, each reduced mod p."""
+    size = n * width
+    raw = (packed & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    return [int.from_bytes(raw[i : i + width], "little") % p for i in range(0, size, width)]
+
+
 class TestResidueStream:
     def test_small_gregory_constants(self):
         ctx = PrimeCtx(1009)
@@ -349,6 +366,35 @@ class TestResidueStream:
         # one byte narrower and the peak slots carry into their neighbours
         narrow = width - 1
         assert _unpack(_pack(a, narrow) ** 2, n, narrow, p) != expected
+
+    @pytest.mark.parametrize("p", WIDEST_PRIMES)
+    def test_packing_matches_the_per_slot_oracle(self, p):
+        width = _slot_bytes(p)
+        assert width == WIDEST_PRIMES.index(p) + 1
+        assert _slot_bytes(sieve_primes(p + 1, p + 200)[0]) == width + 1
+        rng = random.Random(p)
+        top = (p - 1) ** 3  # the largest value a product slot holds
+        residues = [0, p - 1] + [rng.randrange(p) for _ in range(300)]
+        slots = [0, p - 1, top] + [rng.randrange(top + 1) for _ in range(300)]
+        for values in (residues, slots):
+            assert _pack(values, width) == slot_pack(values, width)
+        # bits above the n slots read are masked off
+        packed = slot_pack(slots, width) + (rng.getrandbits(64) << 8 * width * len(slots))
+        for n in (0, 1, 7, len(slots)):
+            assert _unpack(packed, n, width, p) == slot_unpack(packed, n, width, p)
+        product = _pack(residues, width) * _pack(residues[::-1], width)
+        n = 2 * len(residues) - 1
+        assert _unpack(product, n, width, p) == slot_unpack(product, n, width, p)
+
+    def test_stream_refuses_wide_slots_before_any_table(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("built a binomial row")
+
+        monkeypatch.setattr(polys, "_binom_row", forbidden)
+        ctx = PrimeCtx(2642257)
+        with pytest.raises(ValueError, match="p < 2642247"):
+            gregory_residue_stream(F(1, 2), 10, ctx)
+        assert not {"inv_table", "fact_table", "inv_fact_table"} & set(vars(ctx))
 
 
 class TestStirling:
