@@ -131,8 +131,7 @@ def _sequence_lines(name: str, nmax: int, j: int) -> list[str]:
     elif name == "g":
         values = dobinski.g_seq(nmax)
     elif name == "b2j":
-        fam = dobinski.coeff_family(2, nmax)
-        values = [poly(1) for poly in fam.b[j]]
+        values = dobinski.coeff_family(2, nmax).b_values(1)[j]
     else:  # gregory
         values = gregory_values_exact(0, nmax)
     return [f"{n} {v}" for n, v in enumerate(values)]

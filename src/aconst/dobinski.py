@@ -7,18 +7,24 @@ g.  Everything generalizes to an extra power r in the factorial and a
 rational weight x: the coefficient polynomials b_{r,j}(n; x) and g_r(n; x)
 share one binomial-transform recurrence and differ only in initial values,
 and so do the integer sequences b and g, so one helper extends them all.
+The polynomials have integer coefficients, so coeff_family runs that helper
+on integers, each polynomial packed as its value at a power of two, and
+keeps the coefficients as int tuples; their values at x = a/b take one
+integer Horner pass and one Fraction each, and RationalPolynomials are made
+only when a caller reads CoeffFamily.b or .g.
 The truncated sums D^(N)(n) = sum_{k<N} k^n x^k/(k!)^r are the moments of
 the weights x^k/(k!)^r, exact or, at one prime, mod p, in one pass per n
 (_moments).  Over a window of primes, D(0..n)(p) mod p at every prime comes
-from _d_sums_tree, which the verifier and d_r_A_range share: its maps on
-the one accumulating remainder tree `modular.remainder_tree`, which the
-prime scans also use.  The per-prime pass _d_sums_mod is its oracle.  The
-congruence is a left and a right side kernel, and its batch is
-`_parallel.check_shard` bound to them: the window's table of sums against the
-coefficient values, as integer numerators over one common denominator lcm,
-applied to the basis D(0..r-1).  verify_dobinski builds the table and the
-grid, one point per n; primes dividing den(x) or lcm are whole-prime skips.
-With the table built, the check loop runs in one process.
+from _d_sums_tree, which the verifier and d_r_A_range share: its maps, flat
+int tuples, on the one accumulating remainder tree `modular.remainder_tree`,
+which the prime scans also use and which trims the maps itself.  The
+per-prime pass _d_sums_mod is its oracle.  The congruence is a left and a
+right side kernel, and its batch is `_parallel.check_shard` bound to them:
+the window's table of sums against the coefficient values, as integer
+numerators over one common denominator lcm (with one inverse of lcm per
+prime), applied to the basis D(0..r-1).  verify_dobinski builds the table
+and the grid, one point per n; primes dividing den(x) or lcm are whole-prime
+skips.  With the table built, the check loop runs in one process.
 
 Conventions: 0^0 = 1 (the k = 0 term of every sum), and the g recurrence
 starts at shift index 1 -- its initial window spans indices 0..r, one past
@@ -32,7 +38,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate, repeat
 from operator import mul
 from typing import Iterable, Sequence
@@ -70,26 +76,54 @@ def g_seq(n_max: int) -> list[int]:
     return _binomial_transform([0, 1][: n_max + 1], n_max, 1)
 
 
+def _values(table: tuple, x: Fraction) -> list[Fraction]:
+    """Each integer polynomial of table (coefficients by degree) at x = a/b:
+    one Horner pass over a^d b^(deg-d), then one Fraction over b^deg."""
+    a, b = x.numerator, x.denominator
+    powers = list(accumulate(repeat(b, max(map(len, table), default=0)), mul, initial=1))
+    values = []
+    for coeffs in table:
+        num = 0
+        for c, bk in zip(reversed(coeffs), powers):
+            num = num * a + c * bk
+        values.append(Fraction(num, powers[max(len(coeffs) - 1, 0)]))
+    return values
+
+
 @dataclass(frozen=True)
 class CoeffFamily:
-    """Tables b_{r,j}(n; x) (j < r) and g_r(n; x) for 0 <= n <= n_max."""
+    """Tables b_{r,j}(n; x) (j < r) and g_r(n; x) for 0 <= n <= n_max, each
+    polynomial a tuple of its integer coefficients by degree; b and g give
+    them as RationalPolynomials."""
 
     r: int
     n_max: int
-    b: tuple[tuple[RationalPolynomial, ...], ...]  # indexed [j][n]
-    g: tuple[RationalPolynomial, ...]
+    b_coeffs: tuple[tuple[tuple[int, ...], ...], ...]  # indexed [j][n]
+    g_coeffs: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def b(self) -> tuple[tuple[RationalPolynomial, ...], ...]:
+        return tuple(tuple(map(RationalPolynomial, row)) for row in self.b_coeffs)
+
+    @cached_property
+    def g(self) -> tuple[RationalPolynomial, ...]:
+        return tuple(map(RationalPolynomial, self.g_coeffs))
 
     def b_values(self, x: Rational) -> list[list[Fraction]]:
         x = Fraction(x)
-        return [[poly(x) for poly in row] for row in self.b]
+        return [_values(row, x) for row in self.b_coeffs]
 
     def g_values(self, x: Rational) -> list[Fraction]:
-        x = Fraction(x)
-        return [poly(x) for poly in self.g]
+        return _values(self.g_coeffs, Fraction(x))
 
 
-def _times_x(poly: RationalPolynomial) -> RationalPolynomial:
-    return RationalPolynomial([Fraction(0)] + list(poly.coeffs))
+def _coeffs(v: int, size: int) -> tuple[int, ...]:
+    """The coefficients, by degree, of the integer polynomial whose value at
+    x = 2^(8 size) is v, when they share one sign and are below 2^(8 size)."""
+    sign, v = (-1, -v) if v < 0 else (1, v)
+    raw = v.to_bytes(-(-v.bit_length() // (8 * size)) * size, "little")
+    return tuple(sign * int.from_bytes(raw[i : i + size], "little")
+                 for i in range(0, len(raw), size))
 
 
 @lru_cache(maxsize=None)
@@ -99,18 +133,27 @@ def coeff_family(r: int, n_max: int) -> CoeffFamily:
 
     b_{r,j}: delta_{j,n} for n < r, then f(n+r) = x sum_k C(n,k) f(k) for n >= 0.
     g_r: (-1)^(r-1) x delta_{n,r} for n <= r, then the same recurrence for n >= 1.
+
+    Every entry is an integer polynomial whose coefficients share one sign, so
+    no coefficient exceeds in size the entry's value at x = 1, which is at most
+    Bell(n_max) (by induction, as C(n-r, k) <= C(n-1, k)).  The tables are
+    therefore built on integers, at x = 2^(8 size) > Bell(n_max), and read
+    back size bytes per coefficient.
     """
     if r < 1:
         raise ValueError("r must be positive")
+    size = bell(n_max)[-1].bit_length() // 8 + 1
+    x = 1 << 8 * size
+    times_x = partial(mul, x)
     b_rows = []
     for j in range(r):
-        window = [RationalPolynomial([1] if n == j else []) for n in range(min(r, n_max + 1))]
-        b_rows.append(tuple(_binomial_transform(window, n_max, r, _times_x)))
-    spike = RationalPolynomial([0, (-1) ** (r - 1)])  # (-1)^(r-1) * x
+        window = [int(n == j) for n in range(min(r, n_max + 1))]
+        b_rows.append(_binomial_transform(window, n_max, r, times_x))
     # the g row starts at r + 1: the index-r value comes from the initial data
-    g_row = [spike if n == r else RationalPolynomial() for n in range(min(r, n_max) + 1)]
-    _binomial_transform(g_row, n_max, r, _times_x)
-    return CoeffFamily(r, n_max, tuple(b_rows), tuple(g_row))
+    g_row = [(-1) ** (r - 1) * x if n == r else 0 for n in range(min(r, n_max) + 1)]
+    _binomial_transform(g_row, n_max, r, times_x)
+    return CoeffFamily(r, n_max, tuple(tuple(_coeffs(v, size) for v in row) for row in b_rows),
+                       tuple(_coeffs(v, size) for v in g_row))
 
 
 def _moments(w: list, n_max: int) -> list:
@@ -176,21 +219,22 @@ def _d_sums_mod(r: int, n_max: int, x: Rational, p: int) -> list[int] | None:
 
 
 def _compose(f: tuple, g: tuple) -> tuple:
-    """The map f then g, where a map (M, c, al) sends the state (U, alpha) to
-    (M U + c alpha, al alpha)."""
-    (m1, c1, a1), (m2, c2, a2) = f, g
-    return m2 * m1, [m2 * u + a1 * v for u, v in zip(c1, c2)], a2 * a1
+    """The map f then g, where a map (M, al, c_0..c_n) sends the state
+    [U_0, ..., U_n, alpha] to [M U + c alpha, al alpha]."""
+    m1, a1, *c1 = f
+    m2, a2, *c2 = g
+    return m2 * m1, a2 * a1, *[m2 * u + a1 * v for u, v in zip(c1, c2)]
 
 
 def _advance(f: tuple, state: list, q: int) -> list:
     """The state [U_0, ..., U_n, alpha] after the map f, reduced mod q."""
-    (m, c, al), alpha = f, state[-1]
+    (m, al, *c), alpha = f, state[-1]
     # c has one entry fewer than the state, so zip stops before alpha
     return [(m * v + alpha * w) % q for v, w in zip(state, c)] + [al * alpha % q]
 
 
 def _steps(a: int, b: int, r: int, n_top: int, lo: int, hi: int) -> tuple:
-    """The map (M, c_0..c_n_top, alpha) of the steps K = lo, ..., hi-1 of
+    """The map (M, alpha, c_0..c_n_top) of the steps K = lo, ..., hi-1 of
     U_m(K) = b K^r U_m(K-1) + K^m a^K, alpha(K) = a^K."""
     m, c, al = 1, [0] * (n_top + 1), 1
     for k in range(lo, hi):
@@ -198,7 +242,7 @@ def _steps(a: int, b: int, r: int, n_top: int, lo: int, hi: int) -> tuple:
         al *= a
         c = [s * u + v for u, v in zip(c, accumulate(repeat(k, n_top), mul, initial=al))]
         m *= s
-    return m, c, al
+    return m, al, *c
 
 
 def _d_sums_tree(r: int, n_top: int, x: Rational, window: Iterable[int]) -> dict[int, list[int]]:
@@ -206,8 +250,9 @@ def _d_sums_tree(r: int, n_top: int, x: Rational, window: Iterable[int]) -> dict
     every distinct window prime not dividing den(x), in one tree pass.
 
     With x = a/b, U_m(K) = sum_{k<=K} k^m a^k b^(K-k) (K!/k!)^r obeys
-    U_m(K) = b K^r U_m(K-1) + K^m a^K, so a span of K is one map (M, c, alpha)
-    of the state [U_0, ..., U_n_top, a^K], and maps compose by _compose.  The
+    U_m(K) = b K^r U_m(K-1) + K^m a^K, so a span of K is one flat map
+    (M, alpha, c_0..c_n_top) of the state [U_0, ..., U_n_top, a^K], and maps
+    compose by _compose.  The
     tree is `modular.remainder_tree` (Costa, Gerbicz and Harvey), the one the
     scans of `searches` use with scalar maps, run mod p from [e_0, 1] at
     K = 0.  At K = p-1, Wilson and Fermat give D(m) = (-1)^r U_m(p-1) mod p,
@@ -240,16 +285,17 @@ def d_r_A_range(r: int, n_max: int, x: Rational, window: Sequence[int]) -> list[
             for n in range(n_max + 1)]
 
 
-def _dobinski_lhs(ctx: PrimeCtx, table: dict, n: int, row: tuple, lcm: int) -> int:
+def _dobinski_lhs(ctx: PrimeCtx, table: dict, n: int, row: tuple, inv: dict) -> int:
     return table[ctx.p][n]
 
 
-def _dobinski_rhs(ctx: PrimeCtx, table: dict, n: int, row: tuple, lcm: int) -> int:
+def _dobinski_rhs(ctx: PrimeCtx, table: dict, n: int, row: tuple, inv: dict) -> int:
     # (g + sum_{j<r} b_j D(j)) / lcm, where (g, b_0..b_{r-1}) = row are column n's
-    # numerators over lcm.  The theorem defines this side through the basis
-    # D(0..r-1), so for n >= r it never reads D(n), the entry it is checked against.
+    # numerators over lcm and inv[p] is 1/lcm mod p.  The theorem defines this side
+    # through the basis D(0..r-1), so for n >= r it never reads D(n), the entry it
+    # is checked against.
     g, *b = row
-    return (g + sum(map(mul, b, table[ctx.p]))) * pow(lcm, -1, ctx.p) % ctx.p
+    return (g + sum(map(mul, b, table[ctx.p]))) * inv[ctx.p] % ctx.p
 
 
 _dobinski_batch = partial(check_shard, _dobinski_lhs, _dobinski_rhs)
@@ -282,8 +328,9 @@ def verify_dobinski(
     excluded.update((p, "p divides a coefficient denominator") for p in window if lcm % p == 0)
     # the right side needs the basis D(0..r-1)
     table = _d_sums_tree(r, max(n_max, r - 1), x, [p for p in window if p not in excluded])
+    inv = {p: pow(lcm, -1, p) for p in table}  # one inverse of lcm per prime
     params = {"r": r, "n_max": n_max, "x": str(x)}
-    grid = [(f"n={n}", (table, n, row, lcm)) for n, row in enumerate(rows)]
+    grid = [(f"n={n}", (table, n, row, inv)) for n, row in enumerate(rows)]
     return verify_primes("dobinski", params, _dobinski_batch, grid, window, 1, excluded, start)
 
 
@@ -300,8 +347,7 @@ def numeric_identity_check(
     tol = Fraction(tolerance)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    fam = coeff_family(r, n)
-    b_at = [fam.b[j][n](x) for j in range(r)]
+    b_at = [row[n] for row in coeff_family(r, n).b_values(x)]
 
     def tail_bound(idx: int) -> Fraction:
         # sum_{k>=N} k^idx |x|^k / (k!)^r, bounded by a geometric series

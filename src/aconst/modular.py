@@ -15,7 +15,8 @@ rational operand reduces there only through from_rational.
 The one accumulating remainder tree (remainder_tree) reads a recurrence
 stepped over K at K = p-1 for every prime of a window in one pass; the
 Dobinski window sums and both prime scans are its callers, each with only
-its own map type.
+its own map type.  The tree composes only the maps its descent reads and
+trims each to the product of the moduli that can still read it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from operator import add, mul, sub
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -75,13 +77,34 @@ def remainder_tree(primes: list[int], mods: Iterable[int], steps: Callable,
     start at K = 0: one accumulating remainder tree (Costa, Gerbicz and
     Harvey, "A search for Wilson primes", Math. Comp. 83, 2014).
 
-    A state is a sequence of ints; steps(lo, hi) is the map of the steps
-    K = lo, ..., hi-1 of a short span, compose(f, g) is f then g, and
-    advance(f, s, q) is the state s after f, reduced mod q.  Leaf i is the
+    A state is a sequence of ints and a map a flat tuple of ints; steps(lo, hi)
+    is the map of the steps K = lo, ..., hi-1 of a short span, compose(f, g)
+    is f then g, and advance(f, s, q) is the state s after f, reduced mod q.
+    Each entry of compose(f, g) and of advance(f, s, q) before its reduction
+    must be an integer polynomial in the entries of f, g and s, so that a map
+    reduced mod a multiple of q gives the same residues mod q.  Leaf i is the
     span [p_{i-1}, p_i) (p_0 = 1) with modulus mods[i]; a node holds the
     composite of its leaves and the product of their moduli.  The descent
     hands each node the state at the start of its span, reduced mod its
     modulus, so the levels are dropped one by one.
+
+    Only what the descent reads is built (compare Bernstein, "Scaled
+    remainder trees", 2004, on cutting what a remainder tree carries).  Above
+    the leaves a node's map is read by its parent's compose and, if it is a
+    left child, by the advance to its right sibling's start, reduced mod that
+    sibling's modulus:
+    - the last node of each level, the right spine up to the root, has no
+      right sibling and its parent is the next level's last node, so no
+      advance reads it and it is never composed;
+    - every other node's map is reduced mod R, the product of the moduli to
+      its right on its level, when it is wider than R.  This is exact: the
+      sibling's modulus divides R, and so does the parent's R, the product
+      over the nodes right of the pair, so both later uses end in a reduction
+      mod a divisor of R.  A map then carries about as many bits as R, where
+      the composite of a long span of the recurrence is many times wider.
+    Each level's R grows right to left and stops once it is wider than the
+    level's widest map, so the tree stays linear in memory.  A leaf's map is
+    also read by the final advance mod its own modulus, and is kept whole.
     """
 
     def span(lo: int, hi: int):
@@ -90,18 +113,18 @@ def remainder_tree(primes: list[int], mods: Iterable[int], steps: Callable,
             return compose(span(lo, mid), span(mid, hi))
         return steps(lo, hi)
 
+    if not primes:
+        return []
     maps, mods = [span(lo, hi) for lo, hi in zip([1] + primes, primes)], list(mods)
-    levels = []
-    while len(mods) > 1:
+    levels = [(maps, mods)]
+    while len(mods) > 2:  # up to the root's two children: nothing reads the root
+        up_mods = [q * s for q, s in zip(mods[::2], mods[1::2])] + mods[len(mods) & ~1 :]
+        # every node but the last, whose map no advance reads (an odd node is last)
+        up_maps = [compose(f, g) for f, g in zip(maps[: 2 * len(up_mods) - 2 : 2], maps[1::2])]
+        maps, mods = _trimmed(up_maps, up_mods), up_mods
         levels.append((maps, mods))
-        up_maps = [compose(f, g) for f, g in zip(maps[::2], maps[1::2])]
-        up_mods = [q * s for q, s in zip(mods[::2], mods[1::2])]
-        if len(mods) % 2:  # an odd node rises unchanged
-            up_maps.append(maps[-1])
-            up_mods.append(mods[-1])
-        maps, mods = up_maps, up_mods
     starts = [start]  # at the root
-    while levels:
+    while levels:  # each level is dropped once its children's starts are known
         maps, mods = levels.pop()
         below = []
         for j, s in enumerate(starts):
@@ -110,6 +133,21 @@ def remainder_tree(primes: list[int], mods: Iterable[int], steps: Callable,
                 below.append(advance(maps[2 * j], s, mods[2 * j + 1]))
         starts = below
     return [advance(f, s, q) for f, s, q in zip(maps, starts, mods)]
+
+
+def _trimmed(maps: list, mods: list) -> list:
+    """maps (one per node of a level but the last) with each reduced mod the
+    product of the moduli of the nodes to its right, where it is wider."""
+    widest = max(map(int.bit_length, chain.from_iterable(maps)), default=0)
+    right = 1
+    for j in range(len(maps) - 1, -1, -1):
+        right *= mods[j + 1]
+        width = right.bit_length()
+        if width > widest:  # no map left of here is as wide as right
+            break
+        if max(map(int.bit_length, maps[j])) >= width:
+            maps[j] = tuple(v % right for v in maps[j])
+    return maps
 
 
 class PrimeCtx:

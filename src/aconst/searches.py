@@ -3,10 +3,12 @@
 Both quantities vanish only at rare primes.  A scan is one quasi-linear
 pass over the window: `modular.remainder_tree` (Costa, Gerbicz and Harvey,
 "A search for Wilson primes", Math. Comp. 83, 2014) steps the scalar
-affine maps y -> n*y + e, mod p^2 for Wilson and mod p for the e-analogue,
-and yields every residue at once.  The residues it hands to the cache are
-an audit record: `recompute` (and so `aconst cache verify`) rechecks them
-with the independent per-prime kernels below, never with the tree.
+affine maps y -> n*y + e, composed as flat pairs (a, b) for y -> a*y + b
+that the tree trims itself, mod p^2 for Wilson and mod p for the
+e-analogue, and yields every residue at once.  The residues it hands to
+the cache are an audit record: `recompute` (and so `aconst cache verify`)
+rechecks them with the independent per-prime kernels below, never with
+the tree.
 """
 
 from __future__ import annotations
@@ -38,13 +40,22 @@ def _steps(e: int, lo: int, hi: int) -> tuple[int, int]:
     return a, b
 
 
+def _compose(f: tuple[int, int], g: tuple[int, int]) -> tuple[int, int]:
+    """The map f then g."""
+    return g[0] * f[0], g[0] * f[1] + g[1]
+
+
+def _advance(f: tuple[int, int], state: list[int], q: int) -> list[int]:
+    """The state [y] after the map f, reduced mod q."""
+    return [(f[0] * state[0] + f[1]) % q]
+
+
 def _window_residues(target: str, primes: list[int]) -> list[int]:
     # y_{p-1} of y_0 = 1, y_n = n*y_{n-1} + e for each prime of the ascending
     # list: e = 0 gives (p-1)! mod p^2, e = 1 a_{p-1} of a_n = n*a_{n-1} + 1 mod p
     e, power = (0, 2) if target == "wilson" else (1, 1)
     ys = remainder_tree(primes, [p**power for p in primes], partial(_steps, e),
-                        lambda f, g: (g[0] * f[0], g[0] * f[1] + g[1]),  # f then g
-                        lambda f, s, q: [(f[0] * s[0] + f[1]) % q], [1])
+                        _compose, _advance, [1])
     if target == "wilson":  # (p-1)! mod p^2 -> ((p-1)! + 1)/p mod p
         return [(f + 1) // p % p for p, (f,) in zip(primes, ys)]
     # sum_{k<p} 1/k! = a_{p-1}/(p-1)! and (p-1)! = -1 mod p

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from aconst import dobinski, modular
 from aconst.dobinski import (
     CoeffFamily,
+    _binomial_transform,
     bell,
     check_truncation_identity,
     coeff_family,
@@ -98,6 +99,24 @@ def batch_loop(r, n_max, x, primes):
     return checks, skips
 
 
+def _times_x(poly):
+    return RationalPolynomial([F(0)] + list(poly.coeffs))
+
+
+def coeff_family_oracle(r, n_max):
+    """Oracle: the tables as first built, on RationalPolynomial entries with
+    Fraction coefficients; (b, g) as coeff_family's b and g."""
+    b_rows = []
+    for j in range(r):
+        window = [RationalPolynomial([1] if n == j else []) for n in range(min(r, n_max + 1))]
+        b_rows.append(tuple(_binomial_transform(window, n_max, r, _times_x)))
+    spike = RationalPolynomial([0, (-1) ** (r - 1)])  # (-1)^(r-1) * x
+    # the g row starts at r + 1: the index-r value comes from the initial data
+    g_row = [spike if n == r else RationalPolynomial() for n in range(min(r, n_max) + 1)]
+    _binomial_transform(g_row, n_max, r, _times_x)
+    return tuple(b_rows), tuple(g_row)
+
+
 class TestSequences:
     def test_bell_values(self):
         assert bell(7) == BELL8
@@ -185,6 +204,18 @@ class TestCoeffFamily:
             fam = coeff_family(r, r)
             assert fam.g[r] == RationalPolynomial([0, (-1) ** (r - 1)])
             assert fam.g[r] != RationalPolynomial()
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n_max", [0, 1, 4, 5, 6, 17, 30])
+    def test_integer_tables_match_rational_oracle(self, r, n_max):
+        fam = coeff_family(r, n_max)
+        b, g = coeff_family_oracle(r, n_max)
+        assert fam.b == b and fam.g == g
+        for x in (F(0), F(1), F(-2), F(1, 2), F(7, 3), F(-5, 6)):
+            b_vals, g_vals = fam.b_values(x), fam.g_values(x)
+            assert b_vals == [[poly(x) for poly in row] for row in b]
+            assert g_vals == [poly(x) for poly in g]
+            assert all(type(v) is F for v in g_vals + [v for row in b_vals for v in row])
 
     def test_values_at(self):
         fam = coeff_family(2, 4)

@@ -1,9 +1,12 @@
+import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aconst import dobinski, searches
 from aconst.modular import (
     AElement,
     PrimeCtx,
@@ -11,6 +14,7 @@ from aconst.modular import (
     binom_rational_mod,
     rational_mod,
     rational_pow_mod_p2,
+    remainder_tree,
     sieve_primes,
 )
 from aconst.polys import binomial_polynomial
@@ -295,3 +299,129 @@ class TestAElement:
     def test_missing_prime_rejected(self):
         with pytest.raises(ValueError):
             AElement((5, 7), {5: 0})
+
+
+def unpruned_remainder_tree(primes, mods, steps, compose, advance, start):
+    """Oracle: the remainder tree as first written, which composes every node
+    up to the root and carries every map whole."""
+
+    def span(lo: int, hi: int):
+        if hi - lo > 64:  # binary splitting keeps long spans quasi-linear
+            mid = (lo + hi) // 2
+            return compose(span(lo, mid), span(mid, hi))
+        return steps(lo, hi)
+
+    maps, mods = [span(lo, hi) for lo, hi in zip([1] + primes, primes)], list(mods)
+    levels = []
+    while len(mods) > 1:
+        levels.append((maps, mods))
+        up_maps = [compose(f, g) for f, g in zip(maps[::2], maps[1::2])]
+        up_mods = [q * s for q, s in zip(mods[::2], mods[1::2])]
+        if len(mods) % 2:  # an odd node rises unchanged
+            up_maps.append(maps[-1])
+            up_mods.append(mods[-1])
+        maps, mods = up_maps, up_mods
+    starts = [start]  # at the root
+    while levels:
+        maps, mods = levels.pop()
+        below = []
+        for j, s in enumerate(starts):
+            below.append([v % mods[2 * j] for v in s])
+            if 2 * j + 1 < len(mods):
+                below.append(advance(maps[2 * j], s, mods[2 * j + 1]))
+        starts = below
+    return [advance(f, s, q) for f, s, q in zip(maps, starts, mods)]
+
+
+def tree_args(kind, window, r=1, n_top=0, x=Fraction(1)):
+    """remainder_tree's arguments for one of its callers' map types."""
+    if kind == "dobinski":
+        a, b = x.numerator, x.denominator
+        return (window, window, partial(dobinski._steps, a, b, r, n_top),
+                dobinski._compose, dobinski._advance, [1] + [0] * n_top + [1])
+    e, power = (0, 2) if kind == "wilson" else (1, 1)
+    return (window, [p**power for p in window], partial(searches._steps, e),
+            searches._compose, searches._advance, [1])
+
+
+TREE_PRIMES = sieve_primes(2, 1500)
+# 0, 1, 2 and 3 leaves, 2^k leaves and 2^k + 1 leaves
+TREE_SIZES = [0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65]
+# holds the gap 31397 -> 31469, a leaf longer than 64 steps
+GAP_WINDOW = sieve_primes(31379, 31489)
+
+
+@st.composite
+def tree_windows(draw):
+    size = draw(st.sampled_from(TREE_SIZES))
+    if draw(st.booleans()):  # a run of consecutive primes
+        first = draw(st.integers(0, len(TREE_PRIMES) - size))
+        return TREE_PRIMES[first : first + size]
+    return sorted(draw(st.sets(st.sampled_from(TREE_PRIMES), min_size=size, max_size=size)))
+
+
+class TestRemainderTree:
+    """The pruned tree (no right spine, maps reduced by the moduli to their
+    right) against the unpruned oracle, for each caller's map type."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(window=tree_windows(), r=st.integers(1, 3), n_top=st.integers(0, 6),
+           a=st.integers(-9, 9), b=st.sampled_from([1, 2, 3, 7, 9, 11]))
+    @example(window=[2, 3, 5], r=3, n_top=2, a=-4, b=3)  # den(x) is a window prime
+    def test_dobinski_maps(self, window, r, n_top, a, b):
+        args = tree_args("dobinski", window, r, n_top, Fraction(a, b))
+        assert remainder_tree(*args) == unpruned_remainder_tree(*args)
+
+    @pytest.mark.parametrize("r, n_top, x", [(1, 0, Fraction(-1)), (2, 4, Fraction(-5, 3)),
+                                             (3, 6, Fraction(7, 3))])
+    @pytest.mark.parametrize("size", TREE_SIZES)
+    def test_dobinski_maps_at_every_size(self, r, n_top, x, size):
+        # x = -5/3 and 7/3: the denominator 3 is the second window prime
+        args = tree_args("dobinski", TREE_PRIMES[:size], r, n_top, x)
+        assert remainder_tree(*args) == unpruned_remainder_tree(*args)
+
+    @settings(deadline=None, max_examples=60)
+    @given(kind=st.sampled_from(["wilson", "eA-zero"]), window=tree_windows())
+    @example(kind="wilson", window=TREE_PRIMES[:65])
+    @example(kind="eA-zero", window=TREE_PRIMES[:64])
+    def test_scan_maps(self, kind, window):
+        args = tree_args(kind, window)
+        assert remainder_tree(*args) == unpruned_remainder_tree(*args)
+
+    @pytest.mark.parametrize("kind, r, n_top, x", [
+        ("wilson", 1, 0, Fraction(1)), ("eA-zero", 1, 0, Fraction(1)),
+        ("dobinski", 2, 2, Fraction(-7, 2)), ("dobinski", 1, 1, Fraction(-3, 31387)),
+    ])
+    def test_a_leaf_long_enough_to_split(self, kind, r, n_top, x):
+        assert 31397 in GAP_WINDOW and 31469 in GAP_WINDOW
+        args = tree_args(kind, GAP_WINDOW, r, n_top, x)
+        assert remainder_tree(*args) == unpruned_remainder_tree(*args)
+
+    @pytest.mark.parametrize("n, composes", [(16, 11), (17, 15), (64, 57)])
+    def test_the_right_spine_is_never_composed(self, monkeypatch, n, composes):
+        # the unpruned tree composes n - 1 maps: 15, 16 and 63
+        calls = []
+
+        def counted(f, g):
+            calls.append(None)
+            return compose(f, g)
+
+        compose = searches._compose
+        monkeypatch.setattr(searches, "_compose", counted)
+        searches.search_zero_primes("wilson", sieve_primes(5, 400)[:n])
+        assert len(calls) == composes
+
+    def test_composed_maps_stay_near_the_moduli(self, monkeypatch):
+        # unpruned, the widest map composed here has about 60000 bits
+        widths = []
+
+        def measured(f, g):
+            h = compose(f, g)
+            widths.append(max(map(int.bit_length, h)))
+            return h
+
+        compose = dobinski._compose
+        monkeypatch.setattr(dobinski, "_compose", measured)
+        window = sieve_primes(5, 2003)
+        dobinski._d_sums_tree(3, 20, Fraction(7, 3), window)
+        assert widths and max(widths) <= 2 * math.prod(window).bit_length()
