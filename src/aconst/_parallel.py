@@ -17,7 +17,7 @@ import os
 import time
 from typing import Callable, Mapping, Sequence
 
-from .modular import PrimeCtx
+from .modular import PrimeCtx, require_primes
 from .report import CheckRecord, SkipRecord, VerificationReport
 
 
@@ -57,21 +57,18 @@ def verify_primes(
     theorem: str, params: dict, batch: Callable, static_args: Sequence, window: Sequence[int],
     threads: int, excluded: Mapping[int, str], start: float | None = None,
 ) -> VerificationReport:
-    """Report of batch over the window primes not in excluded, each of which
-    (prime -> reason) is a whole-prime skip; every shard gets static_args (a
-    verifier's grid).  elapsed counts from start (time.monotonic), by default
-    from this call."""
+    """Report of batch over the window's distinct primes (require_primes) not
+    in excluded, each of which (prime -> reason) is a whole-prime skip; every
+    shard gets static_args (a verifier's grid).  elapsed counts from start
+    (time.monotonic), by default from this call."""
     if start is None:
         start = time.monotonic()
-    report = VerificationReport(
-        theorem=theorem,
-        params=params,
-        window_lo=window[0] if window else 0,
-        window_hi=window[-1] if window else 0,
-        prime_count=len(window),
-    )
+    primes = require_primes(window)
+    lo, hi = (primes[0], primes[-1]) if primes else (0, 0)
+    report = VerificationReport(theorem=theorem, params=params, window_lo=lo, window_hi=hi,
+                                prime_count=len(primes))
     report.skipped.extend(SkipRecord(p, "", reason) for p, reason in excluded.items())
-    todo = [p for p in window if p not in excluded]
+    todo = [p for p in primes if p not in excluded]
     for checks, skips in run_prime_shards(batch, static_args, todo, threads):
         report.checks.extend(map(CheckRecord._make, checks))
         report.skipped.extend(map(SkipRecord._make, skips))

@@ -134,7 +134,8 @@ def verify_sample(
 ) -> tuple[int, list]:
     """Recompute a random sample of cached records; returns (checked, mismatches).
     damaged is passed to load_records and also counts records no rule can
-    recompute and sampled records whose prime is composite."""
+    recompute (an unknown tag, or params no rule reads) and sampled records
+    whose prime is composite."""
     from .searches import _TARGET_FNS, recompute
 
     rules = {tag for tag, _ in _TARGET_FNS.values()}
@@ -143,9 +144,9 @@ def verify_sample(
     checked = 0
     for tag in known_tags():
         records = load_records(tag, damaged)
-        bad = sum(rec.tag not in rules for rec in records)
-        records = [rec for rec in records if rec.tag in rules]
-        for rec in rng.sample(records, min(sample, len(records))):
+        ok = [rec for rec in records if rec.tag in rules and not rec.params]
+        bad = len(records) - len(ok)
+        for rec in rng.sample(ok, min(sample, len(ok))):
             if sieve_primes(rec.prime, rec.prime) != [rec.prime]:
                 bad += 1  # a composite prime marks a damaged line
                 continue

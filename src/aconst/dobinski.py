@@ -247,7 +247,8 @@ def _steps(a: int, b: int, r: int, n_top: int, lo: int, hi: int) -> tuple:
 
 def _d_sums_tree(r: int, n_top: int, x: Rational, window: Iterable[int]) -> dict[int, list[int]]:
     """p -> [D(0), ..., D(n_top)] mod p, D(m) = sum_{k<p} k^m x^k/(k!)^r, for
-    every distinct window prime not dividing den(x), in one tree pass.
+    every distinct window prime (require_primes) not dividing den(x), in one
+    tree pass.
 
     With x = a/b, U_m(K) = sum_{k<=K} k^m a^k b^(K-k) (K!/k!)^r obeys
     U_m(K) = b K^r U_m(K-1) + K^m a^K, so a span of K is one flat map
@@ -261,7 +262,7 @@ def _d_sums_tree(r: int, n_top: int, x: Rational, window: Iterable[int]) -> dict
     """
     x = Fraction(x)
     a, b = x.numerator, x.denominator
-    primes = sorted({p for p in window if b % p})
+    primes = [p for p in require_primes(window) if b % p]
     states = remainder_tree(primes, primes, partial(_steps, a, b, r, n_top),
                             _compose, _advance, [1] + [0] * n_top + [1])
     sign = (-1) ** r
@@ -278,8 +279,7 @@ def d_r_A_range(r: int, n_max: int, x: Rational, window: Sequence[int]) -> list[
     """All of D_{r,A}(0; x)..D_{r,A}(n_max; x) from one tree pass over the window."""
     if r < 1 or n_max < 0:
         raise ValueError("need r >= 1, n >= 0")
-    require_primes(window)  # once: each element below meets the remembered window
-    table = _d_sums_tree(r, n_max, x, window)
+    table = _d_sums_tree(r, n_max, x, window)  # checks the window, which each element meets again
     bad = {p: "p divides den(x)" for p in window if p not in table}
     return [AElement(window, {p: table[p][n] for p in window if p in table}, bad)
             for n in range(n_max + 1)]
@@ -317,8 +317,7 @@ def verify_dobinski(
     table lookup, so a process pool would cost more than the loop it splits.
     """
     x = Fraction(x)
-    window = list(window)
-    require_primes(window)
+    window = require_primes(window)
     start = time.monotonic()
     fam = coeff_family(r, n_max)
     cols = list(zip(fam.g_values(x), *fam.b_values(x)))  # column n: (g, b_0..b_{r-1})
@@ -326,8 +325,9 @@ def verify_dobinski(
     rows = [tuple(v.numerator * (lcm // v.denominator) for v in col) for col in cols]
     excluded = {p: "p divides den(x)" for p in window if x.denominator % p == 0}
     excluded.update((p, "p divides a coefficient denominator") for p in window if lcm % p == 0)
-    # the right side needs the basis D(0..r-1)
-    table = _d_sums_tree(r, max(n_max, r - 1), x, [p for p in window if p not in excluded])
+    # the right side needs the basis D(0..r-1); the tree leaves out p | den(x),
+    # and so every excluded prime, since lcm divides a power of den(x)
+    table = _d_sums_tree(r, max(n_max, r - 1), x, window)
     inv = {p: pow(lcm, -1, p) for p in table}  # one inverse of lcm per prime
     params = {"r": r, "n_max": n_max, "x": str(x)}
     grid = [(f"n={n}", (table, n, row, inv)) for n, row in enumerate(rows)]

@@ -64,7 +64,7 @@ def harmonic(m: int) -> Fraction:
 
 def delta_minus_one(x: Rational) -> int:
     """Indicator of x = -1, evaluated exactly on the rational x."""
-    return 1 if Fraction(x) == -1 else 0
+    return int(x == -1)
 
 
 def _ell_component(x: Fraction, ctx: PrimeCtx) -> int | None:
@@ -339,7 +339,6 @@ def check_eisenstein(x: Rational, p: int) -> bool | None:
 
 
 def _verify(theorem, params, batch, grid, window, threads) -> VerificationReport:
-    require_primes(window)
     # the congruences are sufficiently-large-p statements: p <= 3 is skipped whole
     excluded = {p: "excluded small prime (p <= 3)" for p in window if p <= 3}
     return verify_primes(theorem, params, batch, grid, window, threads, excluded)

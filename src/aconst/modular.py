@@ -8,10 +8,14 @@ return None ("undefined") rather than assigning an arbitrary value.  An
 AElement is the windowed stand-in for a prime-indexed residue family that
 is only meaningful at all but finitely many primes: it stores one residue
 per window prime, plus the primes where its value carries no meaning.
-Every AElement's window is checked when it is built, and require_primes
-remembers the last window it accepted, so a window, its families and their
-arithmetic results share one sieve.  Arithmetic is one path, _binary, and a
-rational operand reduces there only through from_rational.
+A window is a set of primes, and only require_primes turns it into its
+distinct primes, ascending, once every entry is checked; every verifier,
+tree, scan and family reads its primes there, so a report counts each
+distinct prime once, while a scan keeps one record per window entry and an
+AElement its window as given.  It remembers the last window it accepted, so
+a window, its families and their arithmetic results share one sieve.
+Arithmetic is one path, _binary, and a rational operand reduces there only
+through from_rational.
 The one accumulating remainder tree (remainder_tree) reads a recurrence
 stepped over K at K = p-1 for every prime of a window in one pass; the
 Dobinski window sums and both prime scans are its callers, each with only
@@ -55,19 +59,22 @@ def sieve_primes(lo: int, hi: int) -> list[int]:
     ]
 
 
-def require_primes(window: Iterable[int]) -> None:
-    """Raise ValueError unless every window entry is a prime.  One sieve over
-    the entries' range (linear in the largest entry, like a window's tree),
-    none when the entries are the ones last accepted."""
-    _require_prime_set(frozenset(window))
+def require_primes(window: Iterable[int]) -> tuple[int, ...]:
+    """The window's distinct primes, ascending; ValueError unless every entry
+    is a prime.  One sieve over the entries' range (linear in the largest
+    entry, like a window's tree), none when the entries are the ones last
+    accepted."""
+    return _require_prime_set(frozenset(window))
 
 
 @lru_cache(maxsize=1)
-def _require_prime_set(entries: frozenset) -> None:  # remembers no raise
-    if entries:
-        bad = entries.difference(sieve_primes(min(entries), max(entries)))
+def _require_prime_set(entries: frozenset) -> tuple[int, ...]:  # remembers no raise
+    primes = tuple(sorted(entries))
+    if primes:
+        bad = entries.difference(sieve_primes(primes[0], primes[-1]))
         if bad:
             raise ValueError(f"window entries must be primes, got {min(bad)}")
+    return primes
 
 
 def remainder_tree(primes: list[int], mods: Iterable[int], steps: Callable,
@@ -192,15 +199,9 @@ class PrimeCtx:
         return f"PrimeCtx({self.p})"
 
 
-def _num_den(q: Rational) -> tuple[int, int]:
-    if isinstance(q, int):
-        return q, 1
-    return q.numerator, q.denominator
-
-
 def rational_mod(q: Rational, ctx: PrimeCtx) -> int | None:
     """Residue of a rational mod p, or None when p divides the denominator."""
-    num, den = _num_den(q)
+    num, den = q.numerator, q.denominator
     p = ctx.p
     if den % p == 0:
         return None
@@ -213,7 +214,7 @@ def rational_pow_mod_p2(x: Rational, e: int, p: int) -> int | None:
     """x**e mod p**2, defined only when p divides neither part of x."""
     if e < 0:
         raise ValueError("exponent must be nonnegative")
-    num, den = _num_den(x)
+    num, den = x.numerator, x.denominator
     if num % p == 0 or den % p == 0:
         return None
     p2 = p * p
@@ -270,10 +271,10 @@ class AElement:
     @classmethod
     def from_kernel(cls, window: Iterable[int], fn: Callable[[int], int | str]) -> "AElement":
         """The family whose p-component is fn(p): a residue, or the reason
-        (a str) it is undefined.  Every window entry must be a prime."""
+        (a str) it is undefined, evaluated once per distinct window prime.
+        Every window entry must be a prime; the window is kept as given."""
         window = tuple(window)
-        require_primes(window)  # before fn meets a composite
-        values = {p: fn(p) for p in window}
+        values = {p: fn(p) for p in require_primes(window)}  # before fn meets a composite
         bad = {p: v for p, v in values.items() if isinstance(v, str)}
         comps = {p: v for p, v in values.items() if p not in bad}
         return cls(window, comps, bad)

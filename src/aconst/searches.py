@@ -70,8 +70,7 @@ def search_zero_primes(
     if target not in _TARGET_FNS:
         raise ValueError(f"unknown search target {target!r}")
     tag = _TARGET_FNS[target][0]
-    require_primes(window)
-    primes = sorted(set(window))
+    primes = list(require_primes(window))
     residue = dict(zip(primes, _window_residues(target, primes)))
     records = [ResidueCacheRecord(tag, {}, p, residue[p]) for p in window]
     hits = [p for p in window if residue[p] == 0]
@@ -79,8 +78,8 @@ def search_zero_primes(
 
 
 def recompute(tag: str, params: dict, p: int) -> int:
-    """Fresh recomputation for cache verification."""
-    for target, (t, fn) in _TARGET_FNS.items():
-        if t == tag:
-            return fn(p)
-    raise ValueError(f"no recompute rule for tag {tag!r}")
+    """Fresh recomputation for cache verification; no rule reads params yet."""
+    rules = dict(_TARGET_FNS.values())
+    if tag not in rules or params:
+        raise ValueError(f"no recompute rule for tag {tag!r} with params {params}")
+    return rules[tag](p)

@@ -338,6 +338,27 @@ class TestCache:
         assert "checked 15 cached record(s)" in captured.out
         assert f"skipped 1 damaged line(s) in {path}" in captured.err
 
+    def test_cache_verify_leaves_out_params_no_rule_reads(self, capsys):
+        # D_{2,A}(0; 1) vanishes at 20879; no rule reads r yet, so the record
+        # is left out, never recomputed as r = 1 and reported as a mismatch
+        path = cache.cache_dir() / "e_A.jsonl"
+        path.parent.mkdir(parents=True)
+        r2 = {"params": {"r": 2}, "prime": 20879, "residue": 0, "tag": "e_A"}
+        path.write_text(json.dumps(r2, sort_keys=True) + "\n")
+        assert main(["cache", "verify"]) == 2
+        captured = capsys.readouterr()
+        assert f"skipped 1 damaged line(s) in {path}" in captured.err
+        assert "error: no cached records to check" in captured.err
+        r1 = {"params": {}, "prime": 5, "residue": 0, "tag": "e_A"}
+        with path.open("a") as fh:
+            fh.write(json.dumps(r1, sort_keys=True) + "\n")
+        assert main(["cache", "verify"]) == 0
+        captured = capsys.readouterr()
+        assert "checked 1 cached record(s)" in captured.out
+        assert "MISMATCH" not in captured.out
+        with pytest.raises(ValueError, match="no recompute rule"):
+            searches.recompute("e_A", {"r": 2}, 20879)
+
     def test_deeply_nested_line_is_damaged(self, capsys):
         # json.loads gives up on this line with RecursionError, not ValueError
         path = cache.cache_dir() / "e_A.jsonl"

@@ -358,6 +358,11 @@ class TestDSumsTree:
         assert _d_sums_tree(2, 3, F(1, 6), []) == {}
         assert _d_sums_tree(2, 3, F(1, 6), [3, 2, 3]) == {}
 
+    @pytest.mark.parametrize("window", [[9], [5, 9]])
+    def test_rejects_non_prime_entries(self, window):
+        with pytest.raises(ValueError, match="must be primes"):
+            _d_sums_tree(1, 0, 1, window)
+
 
 class TestDrA:
     def test_e_component_at_five(self):

@@ -15,6 +15,7 @@ from aconst.modular import (
     rational_mod,
     rational_pow_mod_p2,
     remainder_tree,
+    require_primes,
     sieve_primes,
 )
 from aconst.polys import binomial_polynomial
@@ -201,6 +202,20 @@ class TestBinomRow:
             assert row == [rational_mod(BINOMIAL_POLYS[k](x), ctx) for k in range(n + 1)]
 
 
+class TestRequirePrimes:
+    def test_distinct_primes_ascending(self):
+        # unsorted, with repeated entries: a window is a set of primes
+        assert require_primes([13, 5, 13, 2, 7, 5]) == (2, 5, 7, 13)
+        assert require_primes((7, 7)) == (7,)
+        assert require_primes(p for p in (11, 3)) == (3, 11)
+        assert require_primes([]) == ()
+
+    @pytest.mark.parametrize("window", [[9], [7, 5, 9, 5], [1], [0, 7]])
+    def test_composite_rejected(self, window):
+        with pytest.raises(ValueError, match="must be primes"):
+            require_primes(window)
+
+
 class TestAElement:
     WINDOW = (5, 7, 11, 13)
 
@@ -214,6 +229,13 @@ class TestAElement:
         assert a.components == {5: 0, 7: 2, 13: 3}  # a zero residue is a residue
         assert a.exceptional == {11: "odd reason"}
         assert a.window == self.WINDOW
+
+    def test_from_kernel_once_per_distinct_prime(self):
+        calls = []
+        a = AElement.from_kernel([7, 5, 7, 13, 5], lambda p: calls.append(p) or p % 3)
+        assert sorted(calls) == [5, 7, 13]
+        assert a.window == (7, 5, 7, 13, 5)  # kept as given
+        assert a.components == {5: 2, 7: 1, 13: 1}
 
     @pytest.mark.parametrize("window", [[9], [5, 9], [1, 5]])
     def test_composite_window_rejected(self, window):

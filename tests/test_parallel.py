@@ -4,6 +4,7 @@ being check_shard bound to its two side kernels."""
 
 import concurrent.futures
 import hashlib
+import random
 from fractions import Fraction
 from functools import partial
 
@@ -18,15 +19,21 @@ F = Fraction
 # [2, 60] holds 2 and 3 (a whole-prime skip on the Euler side) and, for
 # dobinski at x = 7/3, the coefficient-denominator skip at p = 3
 WINDOW = sieve_primes(2, 60)
+# the same primes out of order, some of them (2 among them) repeated
+SHUFFLED = random.Random(20).sample(WINDOW + WINDOW[::4], len(WINDOW) + len(WINDOW[::4]))
 
 VERIFIERS = {
-    "dobinski": lambda t: dobinski.verify_dobinski(2, 6, F(7, 3), WINDOW, threads=t),
-    "mascheroni": lambda t: euler.verify_mascheroni([F(0), F(-1), F(7, 3)], WINDOW, threads=t),
-    "interlude": lambda t: euler.verify_interlude([2, 3], [F(0), F(1, 2)], WINDOW, threads=t),
-    "kluyver": lambda t: euler.verify_kluyver([1, 2], [F(0), F(-2)], WINDOW, threads=t),
-    "eisenstein": lambda t: euler.verify_eisenstein([F(7, 3), F(0), F(-1)], WINDOW, threads=t),
-    "log-additivity": lambda t: euler.verify_log_additivity(
-        [F(2), F(1, 3), F(-4)], WINDOW, threads=t
+    "dobinski": lambda t, w=WINDOW: dobinski.verify_dobinski(2, 6, F(7, 3), w, threads=t),
+    "mascheroni": lambda t, w=WINDOW: euler.verify_mascheroni(
+        [F(0), F(-1), F(7, 3)], w, threads=t
+    ),
+    "interlude": lambda t, w=WINDOW: euler.verify_interlude([2, 3], [F(0), F(1, 2)], w, threads=t),
+    "kluyver": lambda t, w=WINDOW: euler.verify_kluyver([1, 2], [F(0), F(-2)], w, threads=t),
+    "eisenstein": lambda t, w=WINDOW: euler.verify_eisenstein(
+        [F(7, 3), F(0), F(-1)], w, threads=t
+    ),
+    "log-additivity": lambda t, w=WINDOW: euler.verify_log_additivity(
+        [F(2), F(1, 3), F(-4)], w, threads=t
     ),
 }
 
@@ -49,6 +56,23 @@ def test_report_bytes_pinned(name, threads):
     text = report.to_jsonl(include_timing=False)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[name]
     assert report.checks and report.passed
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(VERIFIERS))
+def test_a_window_is_a_set_of_primes(name, threads):
+    # order and repeats do not move a report byte: each prime is checked once
+    assert SHUFFLED != WINDOW and len(set(SHUFFLED)) == len(WINDOW) < len(SHUFFLED)
+    text = VERIFIERS[name](threads, SHUFFLED).to_jsonl(include_timing=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[name]
+
+
+def test_report_header_counts_distinct_primes():
+    report = euler.verify_mascheroni([F(0)], [7, 5, 5])
+    assert (report.window_lo, report.window_hi, report.prime_count) == (5, 7, 2)
+    assert [c.prime for c in report.checks] == [5, 7]
+    with pytest.raises(ValueError, match="must be primes"):
+        verify_primes("echo", {}, _echo_batch, (0,), [5, 9], 1, {})
 
 
 def test_whole_prime_skips():
