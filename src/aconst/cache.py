@@ -114,8 +114,9 @@ def append_records(
         existing = {r.key() for r in load_records(tag, damaged)}
         new = []
         for rec in recs:
-            if rec.key() not in existing:
-                existing.add(rec.key())
+            key = rec.key()
+            if key not in existing:
+                existing.add(key)
                 new.append(rec.to_json() + "\n")
         if not new:
             continue
@@ -136,15 +137,14 @@ def verify_sample(
     damaged is passed to load_records and also counts records no rule can
     recompute (an unknown tag, or params no rule reads) and sampled records
     whose prime is composite."""
-    from .searches import _TARGET_FNS, recompute
+    from .searches import recompute, recompute_rule
 
-    rules = {tag for tag, _ in _TARGET_FNS.values()}
     rng = random.Random(seed)
     mismatches = []
     checked = 0
     for tag in known_tags():
         records = load_records(tag, damaged)
-        ok = [rec for rec in records if rec.tag in rules and not rec.params]
+        ok = [rec for rec in records if recompute_rule(rec.tag, rec.params)]
         bad = len(records) - len(ok)
         for rec in rng.sample(ok, min(sample, len(ok))):
             if sieve_primes(rec.prime, rec.prime) != [rec.prime]:

@@ -279,9 +279,10 @@ def d_r_A_range(r: int, n_max: int, x: Rational, window: Sequence[int]) -> list[
     """All of D_{r,A}(0; x)..D_{r,A}(n_max; x) from one tree pass over the window."""
     if r < 1 or n_max < 0:
         raise ValueError("need r >= 1, n >= 0")
-    table = _d_sums_tree(r, n_max, x, window)  # checks the window, which each element meets again
+    window = require_primes(window)  # which the tree and each element meet again
+    table = _d_sums_tree(r, n_max, x, window)
     bad = {p: "p divides den(x)" for p in window if p not in table}
-    return [AElement(window, {p: table[p][n] for p in window if p in table}, bad)
+    return [AElement(window, {p: sums[n] for p, sums in table.items()}, bad)
             for n in range(n_max + 1)]
 
 

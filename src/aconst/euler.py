@@ -340,7 +340,7 @@ def check_eisenstein(x: Rational, p: int) -> bool | None:
 
 def _verify(theorem, params, batch, grid, window, threads) -> VerificationReport:
     # the congruences are sufficiently-large-p statements: p <= 3 is skipped whole
-    excluded = {p: "excluded small prime (p <= 3)" for p in window if p <= 3}
+    excluded = {p: "excluded small prime (p <= 3)" for p in require_primes(window) if p <= 3}
     return verify_primes(theorem, params, batch, grid, window, threads, excluded)
 
 

@@ -8,12 +8,12 @@ return None ("undefined") rather than assigning an arbitrary value.  An
 AElement is the windowed stand-in for a prime-indexed residue family that
 is only meaningful at all but finitely many primes: it stores one residue
 per window prime, plus the primes where its value carries no meaning.
-A window is a set of primes, and only require_primes turns it into its
-distinct primes, ascending, once every entry is checked; every verifier,
-tree, scan and family reads its primes there, so a report counts each
-distinct prime once, while a scan keeps one record per window entry and an
-AElement its window as given.  It remembers the last window it accepted, so
-a window, its families and their arithmetic results share one sieve.
+A window is a set of primes: the tuple require_primes returns, its distinct
+primes ascending once every entry is checked.  Every verifier, tree, scan
+and family holds that tuple, so each counts, computes and compares a
+distinct prime once, whatever the entries' order.  require_primes remembers
+the last window it accepted, so a window, its families and their arithmetic
+results share one sieve.
 Arithmetic is one path, _binary, and a rational operand reduces there only
 through from_rational.
 The one accumulating remainder tree (remainder_tree) reads a recurrence
@@ -247,8 +247,9 @@ def binom_rational_mod(x: Rational, k: int, ctx: PrimeCtx) -> int | None:
 class AElement:
     """Residue family over a prime window, defined at all but finitely many primes.
 
-    components maps each meaningful window prime to its residue; exceptional
-    maps the remaining window primes to the reason their value is undefined.
+    window is require_primes of the window given; components maps each
+    meaningful window prime to its residue, and exceptional maps the
+    remaining window primes to the reason their value is undefined.
     Equality means agreement at every admissible prime of the common window.
     """
 
@@ -260,8 +261,7 @@ class AElement:
         components: Mapping[int, int],
         exceptional: Mapping[int, str] | None = None,
     ):
-        self.window = tuple(window)
-        require_primes(self.window)
+        self.window = require_primes(window)
         self.components = dict(components)
         self.exceptional = dict(exceptional or {})
         for p in self.window:
@@ -271,10 +271,9 @@ class AElement:
     @classmethod
     def from_kernel(cls, window: Iterable[int], fn: Callable[[int], int | str]) -> "AElement":
         """The family whose p-component is fn(p): a residue, or the reason
-        (a str) it is undefined, evaluated once per distinct window prime.
-        Every window entry must be a prime; the window is kept as given."""
-        window = tuple(window)
-        values = {p: fn(p) for p in require_primes(window)}  # before fn meets a composite
+        (a str) it is undefined, evaluated once per window prime."""
+        window = require_primes(window)  # before fn meets a composite
+        values = {p: fn(p) for p in window}
         bad = {p: v for p, v in values.items() if isinstance(v, str)}
         comps = {p: v for p, v in values.items() if p not in bad}
         return cls(window, comps, bad)
@@ -303,11 +302,9 @@ class AElement:
         if isinstance(other, AElement):
             if self.window != other.window:
                 raise ValueError("window mismatch")
-            comps = {}
+            comps = {p: op(self.components[p], other.components[p]) % p
+                     for p in self.comparable_primes(other)}
             bad = {**other.exceptional, **self.exceptional}  # self's reason wins
-            for p in self.window:
-                if p in self.components and p in other.components:
-                    comps[p] = op(self.components[p], other.components[p]) % p
             return AElement(self.window, comps, bad)
         if isinstance(other, (int, Fraction)):
             return self._binary(AElement.from_rational(other, self.window), op)
@@ -338,11 +335,8 @@ class AElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AElement):
             return NotImplemented
-        if self.window != other.window:
-            return False
-        return all(
-            self.components[p] == other.components[p]
-            for p in self.comparable_primes(other)
+        return self.window == other.window and all(
+            self.components[p] == other.components[p] for p in self.comparable_primes(other)
         )
 
     __hash__ = None  # mutable mappings inside

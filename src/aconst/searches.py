@@ -14,14 +14,12 @@ the tree.
 from __future__ import annotations
 
 from functools import partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .cache import ResidueCacheRecord
 from .dobinski import _d_sums_mod
 from .euler import _wilson_component
 from .modular import remainder_tree, require_primes
-
-SEARCH_TARGETS = ("eA-zero", "wilson")
 
 
 def e_component(p: int) -> int:
@@ -30,6 +28,7 @@ def e_component(p: int) -> int:
 
 
 _TARGET_FNS = {"eA-zero": ("e_A", e_component), "wilson": ("wilson_q", _wilson_component)}
+SEARCH_TARGETS = tuple(_TARGET_FNS)
 
 
 def _steps(e: int, lo: int, hi: int) -> tuple[int, int]:
@@ -65,21 +64,26 @@ def _window_residues(target: str, primes: list[int]) -> list[int]:
 def search_zero_primes(
     target: str, window: Sequence[int]
 ) -> tuple[list[int], list[ResidueCacheRecord]]:
-    """Primes in the window whose target residue is zero, plus one record per
-    window entry, both in the window's order.  Every entry must be a prime."""
+    """The window primes (require_primes) whose target residue is zero, plus
+    one record per window prime, both ascending."""
     if target not in _TARGET_FNS:
         raise ValueError(f"unknown search target {target!r}")
     tag = _TARGET_FNS[target][0]
     primes = list(require_primes(window))
-    residue = dict(zip(primes, _window_residues(target, primes)))
-    records = [ResidueCacheRecord(tag, {}, p, residue[p]) for p in window]
-    hits = [p for p in window if residue[p] == 0]
-    return hits, records
+    residues = _window_residues(target, primes)
+    records = [ResidueCacheRecord(tag, {}, p, v) for p, v in zip(primes, residues)]
+    return [p for p, v in zip(primes, residues) if v == 0], records
+
+
+def recompute_rule(tag: str, params: dict) -> Callable[[int], int] | None:
+    """The per-prime kernel that recomputes records of tag with params, read
+    from _TARGET_FNS when called, or None: no rule reads params yet."""
+    return None if params else dict(_TARGET_FNS.values()).get(tag)
 
 
 def recompute(tag: str, params: dict, p: int) -> int:
-    """Fresh recomputation for cache verification; no rule reads params yet."""
-    rules = dict(_TARGET_FNS.values())
-    if tag not in rules or params:
+    """Fresh recomputation for cache verification, by recompute_rule."""
+    rule = recompute_rule(tag, params)
+    if rule is None:
         raise ValueError(f"no recompute rule for tag {tag!r} with params {params}")
-    return rules[tag](p)
+    return rule(p)

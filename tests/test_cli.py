@@ -277,6 +277,16 @@ class TestCache:
         assert cache.append_records(records) == 0
         assert len(cache.load_records("wilson_q")) == 4
 
+    def test_append_computes_each_key_once(self, monkeypatch):
+        _, records = searches.search_zero_primes("wilson", [5, 7, 11, 13])
+        cache.append_records(records[:2])
+        calls = []
+        key = cache.ResidueCacheRecord.key
+        monkeypatch.setattr(cache.ResidueCacheRecord, "key",
+                            lambda rec: calls.append(rec.prime) or key(rec))
+        assert cache.append_records(records + records[:1]) == 2
+        assert sorted(calls) == [5, 5, 5, 7, 7, 11, 13]  # 5 and 7 loaded, then 5 given
+
     def test_rerun_is_byte_identical(self, capsys):
         main(["search", "--target", "wilson", "--pmin", "5", "--pmax", "60"])
         path = cache.cache_dir() / "wilson_q.jsonl"

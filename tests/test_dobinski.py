@@ -23,7 +23,7 @@ from aconst.dobinski import (
     partial_sum_exact,
     verify_dobinski,
 )
-from aconst.modular import PrimeCtx, rational_mod, sieve_primes
+from aconst.modular import PrimeCtx, rational_mod, require_primes, sieve_primes
 from aconst.polys import RationalPolynomial, stirling_rows
 
 F = Fraction
@@ -396,10 +396,11 @@ class TestDrA:
         with pytest.raises(ValueError, match="primes"):
             d_r_A(1, 1, 1, window)
 
-    def test_window_order_and_duplicates_kept(self):
+    def test_window_is_its_distinct_primes(self):
         elems = d_r_A_range(2, 3, F(7, 3), [13, 3, 7, 13, 5])
+        assert elems == d_r_A_range(2, 3, F(7, 3), [3, 5, 7, 13])
         for n, elem in enumerate(elems):
-            assert elem.window == (13, 3, 7, 13, 5)
+            assert elem.window == require_primes([13, 3, 7, 13, 5]) == (3, 5, 7, 13)
             assert elem.exceptional == {3: "p divides den(x)"}
             for p in (5, 7, 13):
                 assert elem[p] == _d_sums_mod(2, 3, F(7, 3), p)[n]

@@ -210,6 +210,13 @@ class TestEll:
         assert set(elem.exceptional) == {3, 5}
         assert 7 in elem.components
 
+    def test_reordered_window_is_the_same_element(self):
+        # a window is the set of its primes, so order and repeats change nothing
+        a, b = ell_A(2, [7, 5]), ell_A(2, [5, 7])
+        assert a == b and a.window == (5, 7)
+        assert a - b == AElement.zero([5, 7])
+        assert ell_A(2, [7, 5, 7]).components == {5: 1, 7: 4}  # 2 q_p(2): 2*3 mod 5, 2*9 mod 7
+
 
 class TestWilson:
     def test_known_quotients(self):
@@ -232,6 +239,13 @@ class TestGammaM:
 
     def test_at_minus_one_equals_wilson(self):
         assert gamma_M(-1, WINDOW) == wilson_gamma(WINDOW)
+
+    def test_at_minus_one_equals_wilson_on_a_reordered_window(self):
+        shuffled = WINDOW[::-1] + WINDOW[:5]
+        lhs, rhs = gamma_M(-1, shuffled), wilson_gamma(WINDOW)
+        assert lhs.window == rhs.window == tuple(WINDOW)
+        assert lhs == rhs and lhs - rhs == AElement.zero(WINDOW)
+        assert lhs.comparable_primes(rhs) == WINDOW
 
     def test_componentwise_theorem(self):
         x = F(1, 2)

@@ -234,8 +234,35 @@ class TestAElement:
         calls = []
         a = AElement.from_kernel([7, 5, 7, 13, 5], lambda p: calls.append(p) or p % 3)
         assert sorted(calls) == [5, 7, 13]
-        assert a.window == (7, 5, 7, 13, 5)  # kept as given
+        assert a.window == require_primes([7, 5, 7, 13, 5]) == (5, 7, 13)
         assert a.components == {5: 2, 7: 1, 13: 1}
+
+    def test_window_is_its_distinct_primes(self):
+        # every build holds require_primes of the window, so entry order and
+        # repeats change nothing
+        kernel = lambda p: "a's reason" if p == 7 else p % 4
+        builds = [
+            lambda w: AElement.from_kernel(w, kernel),
+            lambda w: AElement(w, {5: 1, 13: 1}, {7: "a's reason"}),
+        ]
+        for build in builds:
+            a, b = build([13, 7, 5, 7]), build([5, 7, 13])
+            assert a.window == b.window == (5, 7, 13)
+            assert a == b and (a - b) == AElement(b.window, {5: 0, 13: 0}, {7: "a's reason"})
+
+    def test_binary_op_once_per_distinct_prime(self):
+        a = AElement.from_kernel([7, 5, 7], lambda p: p - 1)
+        assert a.window == (5, 7)
+        calls = []
+        total = a._binary(a, lambda u, v: calls.append((u, v)) or u + v)
+        assert calls == [(4, 4), (6, 6)]
+        assert total.components == {5: 3, 7: 5}
+
+    def test_comparable_primes_are_distinct(self):
+        a = AElement.from_kernel([7, 5, 7, 11, 5], lambda p: "a's reason" if p == 11 else 1)
+        b = AElement.from_kernel([11, 7, 5], lambda p: 2)
+        assert a.comparable_primes(b) == [5, 7]
+        assert b.comparable_primes(a) == [5, 7]
 
     @pytest.mark.parametrize("window", [[9], [5, 9], [1, 5]])
     def test_composite_window_rejected(self, window):

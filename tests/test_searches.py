@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from aconst import cache, dobinski, modular, searches
 from aconst.dobinski import _d_sums_tree
 from aconst.euler import _wilson_component
-from aconst.modular import sieve_primes
+from aconst.modular import require_primes, sieve_primes
 from aconst.searches import e_component, search_zero_primes
 
 PRIMES = sieve_primes(2, 2000)
@@ -32,11 +32,13 @@ def windows():
 @example("wilson", [3, 2, 2])
 @example("eA-zero", [3, 2, 2])
 @example("eA-zero", [1999])
+@example("wilson", [13, 5, 13])  # two Wilson primes: hits [5, 13], one record each
 def test_tree_matches_per_prime_kernels(target, window):
     hits, records = search_zero_primes(target, window)
-    expected = [ORACLES[target](p) for p in window]
-    assert [(r.prime, r.residue) for r in records] == list(zip(window, expected))
-    assert hits == [p for p, v in zip(window, expected) if v == 0]
+    primes = require_primes(window)
+    expected = [ORACLES[target](p) for p in primes]
+    assert [(r.prime, r.residue) for r in records] == list(zip(primes, expected))
+    assert hits == [p for p, v in zip(primes, expected) if v == 0]
     assert {r.tag for r in records} <= {searches._TARGET_FNS[target][0]}
 
 
@@ -47,7 +49,7 @@ def test_scalar_and_vector_maps_agree(window):
     # same recurrence U(K) = K U(K-1) + 1 with different maps
     records = search_zero_primes("eA-zero", window)[1]
     table = _d_sums_tree(1, 0, 1, window)
-    assert [r.residue for r in records] == [table[p][0] for p in window]
+    assert [r.residue for r in records] == [table[p][0] for p in require_primes(window)]
 
 
 @pytest.mark.parametrize("target", sorted(ORACLES))
@@ -87,3 +89,22 @@ def test_cache_verify_recomputes_per_prime(tmp_path, monkeypatch):
     checked, mismatches = cache.verify_sample(10, seed=5)
     assert checked == 20 and mismatches == []
     assert len(calls) == 20
+
+
+def test_recompute_rules_read_the_target_table_when_called(tmp_path, monkeypatch):
+    # a table swapped in after import (as a tracer does) reaches both recompute
+    # and cache verify through the one rule
+    monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
+    cache.append_records(search_zero_primes("wilson", [5, 7, 11])[1])
+    calls = []
+
+    def wilson(p):
+        calls.append(p)
+        return _wilson_component(p)
+
+    monkeypatch.setattr(searches, "_TARGET_FNS", {"wilson": ("wilson_q", wilson)})
+    assert searches.recompute("wilson_q", {}, 13) == _wilson_component(13)
+    assert cache.verify_sample(10, seed=0) == (3, [])
+    assert sorted(calls) == [5, 7, 11, 13]
+    assert searches.recompute_rule("wilson_q", {"r": 2}) is None
+    assert searches.recompute_rule("e_A", {}) is None  # not in the swapped table
