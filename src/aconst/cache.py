@@ -2,24 +2,48 @@
 
 One file per quantity tag under the cache directory (override with the
 ACONST_CACHE_DIR environment variable), one record per line, one record per
-(tag, params, prime).  Appending is idempotent: records already present are
-skipped byte-identically, so re-runs never grow or reorder the file.  A line
-that does not parse (a torn write, or nesting too deep to decode) or holds a
-prime below 2 or a residue outside [0, prime) is skipped and counted, never
-fatal; the next append starts on a fresh line.
+(tag, params, prime); the first record of a key wins.  Every line is what
+json.dumps(record, sort_keys=True) writes, and to_json fills a fixed
+template with exactly those bytes.  A line that is byte for byte such a
+serialization of a valid record of its file's tag is read without a JSON
+parse, and its dedupe key is its prefix before "residue"; any other line
+goes through from_json.  A line that does not parse (a torn write, or
+nesting too deep to decode) or holds a prime below 2 or a residue outside
+[0, prime) is skipped and counted, never fatal.
+
+append_records reads a tag file once and adds only records whose key it
+lacks, so re-runs never grow or reorder the file.  It writes the old bytes
+verbatim, then the new lines, to a temp file in the same directory, which
+os.replace puts in place: a killed search leaves the old file or the new
+one, never a torn line.  A torn last line left by other means gets its
+newline first.  No lock is taken: when two searches write one tag at once,
+the last replace wins, and the other search's new residues are written by
+its next run.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import random
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from .modular import sieve_primes
 
 ENV_VAR = "ACONST_CACHE_DIR"
+
+_HEAD = '{"params": {}, "prime": '
+_MID = ', "residue": '
+
+
+@lru_cache(maxsize=None)
+def _tail(tag: str) -> str:
+    """What follows the residue on every canonical line of tag."""
+    return f', "tag": {json.dumps(tag)}}}'
 
 
 @dataclass(frozen=True)
@@ -29,19 +53,16 @@ class ResidueCacheRecord:
     prime: int
     residue: int
 
-    def key(self) -> tuple:
-        return (self.tag, json.dumps(self.params, sort_keys=True), self.prime)
-
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "tag": self.tag,
-                "params": self.params,
-                "prime": self.prime,
-                "residue": self.residue,
-            },
-            sort_keys=True,
-        )
+        """json.dumps of the record with sorted keys; a record whose tag is not
+        exactly str, prime and residue not exactly int or params not an empty
+        dict falls back to json.dumps."""
+        tag, params, prime, residue = self.tag, self.params, self.prime, self.residue
+        if (type(tag) is str and type(prime) is type(residue) is int
+                and type(params) is dict and not params):
+            return f"{_HEAD}{prime}{_MID}{residue}{_tail(tag)}"
+        return json.dumps({"tag": tag, "params": params, "prime": prime, "residue": residue},
+                          sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "ResidueCacheRecord":
@@ -52,6 +73,23 @@ class ResidueCacheRecord:
                 and prime >= 2 and 0 <= residue < prime):
             raise ValueError(f"malformed cache record: {line.strip()!r}")
         return cls(tag, params, prime, residue)
+
+
+def _key(line: str) -> str:
+    # a record's line up to its residue: params, then prime (keys are sorted,
+    # and no string of a line holds an unescaped quote)
+    return line[: line.rindex(_MID)]
+
+
+@lru_cache(maxsize=None)
+def _line_pattern(tag: str) -> re.Pattern:
+    """Each line of a tag file as (key, prime, residue, "") when it is to_json
+    of a record of tag with empty params and a prime >= 2, else as ("", "", "",
+    line).  Numbers of over 100 digits take the second form, so int() never
+    meets the interpreter's int/str digit limit."""
+    digits = r"(0|[1-9][0-9]{0,99})"
+    return re.compile(f"^(?:({re.escape(_HEAD)}([2-9]|[1-9][0-9]{{1,99}})){re.escape(_MID)}"
+                      f"{digits}{re.escape(_tail(tag))}$|(.*)$)", re.M)
 
 
 def cache_dir() -> Path:
@@ -65,24 +103,41 @@ def _tag_file(tag: str) -> Path:
     return cache_dir() / f"{tag}.jsonl"
 
 
+def _read(tag: str, damaged: dict[str, int] | None) -> tuple[bytes, list]:
+    """The tag file's bytes and one entry per record line: (key, prime,
+    residue) for a canonical line of tag, the from_json record for any other
+    line that parses.  Damaged lines are skipped; when a dict is given,
+    damaged[tag] is raised by their number."""
+    try:
+        data = _tag_file(tag).read_bytes()
+    except FileNotFoundError:
+        return b"", []
+    entries = []
+    bad = 0
+    # the lines open() gives: the locale's encoding, errors replaced, universal newlines
+    text = io.TextIOWrapper(io.BytesIO(data), errors="replace").read()
+    for key, prime, residue, line in _line_pattern(tag).findall(text):
+        if key:
+            prime, residue = int(prime), int(residue)
+            if residue < prime:
+                entries.append((key, prime, residue))
+            else:
+                bad += 1  # what from_json rejects
+        elif line.strip():
+            try:
+                entries.append(ResidueCacheRecord.from_json(line))
+            except (ValueError, TypeError, KeyError, RecursionError):
+                bad += 1
+    if bad and damaged is not None:
+        damaged[tag] = damaged.get(tag, 0) + bad
+    return data, entries
+
+
 def load_records(tag: str, damaged: dict[str, int] | None = None) -> list[ResidueCacheRecord]:
     """The tag's records.  Unparseable lines are skipped; when a dict is given,
     damaged[tag] is raised by their number."""
-    path = _tag_file(tag)
-    if not path.exists():
-        return []
-    out = []
-    bad = 0
-    with path.open(errors="replace") as fh:
-        for line in fh:
-            if line.strip():
-                try:
-                    out.append(ResidueCacheRecord.from_json(line))
-                except (ValueError, TypeError, KeyError, RecursionError):
-                    bad += 1
-    if bad and damaged is not None:
-        damaged[tag] = damaged.get(tag, 0) + bad
-    return out
+    return [ResidueCacheRecord(tag, {}, e[1], e[2]) if type(e) is tuple else e
+            for e in _read(tag, damaged)[1]]
 
 
 def known_tags() -> list[str]:
@@ -92,41 +147,53 @@ def known_tags() -> list[str]:
     return sorted(p.stem for p in root.glob("*.jsonl"))
 
 
-def _last_line_torn(path: Path) -> bool:
-    """True when the file's last line lacks its newline (an interrupted append)."""
-    if not path.exists() or path.stat().st_size == 0:
-        return False
-    with path.open("rb") as fh:
-        fh.seek(-1, os.SEEK_END)
-        return fh.read(1) != b"\n"
+def _replace(path: Path, data: bytes) -> None:
+    """Write data to path through a temp file in its directory and os.replace;
+    an existing file keeps its mode, a new one gets 0666 & ~umask."""
+    try:
+        mode = path.stat().st_mode & 0o7777
+    except FileNotFoundError:
+        mode = None
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        if mode is not None:
+            os.chmod(tmp, mode)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def append_records(
     records: list[ResidueCacheRecord], damaged: dict[str, int] | None = None
 ) -> int:
     """Add records not already cached; returns how many were new.  damaged is
-    passed to load_records."""
+    counted as by load_records."""
     added = 0
     by_tag: dict[str, list[ResidueCacheRecord]] = {}
     for rec in records:
         by_tag.setdefault(rec.tag, []).append(rec)
     for tag, recs in by_tag.items():
-        existing = {r.key() for r in load_records(tag, damaged)}
+        old, entries = _read(tag, damaged)
+        seen = {e[0] if type(e) is tuple else _key(e.to_json())
+                for e in entries if type(e) is tuple or e.tag == tag}
         new = []
         for rec in recs:
-            key = rec.key()
-            if key not in existing:
-                existing.add(key)
-                new.append(rec.to_json() + "\n")
+            line = rec.to_json()
+            key = _key(line)
+            if key not in seen:
+                seen.add(key)
+                new.append(line)
         if not new:
             continue
         added += len(new)
         path = _tag_file(tag)
         path.parent.mkdir(parents=True, exist_ok=True)
-        if _last_line_torn(path):  # never glue a record onto a torn last line
-            new.insert(0, "\n")
-        with path.open("a") as fh:
-            fh.write("".join(new))
+        if old and not old.endswith(b"\n"):  # never glue a record onto a torn last line
+            new.insert(0, "")
+        _replace(path, old + ("\n".join(new) + "\n").encode())
     return added
 
 

@@ -207,14 +207,19 @@ def _d_sums_mod(r: int, n_max: int, x: Rational, p: int) -> list[int] | None:
     """Residues of sum_{k<p} k^n x^k/(k!)^r for all n = 0..n_max, or None.
 
     The weights x^k (1/k!)^r mod p come from the inverse factorial table,
-    and one moment pass over them gives every n.
+    raised to the r-th power by one map over it when r > 1 and weighted by
+    x^k unless x = 1 mod p, and one moment pass over them gives every n.
     """
     ctx = PrimeCtx(p)
     xr = rational_mod(x, ctx)
     if xr is None:
         return None
-    xk = accumulate(repeat(xr, p - 1), lambda u, v: u * v % p, initial=1)
-    w = [u * pow(f, r, p) % p for u, f in zip(xk, ctx.inv_fact_table)]
+    w = ctx.inv_fact_table
+    if r > 1:
+        w = list(map(pow, w, repeat(r), repeat(p)))
+    if xr != 1:
+        xk = accumulate(repeat(xr, p - 1), lambda u, v: u * v % p, initial=1)
+        w = [u * f % p for u, f in zip(xk, w)]
     return [m % p for m in _moments(w, n_max)]
 
 

@@ -21,7 +21,8 @@ p^2.  The streams have one owner, the process-wide memo _stream keyed by
 (p, x), so the mascheroni, interlude and kluyver verifiers and their
 families build each distinct G_0(x)..G_{p-2}(x) mod p once; only left kernels
 read it and the Kluyver weights, as only right kernels read the Wilson
-quotient and _ell_rows, one prime's rows ell(x), ell(x+1), ... of _ell_form.
+quotient and _ell_rows, one prime's values ell(v) of _ell_form, keyed by the
+exact value v, so grids whose x differ by integers share them.
 A window entry that is not a prime raises ValueError.  Primes 2 and 3 are
 excluded from verifiers wholesale (the congruences are sufficiently-large-p
 statements); primes dividing a relevant numerator or denominator are
@@ -77,16 +78,24 @@ def _ell_component(x: Fraction, ctx: PrimeCtx) -> int | None:
 
 @lru_cache(maxsize=1)
 def _ell_rows(p: int) -> dict:
-    return {}  # one prime's rows x -> [ell(x), ell(x+1), ...], None where undefined
+    return {}  # one prime's ell values by exact value (num, den), None where undefined
 
 
-def _ell_form(ctx: PrimeCtx, x: Fraction, coeffs: Sequence[Rational]) -> int | None:
-    # sum_j coeffs[j] ell(x+j) mod p, or None where some ell is undefined
-    row = _ell_rows(ctx.p).setdefault(x, [])
-    row += [_ell_component(x + j, ctx) for j in range(len(row), len(coeffs))]
-    if None in row[: len(coeffs)]:
+def _ell_form(ctx: PrimeCtx, x: Fraction, offset: int, coeffs: Sequence[Rational]) -> int | None:
+    # sum_j coeffs[j] ell(x+offset+j) mod p, or None where some ell is undefined.
+    # x+i is the int pair (num + i*den, den), in lowest terms as x is, so every
+    # value has one key whatever x its row starts from
+    values = _ell_rows(ctx.p)
+    den = x.denominator
+    start = x.numerator + offset * den
+    keys = [(num, den) for num in range(start, start + len(coeffs) * den, den)]
+    for key in keys:
+        if key not in values:
+            values[key] = _ell_component(Fraction(*key), ctx)
+    ells = [values[key] for key in keys]
+    if None in ells:
         return None
-    return sum(rational_mod(c, ctx) * e for c, e in zip(coeffs, row)) % ctx.p
+    return sum(rational_mod(c, ctx) * e for c, e in zip(coeffs, ells)) % ctx.p
 
 
 def ell_A(x: Rational, window: Sequence[int]) -> AElement:
@@ -105,12 +114,19 @@ def ell_A(x: Rational, window: Sequence[int]) -> AElement:
     return AElement.from_kernel(window, component)
 
 
+# Factors per block of _wilson_component: 32 to 64 were fastest for p from
+# 10^3 to 10^5 (BENCH_22.json)
+_WILSON_BLOCK = 64
+
+
 def _wilson_component(p: int) -> int:
-    # ((p-1)! + 1)/p mod p, one O(p) pass mod p^2
+    # ((p-1)! + 1)/p mod p, one O(p) pass mod p^2: each block lo..hi-1 of
+    # consecutive factors is one math.perm product, then one reduction
     p2 = p * p
     f = 1
-    for i in range(2, p):
-        f = f * i % p2
+    for lo in range(2, p, _WILSON_BLOCK):
+        hi = min(lo + _WILSON_BLOCK, p)
+        f = f * math.perm(hi - 1, hi - lo) % p2
     return (f + 1) // p % p  # (p-1)! = -1 mod p makes the division exact
 
 
@@ -217,7 +233,7 @@ def _mascheroni_lhs(ctx: PrimeCtx, x: Fraction) -> int | str:
 
 def _mascheroni_rhs(ctx: PrimeCtx, x: Fraction) -> int | str:
     # Wilson quotient + ell(x+2) - ell(x+1) + [x = -1] - 1
-    ells = _ell_form(ctx, x + 1, (-1, 1))
+    ells = _ell_form(ctx, x, 1, (-1, 1))
     if ells is None:
         return "fermat quotient undefined at x+1 or x+2"
     return (_wilson(ctx.p) + ells + delta_minus_one(x) - 1) % ctx.p
@@ -233,7 +249,7 @@ def _interlude_lhs(ctx: PrimeCtx, k: int, x: Fraction) -> int | str:
 
 def _interlude_rhs(ctx: PrimeCtx, k: int, x: Fraction) -> int | str:
     # (-1)^(k-1) sum_{j=0}^{k} (-1)^j C(k, j) ell(x+j+1)
-    ells = _ell_form(ctx, x + 1, [(-1) ** (k - 1 + j) * math.comb(k, j) for j in range(k + 1)])
+    ells = _ell_form(ctx, x, 1, [(-1) ** (k - 1 + j) * math.comb(k, j) for j in range(k + 1)])
     return "fermat quotient undefined at some x+j+1" if ells is None else ells
 
 
@@ -260,10 +276,10 @@ def _kluyver_rhs(ctx: PrimeCtx, m: int, x: Fraction) -> int | str:
     # Wilson quotient + [x+m = -1] - 1 + (H_m - 1) ell(x+m+1)
     #   + sum_{j<m} (-1)^(m-j) C(m, j)/(m-j) ell(x+j+1); check_shard calls
     # it only where the left side is defined, so p > m+1 and every coefficient reduces
-    ells = _ell_form(ctx, x + 1, _kluyver_coeffs(m))
+    ells = _ell_form(ctx, x, 1, _kluyver_coeffs(m))
     if ells is None:
         return "fermat quotient undefined at some x+j+1"
-    return (_wilson(ctx.p) + delta_minus_one(x + m) - 1 + ells) % ctx.p
+    return (_wilson(ctx.p) + (x == -1 - m) - 1 + ells) % ctx.p
 
 
 def _eisenstein_lhs(ctx: PrimeCtx, x: Fraction) -> int | str:
@@ -274,7 +290,7 @@ def _eisenstein_lhs(ctx: PrimeCtx, x: Fraction) -> int | str:
 
 def _eisenstein_rhs(ctx: PrimeCtx, x: Fraction) -> int | str:
     # (x+1) q_p(x+1) - x q_p(x) mod p
-    ells = _ell_form(ctx, x, (-1, 1))
+    ells = _ell_form(ctx, x, 0, (-1, 1))
     return "quotient or residue undefined" if ells is None else ells
 
 

@@ -188,9 +188,10 @@ class PrimeCtx:
 
     @cached_property
     def inv_fact_table(self) -> list[int]:
+        # down from 1/(p-1)! = -1 mod p (Wilson), so no factorial table is built
         p = self.p
         inv_fact = [1] * p
-        inv_fact[p - 1] = pow(self.fact_table[p - 1], p - 2, p)
+        inv_fact[p - 1] = p - 1
         for k in range(p - 1, 0, -1):
             inv_fact[k - 1] = inv_fact[k] * k % p
         return inv_fact
@@ -248,8 +249,9 @@ class AElement:
     """Residue family over a prime window, defined at all but finitely many primes.
 
     window is require_primes of the window given; components maps each
-    meaningful window prime to its residue, and exceptional maps the
-    remaining window primes to the reason their value is undefined.
+    meaningful window prime to its residue, an int in [0, p), and exceptional
+    maps the remaining window primes to the reason their value is undefined.
+    Any other entry, or a prime in both maps, raises ValueError.
     Equality means agreement at every admissible prime of the common window.
     """
 
@@ -264,8 +266,17 @@ class AElement:
         self.window = require_primes(window)
         self.components = dict(components)
         self.exceptional = dict(exceptional or {})
+        outside = (self.components.keys() | self.exceptional.keys()) - set(self.window)
+        if outside:
+            raise ValueError(f"residue or reason at primes {sorted(outside)} outside the window")
         for p in self.window:
-            if p not in self.components and p not in self.exceptional:
+            if p in self.components:
+                v = self.components[p]
+                if p in self.exceptional:
+                    raise ValueError(f"window prime {p} has both a residue and a reason")
+                if type(v) is not int or not 0 <= v < p:
+                    raise ValueError(f"residue {v!r} at p={p} is not an int in [0, p)")
+            elif p not in self.exceptional:
                 raise ValueError(f"window prime {p} has neither residue nor reason")
 
     @classmethod

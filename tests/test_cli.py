@@ -277,15 +277,26 @@ class TestCache:
         assert cache.append_records(records) == 0
         assert len(cache.load_records("wilson_q")) == 4
 
-    def test_append_computes_each_key_once(self, monkeypatch):
+    def test_append_to_a_clean_file_parses_no_line(self, monkeypatch):
+        # canonical lines are read without json.loads, and each given record
+        # is serialized once (its line gives its key), never by json.dumps
         _, records = searches.search_zero_primes("wilson", [5, 7, 11, 13])
         cache.append_records(records[:2])
+        path = cache.cache_dir() / "wilson_q.jsonl"
+        expected = path.read_bytes() + b"".join(
+            (r.to_json() + "\n").encode() for r in records[2:])
         calls = []
-        key = cache.ResidueCacheRecord.key
-        monkeypatch.setattr(cache.ResidueCacheRecord, "key",
-                            lambda rec: calls.append(rec.prime) or key(rec))
+
+        def counted(owner, name, label):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(label(*a)) or fn(*a, **k))
+
+        counted(json, "loads", lambda *a: "json.loads")
+        counted(json, "dumps", lambda *a: "json.dumps")
+        counted(cache.ResidueCacheRecord, "to_json", lambda rec: rec.prime)
         assert cache.append_records(records + records[:1]) == 2
-        assert sorted(calls) == [5, 5, 5, 7, 7, 11, 13]  # 5 and 7 loaded, then 5 given
+        assert sorted(calls) == [5, 5, 7, 11, 13]  # 5 is given twice
+        assert path.read_bytes() == expected
 
     def test_rerun_is_byte_identical(self, capsys):
         main(["search", "--target", "wilson", "--pmin", "5", "--pmax", "60"])

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,6 +39,18 @@ def brute_d_sum_mod(r, n, x, p):
     for k in range(1, p):
         total += F(k**n) * x**k / math.factorial(k) ** r
     return rational_mod(total, PrimeCtx(p))
+
+
+def d_sums_pow_pass(r, n_max, x, p):
+    """Oracle: _d_sums_mod before its table fast paths, one x^k accumulate
+    and one pow(1/k!, r, p) per term at every r and x."""
+    ctx = PrimeCtx(p)
+    xr = rational_mod(x, ctx)
+    if xr is None:
+        return None
+    xk = accumulate(repeat(xr, p - 1), lambda u, v: u * v % p, initial=1)
+    w = [u * pow(f, r, p) % p for u, f in zip(xk, ctx.inv_fact_table)]
+    return [m % p for m in _moments(w, n_max)]
 
 
 def d_sums_loop(r, n_max, x, p):
@@ -307,6 +320,15 @@ class TestDSumsMod:
         assert len(got) == n_max + 1 and all(0 <= v < p for v in got)
         if p <= 31:
             assert got == [brute_d_sum_mod(r, n, x, p) for n in range(n_max + 1)]
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_fast_paths_match_the_pow_pass(self, r):
+        # x = 1 and x = p+1 take the path without x^k, the others weigh by it
+        # (or are undefined at p = 2, 3); r = 1 reads the inverse factorial
+        # table as it is, r > 1 maps pow over it
+        for p in sieve_primes(2, 300):
+            for x in (F(1), F(p + 1), F(1, 2), F(-2), F(7, 3)):
+                assert _d_sums_mod(r, 4, x, p) == d_sums_pow_pass(r, 4, x, p)
 
     def test_moments(self):
         assert _moments([5, 2, 3], 3) == [10, 8, 14, 26]

@@ -218,7 +218,22 @@ class TestEll:
         assert ell_A(2, [7, 5, 7]).components == {5: 1, 7: 4}  # 2 q_p(2): 2*3 mod 5, 2*9 mod 7
 
 
+def wilson_loop(p):
+    """Oracle: the kernel as first written, one reduction mod p^2 per factor."""
+    p2 = p * p
+    f = 1
+    for i in range(2, p):
+        f = f * i % p2
+    return (f + 1) // p % p
+
+
 class TestWilson:
+    # every prime to about 300 crosses the block edges of the kernel, and the
+    # larger ones put p^2 beyond one 30-bit digit
+    @pytest.mark.parametrize("p", sieve_primes(2, 300) + [4999, 32771, 104729])
+    def test_blocks_match_the_loop(self, p):
+        assert _wilson_component(p) == wilson_loop(p)
+
     def test_known_quotients(self):
         wg = wilson_gamma([5, 7, 13])
         assert wg[5] == 0
@@ -643,6 +658,34 @@ class TestStreamMemo:
         assert set(calls) == {(p, x + j) for p in window for x in xs
                               for j in range(1, 7) if x + j not in (0, 1)}
         assert set(calls.values()) == {1}
+
+    def test_integer_shifts_of_x_share_their_quotients(self, monkeypatch):
+        # at x = 0, -1, -2 the right sides' terms ell(x+1), ell(x+2), ... are
+        # shifts of one another, so each value is one quotient per prime; the
+        # Kluyver left side reads ell(x+m+1) itself, never the right sides' memo
+        calls = Counter()
+        orig = euler.fermat_quotient
+
+        def counted(x, p):
+            calls[p, x] += 1
+            return orig(x, p)
+
+        monkeypatch.setattr(euler, "fermat_quotient", counted)
+        xs = [F(0), F(-1), F(-2)]
+        window = sieve_primes(7, 101)  # p > 6 divides no value, so every side is defined
+        # (verifier, last j of the right sides' ell(x+j), the Kluyver left sides' m)
+        cases = [(lambda: verify_mascheroni(xs, window), 2, ()),
+                 (lambda: verify_interlude([2, 3, 4, 5], xs, window), 6, ()),
+                 (lambda: verify_kluyver([1, 2, 3], xs, window), 4, (1, 2, 3))]
+        for verify, top, ms in cases:
+            calls.clear()
+            euler._ell_rows.cache_clear()
+            verify()
+            expected = Counter({(p, x + j) for p in window for x in xs
+                                for j in range(1, top + 1) if x + j not in (0, 1)})
+            expected.update((p, x + m + 1) for p in window for x in xs for m in ms
+                            if x + m + 1 not in (0, 1))
+            assert calls == expected
 
 
 class TestFamiliesAreLeftSides:

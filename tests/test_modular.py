@@ -349,6 +349,23 @@ class TestAElement:
         with pytest.raises(ValueError):
             AElement((5, 7), {5: 0})
 
+    @pytest.mark.parametrize("components, exceptional, match", [
+        ({5: 9, 7: 1, 11: 3}, {13: "x"}, "outside the window"),
+        ({5: 4, 7: 1, 11: 3}, {}, "outside the window"),
+        ({5: 4, 7: 1}, {13: "x"}, "outside the window"),
+        ({5: 4, 7: 1}, {7: "x"}, "both a residue and a reason"),
+        ({5: 9, 7: 1}, {}, "not an int in"),
+        ({5: -1, 7: 1}, {}, "not an int in"),
+        ({5: 4, 7: 1.0}, {}, "not an int in"),
+        ({5: 4, 7: Fraction(1)}, {}, "not an int in"),
+        ({5: 4, 7: True}, {}, "not an int in"),
+    ])
+    def test_entries_outside_window_or_range_rejected(self, components, exceptional, match):
+        # a residue of 9 at 5 would make this element differ from one holding
+        # 4 there, although their difference is zero at both primes
+        with pytest.raises(ValueError, match=match):
+            AElement((5, 7), components, exceptional)
+
 
 def unpruned_remainder_tree(primes, mods, steps, compose, advance, start):
     """Oracle: the remainder tree as first written, which composes every node
