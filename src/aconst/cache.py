@@ -4,10 +4,11 @@ One file per quantity tag under the cache directory (override with the
 ACONST_CACHE_DIR environment variable), one record per line, one record per
 (tag, params, prime); the first record of a key wins.  Every line is what
 json.dumps(record, sort_keys=True) writes, and to_json fills a fixed
-template with exactly those bytes.  A line that is byte for byte such a
-serialization of a valid record of its file's tag is read without a JSON
-parse, and its dedupe key is its prefix before "residue"; any other line
-goes through from_json.  A line that does not parse (a torn write, or
+template with exactly those bytes.  Each record line is read as one (key,
+record) pair, the key being the line's prefix before "residue": a line that
+is byte for byte such a serialization of a valid record of its file's tag
+without a JSON parse, any other line through from_json, keyed by the
+record's to_json.  A line that does not parse (a torn write, or
 nesting too deep to decode) or holds a prime below 2 or a residue outside
 [0, prime) is skipped and counted, never fatal.
 
@@ -28,9 +29,9 @@ import json
 import os
 import random
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 from .modular import sieve_primes
 
@@ -46,8 +47,7 @@ def _tail(tag: str) -> str:
     return f', "tag": {json.dumps(tag)}}}'
 
 
-@dataclass(frozen=True)
-class ResidueCacheRecord:
+class ResidueCacheRecord(NamedTuple):  # a tuple, cheap to build for every line
     tag: str
     params: dict
     prime: int
@@ -57,12 +57,11 @@ class ResidueCacheRecord:
         """json.dumps of the record with sorted keys; a record whose tag is not
         exactly str, prime and residue not exactly int or params not an empty
         dict falls back to json.dumps."""
-        tag, params, prime, residue = self.tag, self.params, self.prime, self.residue
+        tag, params, prime, residue = self
         if (type(tag) is str and type(prime) is type(residue) is int
                 and type(params) is dict and not params):
             return f"{_HEAD}{prime}{_MID}{residue}{_tail(tag)}"
-        return json.dumps({"tag": tag, "params": params, "prime": prime, "residue": residue},
-                          sort_keys=True)
+        return json.dumps(self._asdict(), sort_keys=True)  # never the tuple: it dumps as a list
 
     @classmethod
     def from_json(cls, line: str) -> "ResidueCacheRecord":
@@ -104,10 +103,9 @@ def _tag_file(tag: str) -> Path:
 
 
 def _read(tag: str, damaged: dict[str, int] | None) -> tuple[bytes, list]:
-    """The tag file's bytes and one entry per record line: (key, prime,
-    residue) for a canonical line of tag, the from_json record for any other
-    line that parses.  Damaged lines are skipped; when a dict is given,
-    damaged[tag] is raised by their number."""
+    """The tag file's bytes and one (key, record) pair per record line.
+    Damaged lines are skipped; when a dict is given, damaged[tag] is raised
+    by their number."""
     try:
         data = _tag_file(tag).read_bytes()
     except FileNotFoundError:
@@ -120,12 +118,13 @@ def _read(tag: str, damaged: dict[str, int] | None) -> tuple[bytes, list]:
         if key:
             prime, residue = int(prime), int(residue)
             if residue < prime:
-                entries.append((key, prime, residue))
+                entries.append((key, ResidueCacheRecord(tag, {}, prime, residue)))
             else:
                 bad += 1  # what from_json rejects
         elif line.strip():
             try:
-                entries.append(ResidueCacheRecord.from_json(line))
+                rec = ResidueCacheRecord.from_json(line)
+                entries.append((_key(rec.to_json()), rec))
             except (ValueError, TypeError, KeyError, RecursionError):
                 bad += 1
     if bad and damaged is not None:
@@ -136,8 +135,7 @@ def _read(tag: str, damaged: dict[str, int] | None) -> tuple[bytes, list]:
 def load_records(tag: str, damaged: dict[str, int] | None = None) -> list[ResidueCacheRecord]:
     """The tag's records.  Unparseable lines are skipped; when a dict is given,
     damaged[tag] is raised by their number."""
-    return [ResidueCacheRecord(tag, {}, e[1], e[2]) if type(e) is tuple else e
-            for e in _read(tag, damaged)[1]]
+    return [rec for _, rec in _read(tag, damaged)[1]]
 
 
 def known_tags() -> list[str]:
@@ -177,8 +175,7 @@ def append_records(
         by_tag.setdefault(rec.tag, []).append(rec)
     for tag, recs in by_tag.items():
         old, entries = _read(tag, damaged)
-        seen = {e[0] if type(e) is tuple else _key(e.to_json())
-                for e in entries if type(e) is tuple or e.tag == tag}
+        seen = {key for key, rec in entries if rec.tag == tag}
         new = []
         for rec in recs:
             line = rec.to_json()

@@ -269,6 +269,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "gamma" and args.x <= -1:
         parser.error("gamma series need x > -1")
+    # rows n < r check D(n) against itself; redundant once the verifier skips them
+    if args.command == "verify" and args.family == "dobinski" and args.nmax < args.r:
+        parser.error("verify dobinski needs --nmax >= --r: rows n < r cannot fail")
     try:
         return args.fn(args)
     except (OSError, ValueError) as exc:

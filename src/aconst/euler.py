@@ -20,9 +20,10 @@ residue streams, the quotient side from Fermat and Wilson quotients mod
 p^2.  The streams have one owner, the process-wide memo _stream keyed by
 (p, x), so the mascheroni, interlude and kluyver verifiers and their
 families build each distinct G_0(x)..G_{p-2}(x) mod p once; only left kernels
-read it and the Kluyver weights, as only right kernels read the Wilson
-quotient and _ell_rows, one prime's values ell(v) of _ell_form, keyed by the
-exact value v, so grids whose x differ by integers share them.
+read it and the Kluyver weights, one prime's memo, as they come from the
+check loop's PrimeCtx tables, which a value-keyed memo would rebuild or keep
+alive.  Only right kernels read the bounded memos _wilson, by p, and _ell,
+by p and the exact value v of ell(v), which all verifier calls share.
 A window entry that is not a prime raises ValueError.  Primes 2 and 3 are
 excluded from verifiers wholesale (the congruences are sufficiently-large-p
 statements); primes dividing a relevant numerator or denominator are
@@ -76,23 +77,18 @@ def _ell_component(x: Fraction, ctx: PrimeCtx) -> int | None:
     return None if q is None else rational_mod(x, ctx) * q % ctx.p
 
 
-@lru_cache(maxsize=1)
-def _ell_rows(p: int) -> dict:
-    return {}  # one prime's ell values by exact value (num, den), None where undefined
+@lru_cache(maxsize=4096)  # criterion 4, five x over [5, 1009], reads 3337 values
+def _ell(p: int, num: int, den: int) -> int | None:
+    return _ell_component(Fraction(num, den), PrimeCtx(p))
 
 
 def _ell_form(ctx: PrimeCtx, x: Fraction, offset: int, coeffs: Sequence[Rational]) -> int | None:
     # sum_j coeffs[j] ell(x+offset+j) mod p, or None where some ell is undefined.
     # x+i is the int pair (num + i*den, den), in lowest terms as x is, so every
     # value has one key whatever x its row starts from
-    values = _ell_rows(ctx.p)
     den = x.denominator
     start = x.numerator + offset * den
-    keys = [(num, den) for num in range(start, start + len(coeffs) * den, den)]
-    for key in keys:
-        if key not in values:
-            values[key] = _ell_component(Fraction(*key), ctx)
-    ells = [values[key] for key in keys]
+    ells = [_ell(ctx.p, num, den) for num in range(start, start + len(coeffs) * den, den)]
     if None in ells:
         return None
     return sum(rational_mod(c, ctx) * e for c, e in zip(coeffs, ells)) % ctx.p
@@ -220,9 +216,8 @@ class _StreamMemo:
 _stream = _StreamMemo()
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=256)  # criterion 4 reads 167 primes
 def _wilson(p: int) -> int:
-    # one Wilson quotient per prime for the whole grid; only right sides read it
     return _wilson_component(p)
 
 

@@ -78,7 +78,11 @@ def search_zero_primes(
 def recompute_rule(tag: str, params: dict) -> Callable[[int], int] | None:
     """The per-prime kernel that recomputes records of tag with params, read
     from _TARGET_FNS when called, or None: no rule reads params yet."""
-    return None if params else dict(_TARGET_FNS.values()).get(tag)
+    if not params:
+        for rule_tag, fn in _TARGET_FNS.values():
+            if rule_tag == tag:
+                return fn
+    return None
 
 
 def recompute(tag: str, params: dict, p: int) -> int:

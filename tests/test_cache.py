@@ -190,6 +190,36 @@ def test_a_line_cut_at_every_offset_reads_as_from_json(tmp_path):
                 assert damaged == ({"wilson_q": bad} if bad else {})
 
 
+def test_every_line_reads_into_one_record_type(tmp_path):
+    # canonical lines; a reordered duplicate of the first line's key; lines
+    # with new keys that are not canonical; and damaged lines
+    canonical = [CANONICAL % (5, 0), CANONICAL % (7, 6), CANONICAL % (11, 10)]
+    valid = [
+        canonical[0],
+        '{"tag": "wilson_q", "residue": 1, "prime": 5, "params": {}}',
+        canonical[1],
+        '{"residue": 0, "prime": 13, "tag": "wilson_q", "params": {}}',
+        canonical[2],
+        '{"params": {"r": 2}, "prime": 5, "residue": 3, "tag": "wilson_q"}',
+    ]
+    damaged_lines = [canonical[1][:20], CANONICAL % (7, 7), "not json"]
+    lines = valid[:3] + damaged_lines[:1] + valid[3:5] + damaged_lines[1:] + valid[5:]
+    with cache_at(tmp_path):
+        path = cache._tag_file("wilson_q")
+        path.write_text("\n".join(lines) + "\n")
+        damaged = {}
+        loaded = cache.load_records("wilson_q", damaged)
+        assert all(type(rec) is R for rec in loaded)
+        assert loaded == [R.from_json(line) for line in valid]
+        assert damaged == {"wilson_q": 3}
+        old = path.read_bytes()
+        given = [R("wilson_q", {}, 5, 4), R("wilson_q", {}, 13, 1), R("wilson_q", {"r": 2}, 5, 0),
+                 R("wilson_q", {}, 17, 16), R("wilson_q", {"r": 2}, 7, 1)]
+        assert cache.append_records(given) == 2
+        assert path.read_bytes() == old + (given[3].to_json() + "\n"
+                                           + given[4].to_json() + "\n").encode()
+
+
 def test_new_file_mode_follows_umask_and_old_mode_is_kept(tmp_path):
     old = os.umask(0o027)
     try:

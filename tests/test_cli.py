@@ -67,6 +67,18 @@ class TestRationalParsing:
         assert "below the minimum" in capsys.readouterr().err
 
 
+    def test_dobinski_rows_that_cannot_fail_exit_2(self, capsys):
+        # every row n < r compares D(n) with itself
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "dobinski", "--r", "3", "--nmax", "0", "--pmax", "30"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage:" in captured.err and "--nmax >= --r" in captured.err
+        assert captured.out == ""
+        assert main(["verify", "dobinski", "--r", "3", "--nmax", "3", "--pmax", "30"]) == 0
+        assert "all 32 checks passed" in capsys.readouterr().out
+
+
 class TestVerifyCommands:
     def test_dobinski_passes(self, capsys):
         code = main(

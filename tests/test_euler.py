@@ -630,10 +630,11 @@ class TestStreamMemo:
                 _eisenstein_rhs(ctx, x)
 
     def test_left_kernels_never_read_the_right_memo(self, monkeypatch):
-        def forbidden(p):
-            raise AssertionError("a left kernel read the right sides' ell rows")
+        def forbidden(*args):
+            raise AssertionError("a left kernel read a right-side memo")
 
-        monkeypatch.setattr(euler, "_ell_rows", forbidden)
+        monkeypatch.setattr(euler, "_ell", forbidden)
+        monkeypatch.setattr(euler, "_wilson", forbidden)
         for x in self.XS:
             gamma_M(x, WINDOW)
             G_A(3, x, WINDOW)
@@ -679,13 +680,37 @@ class TestStreamMemo:
                  (lambda: verify_kluyver([1, 2, 3], xs, window), 4, (1, 2, 3))]
         for verify, top, ms in cases:
             calls.clear()
-            euler._ell_rows.cache_clear()
+            euler._ell.cache_clear()
             verify()
             expected = Counter({(p, x + j) for p in window for x in xs
                                 for j in range(1, top + 1) if x + j not in (0, 1)})
             expected.update((p, x + m + 1) for p in window for x in xs for m in ms
                             if x + m + 1 not in (0, 1))
             assert calls == expected
+
+
+    def test_verifiers_share_their_quotients(self, monkeypatch):
+        # back to back over one window, the three right sides call q_p once per
+        # distinct (p, value) in all; the Kluyver left side's own ell(x+m+1)
+        # calls come on top, as it never reads the right sides' memo
+        calls = Counter()
+        orig = euler.fermat_quotient
+
+        def counted(x, p):
+            calls[p, x] += 1
+            return orig(x, p)
+
+        monkeypatch.setattr(euler, "fermat_quotient", counted)
+        xs = [F(0), F(-1), F(1, 2), F(7, 3)]
+        window = sieve_primes(7, 101)  # p > 6 divides no value, so every side is defined
+        verify_mascheroni(xs, window)
+        verify_interlude([2, 3, 4, 5], xs, window)
+        verify_kluyver([1, 2, 3], xs, window)
+        expected = Counter({(p, x + j) for p in window for x in xs
+                            for j in range(1, 7) if x + j not in (0, 1)})
+        expected.update((p, x + m + 1) for p in window for x in xs for m in (1, 2, 3)
+                        if x + m + 1 not in (0, 1))
+        assert calls == expected
 
 
 class TestFamiliesAreLeftSides:

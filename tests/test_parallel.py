@@ -67,6 +67,15 @@ def test_a_window_is_a_set_of_primes(name, threads):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[name]
 
 
+def test_shared_memos_move_no_report_byte():
+    # all six in one process, the memos never cleared between them, in list
+    # order and then reversed, so each verifier also runs warm after the others
+    for names in (list(VERIFIERS), list(VERIFIERS)[::-1]):
+        for name in names:
+            text = VERIFIERS[name](1).to_jsonl(include_timing=False)
+            assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[name], name
+
+
 def test_report_header_counts_distinct_primes():
     report = euler.verify_mascheroni([F(0)], [7, 5, 5])
     assert (report.window_lo, report.window_hi, report.prime_count) == (5, 7, 2)

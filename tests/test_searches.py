@@ -1,5 +1,7 @@
 """The remainder-tree scans against the per-prime kernels they replaced."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -108,3 +110,24 @@ def test_recompute_rules_read_the_target_table_when_called(tmp_path, monkeypatch
     assert sorted(calls) == [5, 7, 11, 13]
     assert searches.recompute_rule("wilson_q", {"r": 2}) is None
     assert searches.recompute_rule("e_A", {}) is None  # not in the swapped table
+
+
+def test_recompute_and_cache_verify_call_the_swapped_kernels(tmp_path, monkeypatch):
+    # every rule of a swapped table, not only the first, is looked up at call time
+    monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
+    for target in searches.SEARCH_TARGETS:
+        cache.append_records(search_zero_primes(target, sieve_primes(5, 30))[1])
+    calls = Counter()
+
+    def counting(tag, fn):
+        def kernel(p):
+            calls[tag] += 1
+            return fn(p)
+        return kernel
+
+    table = {t: (tag, counting(tag, fn)) for t, (tag, fn) in searches._TARGET_FNS.items()}
+    monkeypatch.setattr(searches, "_TARGET_FNS", table)
+    assert searches.recompute("e_A", {}, 31) == e_component(31)
+    assert searches.recompute("wilson_q", {}, 31) == _wilson_component(31)
+    assert cache.verify_sample(3, seed=0) == (6, [])
+    assert calls == {"e_A": 4, "wilson_q": 4}
