@@ -7,6 +7,10 @@ residue stream needs p < 2642247), an I/O error or nothing checked (a verifier
 whose window is empty or whose every prime was skipped, a search whose
 window is empty, a `cache verify` that found no records it can recheck).
 Negative rationals must use the --x=-2/3 form (a bare "-2/3" parses as a flag).
+
+`main` only parses, dispatches and maps OSError and ValueError to exit 2.  A
+rule across options is raised by the handler of the subcommand it governs,
+through that subcommand's parser (`args.parser`), which prints its own usage.
 """
 
 from __future__ import annotations
@@ -74,6 +78,9 @@ def _emit_report(report, args) -> int:
 
 
 def _cmd_verify_dobinski(args) -> int:
+    # rows n < r check D(n) against itself; redundant once the verifier skips them
+    if args.nmax < args.r:
+        args.parser.error("verify dobinski needs --nmax >= --r: rows n < r cannot fail")
     window = sieve_primes(args.pmin, args.pmax)
     report = dobinski.verify_dobinski(args.r, args.nmax, args.x, window, threads=args.threads)
     return _emit_report(report, args)
@@ -148,23 +155,24 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
-    prec = args.prec
-    with mpmath.workprec(prec):
+    if args.x <= -1:
+        args.parser.error("gamma series need x > -1")
+    with mpmath.workprec(args.prec):
         if args.method == "bla101":
-            value = analytic.bla101_partial(args.k, args.x, args.terms, prec)
+            value = analytic.bla101_partial(args.k, args.x, args.terms, args.prec)
             logsum = sum(
                 mpmath.log(analytic._to_mpf(args.x + j)) for j in range(1, args.k + 1)
             )
             corrections = [(f"-(1/{args.k}) sum log(x+j)", -logsum / args.k)]
         else:
             m = 0 if args.method == "mascheroni" else args.m
-            value = analytic.mascheroni_partial(args.x, m, args.terms, prec)
+            value = analytic.mascheroni_partial(args.x, m, args.terms, args.prec)
             corrections = [
                 (f"H_{m}", analytic._to_mpf(euler.harmonic(m))),
                 (f"-log(x+{m + 1})", -mpmath.log(analytic._to_mpf(args.x + m + 1))),
             ]
-        ref = analytic.gamma_reference(prec)
-        print(f"method={args.method} x={args.x} terms={args.terms} prec={prec}")
+        ref = analytic.gamma_reference(args.prec)
+        print(f"method={args.method} x={args.x} terms={args.terms} prec={args.prec}")
         print(f"approx = {mpmath.nstr(value, 20)}")
         for label, v in corrections:
             print(f"  correction {label} = {mpmath.nstr(v, 20)}")
@@ -185,9 +193,9 @@ def _cmd_cache_verify(args) -> int:
     return 1 if mismatches else 0
 
 
-def _add_window_opts(p: argparse.ArgumentParser, pmax_default: int) -> None:
-    p.add_argument("--pmin", type=int, default=5, help="window lower bound")
-    p.add_argument("--pmax", type=int, default=pmax_default, help="window upper bound")
+def _add_window_opts(p: argparse.ArgumentParser, window: tuple[int, int]) -> None:
+    p.add_argument("--pmin", type=int, default=window[0], help="window lower bound")
+    p.add_argument("--pmax", type=int, default=window[1], help="window upper bound")
     p.add_argument("--threads", type=_int_at_least(0), default=0, help="capped at cores; 0 = all")
     p.add_argument("--json", metavar="PATH", help="write a JSONL report")
     p.add_argument(
@@ -212,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     vd.add_argument("--r", type=_int_at_least(1), default=1, help="factorial power")
     vd.add_argument("--nmax", type=_int_at_least(0), default=10)
     vd.add_argument("--x", type=parse_rational, default=Fraction(1))
-    _add_window_opts(vd, dobinski.DEFAULT_WINDOW[1])
-    vd.set_defaults(fn=_cmd_verify_dobinski)
+    _add_window_opts(vd, dobinski.DEFAULT_WINDOW)
+    vd.set_defaults(fn=_cmd_verify_dobinski, parser=vd)
 
     ve = vsub.add_parser("euler", help="Euler-constant congruence family")
     ve.add_argument(
@@ -224,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--x", type=parse_rational, default=Fraction(0))
     ve.add_argument("--m", type=_int_at_least(1), default=1, help="kluyver order")
     ve.add_argument("--k", type=_int_at_least(2), default=2, help="interlude offset")
-    _add_window_opts(ve, euler.DEFAULT_WINDOW[1])
+    _add_window_opts(ve, euler.DEFAULT_WINDOW)
     ve.set_defaults(fn=_cmd_verify_euler)
 
     search = sub.add_parser("search", help="scan for vanishing components")
@@ -252,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     gamma.add_argument(
         "--prec", type=_int_at_least(64), default=64, help="precision in bits"
     )
-    gamma.set_defaults(fn=_cmd_gamma)
+    gamma.set_defaults(fn=_cmd_gamma, parser=gamma)
 
     cachep = sub.add_parser("cache", help="residue cache maintenance")
     csub = cachep.add_subparsers(dest="action", required=True)
@@ -265,13 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "gamma" and args.x <= -1:
-        parser.error("gamma series need x > -1")
-    # rows n < r check D(n) against itself; redundant once the verifier skips them
-    if args.command == "verify" and args.family == "dobinski" and args.nmax < args.r:
-        parser.error("verify dobinski needs --nmax >= --r: rows n < r cannot fail")
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (OSError, ValueError) as exc:

@@ -18,12 +18,12 @@ interlude, kluyver and eisenstein read through `AElement.from_kernel`.
 Neither side sees the other's value: the sum side comes from Gregory
 residue streams, the quotient side from Fermat and Wilson quotients mod
 p^2.  The streams have one owner, the process-wide memo _stream keyed by
-(p, x), so the mascheroni, interlude and kluyver verifiers and their
-families build each distinct G_0(x)..G_{p-2}(x) mod p once; only left kernels
-read it and the Kluyver weights, one prime's memo, as they come from the
-check loop's PrimeCtx tables, which a value-keyed memo would rebuild or keep
-alive.  Only right kernels read the bounded memos _wilson, by p, and _ell,
-by p and the exact value v of ell(v), which all verifier calls share.
+(p, num(x), den(x)), so the mascheroni, interlude and kluyver verifiers and
+their families build each distinct G_0(x)..G_{p-2}(x) mod p once; only left
+kernels read it and the Kluyver weights, one prime's memo, as they come from
+the check loop's PrimeCtx tables, which a value-keyed memo would rebuild or
+keep alive.  Only right kernels read the bounded memos _wilson, by p, and
+_ell, by (p, num(v), den(v)) for ell(v), which all verifier calls share.
 A window entry that is not a prime raises ValueError.  Primes 2 and 3 are
 excluded from verifiers wholesale (the congruences are sufficiently-large-p
 statements); primes dividing a relevant numerator or denominator are
@@ -179,7 +179,7 @@ _STREAM_MEMO_BYTES = 4 << 20
 
 
 class _StreamMemo:
-    """G_0(x)..G_{p-2}(x) mod p by (p, x), for the whole process.
+    """G_0(x)..G_{p-2}(x) mod p by (p, num(x), den(x)), for the whole process.
 
     Every verifier call and every family at one (p, x) reads one stream, so
     each distinct stream is built once; only the left kernels read it, and
@@ -191,15 +191,13 @@ class _StreamMemo:
     """
 
     def __init__(self) -> None:
-        self.entries: dict[tuple[int, Fraction], array | None] = {}
+        self.entries: dict[tuple[int, int, int], array | None] = {}
         self.nbytes = 0
 
     def __call__(self, ctx: PrimeCtx, x: Fraction) -> array | None:
-        key = (ctx.p, x)
-        try:
+        key = (ctx.p, x.numerator, x.denominator)  # ints hash faster than a Fraction
+        if key in self.entries:
             return self.entries[key]
-        except KeyError:
-            pass
         stream = gregory_residue_stream(x, ctx.p - 2, ctx)
         value = None if stream is None else array("I", stream)
         self.entries[key] = value

@@ -48,8 +48,6 @@ def sieve_primes(lo: int, hi: int) -> list[int]:
         if base[i]:
             base[i * i :: i] = bytearray(len(base[i * i :: i]))
     small = [i for i in range(2, root + 1) if base[i]]
-    if hi <= root:
-        return [p for p in small if lo <= p <= hi]
     seg = bytearray([1]) * (hi - lo + 1)
     for p in small:
         start = max(p * p, ((lo + p - 1) // p) * p)

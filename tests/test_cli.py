@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from aconst import cache, searches
-from aconst.cli import main, parse_rational
+from aconst import cache, dobinski, euler, searches
+from aconst.cli import build_parser, main, parse_rational
 from aconst.report import VerificationReport
 
 
@@ -73,13 +73,23 @@ class TestRationalParsing:
             main(["verify", "dobinski", "--r", "3", "--nmax", "0", "--pmax", "30"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert "usage:" in captured.err and "--nmax >= --r" in captured.err
+        assert captured.err.startswith("usage: aconst verify dobinski")
+        assert "--nmax >= --r" in captured.err
         assert captured.out == ""
         assert main(["verify", "dobinski", "--r", "3", "--nmax", "3", "--pmax", "30"]) == 0
         assert "all 32 checks passed" in capsys.readouterr().out
 
 
 class TestVerifyCommands:
+    @pytest.mark.parametrize(
+        "argv, module",
+        [(["verify", "euler", "--which", "mascheroni"], euler), (["verify", "dobinski"], dobinski)],
+        ids=["euler", "dobinski"],
+    )
+    def test_window_defaults_are_the_modules(self, argv, module):
+        args = build_parser().parse_args(argv)
+        assert (args.pmin, args.pmax) == module.DEFAULT_WINDOW
+
     def test_dobinski_passes(self, capsys):
         code = main(
             ["verify", "dobinski", "--r", "1", "--nmax", "4", "--pmin", "5", "--pmax", "60"]
@@ -255,10 +265,11 @@ class TestGammaCommand:
         assert code == 0
         assert "approx = 0.57" in capsys.readouterr().out
 
-    def test_domain_error_exits_2(self):
+    def test_domain_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gamma", "--method", "mascheroni", "--x=-2", "--terms", "100"])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: aconst gamma")
 
     @pytest.mark.parametrize(
         "argv",

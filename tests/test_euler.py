@@ -581,7 +581,7 @@ class TestStreamMemo:
         monkeypatch.setattr(euler, "_STREAM_MEMO_BYTES", size(103) + size(107))
         for p in (101, 103, 107):
             euler._stream(PrimeCtx(p), F(1, 2))
-        assert list(euler._stream.entries) == [(103, F(1, 2)), (107, F(1, 2))]
+        assert list(euler._stream.entries) == [(103, 1, 2), (107, 1, 2)]
         assert euler._stream.nbytes == size(103) + size(107)
 
     def test_one_stream_cap_keeps_reuse_within_a_call(self, monkeypatch):
@@ -613,7 +613,7 @@ class TestStreamMemo:
                 assert [(s.prime, s.reason) for s in report.skipped] == [(5, reason)]
                 assert [c.prime for c in report.checks] == [13]
             assert G_A(3, F(1, 5), [5]).exceptional == {5: reason}
-            assert euler._stream.entries[5, F(1, 5)] is None
+            assert euler._stream.entries[5, 1, 5] is None
 
     def test_right_kernels_never_read_the_memo(self, monkeypatch):
         def forbidden(*args):

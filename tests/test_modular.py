@@ -50,7 +50,9 @@ class TestSieve:
         assert sieve_primes(lo, hi) == trial_division_primes(lo, hi)
 
     def test_low_clamped(self):
-        assert sieve_primes(2, 30) == trial_division_primes(2, 30)
+        # hi = 2 is the one window whose base sieve [2, isqrt(hi) + 1] reaches hi
+        for lo, hi in [(2, 30), (2, 2), (0, 2), (3, 2)]:
+            assert sieve_primes(lo, hi) == trial_division_primes(lo, hi)
 
     @pytest.mark.parametrize("q", [2, 3, 5, 31, 97, 1009, 10007])
     def test_prime_square_upper_bounds(self, q):
