@@ -4,7 +4,9 @@ A verifier is a grid of labelled points, a batch and one call of
 verify_primes.  The batch is check_shard bound to the congruence's two
 module-level side kernels by functools.partial, so check_shard is the one
 loop in the package that sets a pass flag, and the batch pickles by
-reference into worker processes.  The kernels are bound at import: to change
+reference into worker processes.  A row point (see check_shard) lets a
+verifier with many cheap checks per prime, Dobinski's column over n, pay one
+kernel call per side and prime.  The kernels are bound at import: to change
 a side (in a test, say), patch what the kernel calls, not the kernel's own
 name.  Work is independent per prime; at most one shard per core (a thread
 count below 1 asks for one per core), strided so each worker gets a similar
@@ -38,18 +40,32 @@ def check_shard(lhs: Callable, rhs: Callable, payload: tuple) -> tuple[list, lis
     (label, point) of the grid, in that order, for payload = (grid, primes).
     A side is a kernel side(ctx, *point) giving a residue or the reason (a str)
     it is undefined; where the left side gives a reason, that reason is
-    recorded and the right side is not evaluated."""
+    recorded and the right value is not.  At a row point the label is a tuple
+    of labels, each side gives a sequence of one residue or reason per label,
+    and the rows are compared entry by entry, records in label order; both
+    kernels run once per row, and a row whose length is not the label count
+    raises ValueError, so no entry is ever dropped unchecked."""
     grid, primes = payload
     checks, skips = [], []
     for p in primes:
         ctx = PrimeCtx(p)
         for label, point in grid:
             left = lhs(ctx, *point)
-            right = left if isinstance(left, str) else rhs(ctx, *point)
-            if isinstance(right, str):
-                skips.append((p, label, right))
-            else:
-                checks.append((p, label, left, right, left == right))
+            if type(label) is tuple:
+                right = rhs(ctx, *point)
+                if not len(left) == len(right) == len(label):
+                    raise ValueError(f"rows of {len(left)} and {len(right)} entries "
+                                     f"for {len(label)} labels at p = {p}")
+            else:  # a scalar point is a row of one
+                label, left = (label,), (left,)
+                right = left if isinstance(left[0], str) else (rhs(ctx, *point),)
+            for key, u, v in zip(label, left, right):
+                if isinstance(u, str):
+                    skips.append((p, key, u))
+                elif isinstance(v, str):
+                    skips.append((p, key, v))
+                else:
+                    checks.append((p, key, u, v, u == v))
     return checks, skips
 
 

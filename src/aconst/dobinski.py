@@ -23,8 +23,9 @@ right side kernel, and its batch is `_parallel.check_shard` bound to them:
 the window's table of sums against the coefficient values, as integer
 numerators over one common denominator lcm (with one inverse of lcm per
 prime), applied to the basis D(0..r-1).  verify_dobinski builds the table
-and the grid, one point per n; primes dividing den(x) or lcm are whole-prime
-skips.  With the table built, the check loop runs in one process.
+and the grid, one row point labelled n=0..n=n_max, so each side gives a
+prime's whole column in one call; primes dividing den(x) or lcm are
+whole-prime skips.  With the table built, the check loop runs in one process.
 
 Conventions: 0^0 = 1 (the k = 0 term of every sum), and the g recurrence
 starts at shift index 1 -- its initial window spans indices 0..r, one past
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate, repeat
-from operator import mul
+from operator import add, mod, mul
 from typing import Iterable, Sequence
 
 from ._parallel import check_shard, verify_primes
@@ -291,17 +292,21 @@ def d_r_A_range(r: int, n_max: int, x: Rational, window: Sequence[int]) -> list[
             for n in range(n_max + 1)]
 
 
-def _dobinski_lhs(ctx: PrimeCtx, table: dict, n: int, row: tuple, inv: dict) -> int:
-    return table[ctx.p][n]
+def _dobinski_lhs(ctx: PrimeCtx, table: dict, n_max: int, g: list, b: tuple, inv: dict) -> list:
+    return table[ctx.p][: n_max + 1]
 
 
-def _dobinski_rhs(ctx: PrimeCtx, table: dict, n: int, row: tuple, inv: dict) -> int:
-    # (g + sum_{j<r} b_j D(j)) / lcm, where (g, b_0..b_{r-1}) = row are column n's
-    # numerators over lcm and inv[p] is 1/lcm mod p.  The theorem defines this side
-    # through the basis D(0..r-1), so for n >= r it never reads D(n), the entry it
-    # is checked against.
-    g, *b = row
-    return (g + sum(map(mul, b, table[ctx.p]))) * inv[ctx.p] % ctx.p
+def _dobinski_rhs(ctx: PrimeCtx, table: dict, n_max: int, g: list, b: tuple, inv: dict) -> list:
+    # (g + sum_{j<r} b_j D(j)) / lcm at every n, where g and b = (b_0..b_{r-1}) are
+    # the columns' numerators over lcm and inv[p] is 1/lcm mod p: one map pass per
+    # basis entry, then one reduction.  The theorem defines this side through the
+    # basis D(0..r-1), so for n >= r it never reads D(n), the entry it is checked
+    # against.
+    p = ctx.p
+    col = g
+    for b_j, d_j in zip(b, table[p][: len(b)]):
+        col = map(add, col, map(mul, b_j, repeat(d_j)))
+    return list(map(mod, map(mul, col, repeat(inv[p])), repeat(p)))
 
 
 _dobinski_batch = partial(check_shard, _dobinski_lhs, _dobinski_rhs)
@@ -313,22 +318,24 @@ def verify_dobinski(
     """Check D_{r,A}(n; x) = sum_j b_{r,j}(n; x) D_{r,A}(j; x) + g_r(n; x)
     at every admissible (prime, n) over the window, whose entries must be primes.
 
-    Both sides are computed independently: the left from the truncated sums,
-    the right from the coefficient values, as integer numerators over one
-    common denominator lcm, and the basis D(0..r-1).  Primes dividing den(x)
-    or lcm are whole-prime skips, decided first (lcm's reason wins); one tree
-    pass (_d_sums_tree) then gives the sums at every other prime.
+    Both sides are computed independently, each as one row over n = 0..n_max
+    per prime: the left from the truncated sums, the right from the
+    coefficient values, as integer numerators over one common denominator
+    lcm, and the basis D(0..r-1).  Primes dividing den(x) or lcm are
+    whole-prime skips, decided first (lcm's reason wins); one tree pass
+    (_d_sums_tree) then gives the sums at every other prime.
 
-    threads is accepted and ignored: once the tree has run, each check is a
-    table lookup, so a process pool would cost more than the loop it splits.
+    threads is accepted and ignored: once the tree has run, a prime's two rows
+    are a slice and r map passes, so a process pool would cost more than the
+    loop it splits.
     """
     x = Fraction(x)
     window = require_primes(window)
     start = time.monotonic()
     fam = coeff_family(r, n_max)
-    cols = list(zip(fam.g_values(x), *fam.b_values(x)))  # column n: (g, b_0..b_{r-1})
+    cols = [fam.g_values(x), *fam.b_values(x)]  # g, b_0..b_{r-1}, each over n = 0..n_max
     lcm = math.lcm(*(v.denominator for col in cols for v in col))
-    rows = [tuple(v.numerator * (lcm // v.denominator) for v in col) for col in cols]
+    g, *b = ([v.numerator * (lcm // v.denominator) for v in col] for col in cols)
     excluded = {p: "p divides den(x)" for p in window if x.denominator % p == 0}
     excluded.update((p, "p divides a coefficient denominator") for p in window if lcm % p == 0)
     # the right side needs the basis D(0..r-1); the tree leaves out p | den(x),
@@ -336,7 +343,7 @@ def verify_dobinski(
     table = _d_sums_tree(r, max(n_max, r - 1), x, window)
     inv = {p: pow(lcm, -1, p) for p in table}  # one inverse of lcm per prime
     params = {"r": r, "n_max": n_max, "x": str(x)}
-    grid = [(f"n={n}", (table, n, row, inv)) for n, row in enumerate(rows)]
+    grid = [(tuple(f"n={n}" for n in range(n_max + 1)), (table, n_max, g, tuple(b), inv))]
     return verify_primes("dobinski", params, _dobinski_batch, grid, window, 1, excluded, start)
 
 

@@ -247,7 +247,9 @@ def _interlude_rhs(ctx: PrimeCtx, k: int, x: Fraction) -> int | str:
 
 
 def _kluyver_lhs(ctx: PrimeCtx, m: int, x: Fraction) -> int | str:
-    # the Kluyver sum of order m + H_m (from inv_table) - ell(x+m+1), mod p
+    # the Kluyver sum of order m + H_m - ell(x+m+1), mod p, with H_m summed from m
+    # inverses by pow: apart from harmonic(), which the right side reads, and with
+    # no O(p) inv_table built for m entries
     stream = _stream(ctx, x)
     if stream is None:
         return "p divides den(x)"
@@ -257,7 +259,7 @@ def _kluyver_lhs(ctx: PrimeCtx, m: int, x: Fraction) -> int | str:
     ell = _ell_component(x + m + 1, ctx)
     if ell is None:
         return "fermat quotient undefined at some x+j+1"
-    return (_kluyver_sum(stream, m, ctx) + sum(ctx.inv_table[1 : m + 1]) - ell) % p
+    return (_kluyver_sum(stream, m, ctx) + sum(pow(j, -1, p) for j in range(1, m + 1)) - ell) % p
 
 
 @lru_cache(maxsize=None)

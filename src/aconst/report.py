@@ -10,7 +10,8 @@ runs can produce byte-identical files.
 The bytes are pinned: every line is what json.dumps(record, sort_keys=True)
 writes with its default separators (", " and ": ") and ASCII-escaped
 strings.  Check and skip lines come from fixed templates that reproduce
-that contract, each distinct string going through json.dumps once; a
+that contract, each distinct string going through json.dumps once (a
+check line opens with its label's head, built once per report); a
 record whose prime and residues are not exactly int, flag not exactly
 bool or strings not exactly str falls back to json.dumps.
 tests/test_report.py keeps the json.dumps serializer as the oracle the
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -44,6 +46,15 @@ class _Quoted(dict):
     def __missing__(self, s: str) -> str:
         q = self[s] = json.dumps(s)
         return q
+
+
+class _CheckHead(dict):
+    """label -> the opening '{"label": <label>, "lhs": ' of its check lines,
+    built on first lookup."""
+
+    def __missing__(self, label: str) -> str:
+        head = self[label] = f'{{"label": {json.dumps(label)}, "lhs": '
+        return head
 
 
 @dataclass
@@ -75,13 +86,11 @@ class VerificationReport:
         window = {"lo": self.window_lo, "hi": self.window_hi, "primes": self.prime_count}
         lines = [json.dumps({"type": "header", "theorem": self.theorem, "params": self.params,
                              "window": window}, sort_keys=True)]
-        quoted, passed, failed = _Quoted(), 0, 0
+        quoted, heads, passed, failed = _Quoted(), _CheckHead(), 0, 0
         for p, label, lhs, rhs, ok in self.checks:
             if type(p) is type(lhs) is type(rhs) is int and type(ok) is bool and type(label) is str:
-                lines.append(
-                    f'{{"label": {quoted[label]}, "lhs": {lhs}, "p": {p}, '
-                    f'"pass": {"true" if ok else "false"}, "rhs": {rhs}, "type": "check"}}'
-                )
+                lines.append(f'{heads[label]}{lhs}, "p": {p}, '
+                             f'"pass": {"true" if ok else "false"}, "rhs": {rhs}, "type": "check"}}')
             else:
                 lines.append(json.dumps({"type": "check", "p": p, "label": label, "lhs": lhs,
                                          "rhs": rhs, "pass": ok}, sort_keys=True))
@@ -167,5 +176,5 @@ class VerificationReport:
         Stable sort on the prime alone: within one prime, records keep the
         grid order they were generated in.
         """
-        self.checks.sort(key=lambda c: c.prime)
-        self.skipped.sort(key=lambda s: s.prime)
+        self.checks.sort(key=itemgetter(0))
+        self.skipped.sort(key=itemgetter(0))

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 from itertools import accumulate, repeat
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -110,6 +111,18 @@ def batch_loop(r, n_max, x, primes):
             rhs = (g_res[n] + sum(b_res[j][n] * sums[j] for j in range(r))) % p
             checks.append((p, f"n={n}", sums[n], rhs, sums[n] == rhs))
     return checks, skips
+
+
+def dobinski_lhs_per_n(ctx, table, n, row, inv):
+    """Oracle: the left side kernel at one n, before the row point."""
+    return table[ctx.p][n]
+
+
+def dobinski_rhs_per_n(ctx, table, n, row, inv):
+    """Oracle: the right side kernel at one n, before the row point, where
+    row = (g, b_0..b_{r-1}) holds column n's numerators over lcm."""
+    g, *b = row
+    return (g + sum(map(mul, b, table[ctx.p]))) * inv[ctx.p] % ctx.p
 
 
 def _times_x(poly):
@@ -489,6 +502,37 @@ class TestVerifyDobinski:
         checks, skips = batch_loop(r, n_max, x, primes)
         assert [tuple(c) for c in report.checks] == checks
         assert [tuple(s) for s in report.skipped] == skips
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        r=st.integers(1, 3),
+        n_max=st.integers(0, 20),
+        a=st.integers(-9, 9),
+        b=st.integers(1, 9),
+    )
+    @example(r=3, n_max=0, a=-7, b=3)  # n_max < r - 1: the basis runs past the row
+    @example(r=3, n_max=20, a=-9, b=2)
+    def test_row_kernels_match_per_n_kernels(self, r, n_max, a, b):
+        # the row point's kernels give, at every checked prime, what the per-n
+        # kernels gave at each n, on the grid verify_dobinski builds
+        grids, window = [], sieve_primes(2, 200)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dobinski, "verify_primes", lambda *args: grids.append(args))
+            verify_dobinski(r, n_max, F(a, b), window)
+        (_, _, _, grid, _, _, excluded, _), = grids
+        (labels, point), = grid
+        assert labels == tuple(f"n={n}" for n in range(n_max + 1))
+        table, top, g, b_cols, inv = point
+        assert top == n_max and len(b_cols) == r
+        rows = list(zip(g, *b_cols))
+        for p in window:
+            if p in excluded:
+                continue
+            ctx = PrimeCtx(p)
+            assert dobinski._dobinski_lhs(ctx, *point) == [
+                dobinski_lhs_per_n(ctx, table, n, row, inv) for n, row in enumerate(rows)]
+            assert dobinski._dobinski_rhs(ctx, *point) == [
+                dobinski_rhs_per_n(ctx, table, n, row, inv) for n, row in enumerate(rows)]
 
     def test_right_side_never_reads_its_own_entry(self, monkeypatch):
         # perturb the last truncated sum in the window table, D(n_max) with

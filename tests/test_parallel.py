@@ -147,6 +147,51 @@ def test_workers_capped_at_core_count(monkeypatch):
     assert workers == [3, 3]
 
 
+def _toy_lhs(ctx, left, right):
+    return left
+
+
+def _toy_rhs(ctx, left, right):
+    return right
+
+
+# a row point that carries its two rows: at "b" the right value 99 must never
+# reach a record, and at "f" the left reason wins over the right one
+TOY_ROW = (("a", "b", "c", "d", "e", "f"),
+           ((1, "left", 3, 0, 4, "left f"), (1, 99, 4, "right", 4, "right f")))
+
+
+def test_row_point_records_each_entry_in_label_order():
+    checks, skips = check_shard(_toy_lhs, _toy_rhs, ([TOY_ROW], [5, 7]))
+    assert checks == [
+        (5, "a", 1, 1, True), (5, "c", 3, 4, False), (5, "e", 4, 4, True),
+        (7, "a", 1, 1, True), (7, "c", 3, 4, False), (7, "e", 4, 4, True),
+    ]
+    assert skips == [(5, "b", "left"), (5, "d", "right"), (5, "f", "left f"),
+                     (7, "b", "left"), (7, "d", "right"), (7, "f", "left f")]
+
+
+def test_row_points_beside_scalar_points():
+    # one grid may mix both kinds; records keep grid order, then label order
+    grid = [("s", (2, 2)), TOY_ROW, ("t", ("left", 5)), ("u", (3, "right")), TOY_ROW]
+    checks, skips = check_shard(_toy_lhs, _toy_rhs, (grid, [11]))
+    assert [c[1] for c in checks] == ["s", "a", "c", "e", "a", "c", "e"]
+    assert [s[1:] for s in skips] == [
+        ("b", "left"), ("d", "right"), ("f", "left f"), ("t", "left"), ("u", "right"),
+        ("b", "left"), ("d", "right"), ("f", "left f"),
+    ]
+
+
+@pytest.mark.parametrize("cut", ["left", "right", "labels"])
+def test_row_of_the_wrong_length_raises(cut):
+    # never a zip that stops early: a dropped entry would be a check that never ran
+    labels, (left, right) = TOY_ROW
+    point = (left[:-1] if cut == "left" else left, right[:-1] if cut == "right" else right)
+    grid = [(labels + ("g",) if cut == "labels" else labels, point)]
+    with pytest.raises(ValueError, match="entries"):
+        check_shard(_toy_lhs, _toy_rhs, (grid, [5]))
+
+
 @pytest.mark.parametrize("module", [dobinski, euler], ids=lambda m: m.__name__)
 def test_every_batch_is_check_shard_bound_to_its_kernels(module):
     # a verifier is a grid and a kernel pair: no batch has a loop of its own
