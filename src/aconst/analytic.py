@@ -64,6 +64,20 @@ computed stream is still validated by precision doubling: recompute with
 twice the target precision and demand agreement to half the target bits,
 raising on any mismatch.
 
+The two streams of a validation rest on two Newton inversions, one per
+precision, and on a cold memo those are most of its time.  They are
+independent, so when neither is memoized they run at once: a forked child
+inverts at the target precision and hands its tuple back through a pipe
+(marshal) while this process inverts at the doubled one.  The check still
+compares two separately computed inversions, and every value is bit for bit
+what the serial order gives.  That order is kept when os.fork is missing,
+when another thread is alive (the child would hold a copy of only the
+calling thread, and of any lock another thread held), and when the child
+fails; this process then inverts both.  It is a bare fork, not _parallel's
+process pool: the pool costs its import (about 50 ms), and on the
+gamma-series workload a pool prototype peaked 13% higher in memory where
+the child adds about 5% (BENCH_27.json).
+
 The reference value of Euler's constant is embedded as digits from an
 independent published source (OEIS A001620); nothing here is allowed to be
 its own oracle.
@@ -72,7 +86,10 @@ its own oracle.
 from __future__ import annotations
 
 import decimal
+import marshal
 import math
+import os
+import threading
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -214,10 +231,9 @@ def _mul(a: list[int], b: list[int], lo: int, hi: int) -> list[int]:
     return _signed_unpack(_signed_pack(a, width) * _signed_pack(b, width), lo, hi, width)
 
 
-@lru_cache(maxsize=2)  # one entry per precision of the doubling validation
-def _gregory_zero_fixed(n: int, wp: int) -> tuple[int, ...]:
+def _newton_zeros(n: int, wp: int) -> tuple[int, ...]:
     """G_0(0)..G_{n-1}(0) scaled by 2**wp: Newton inversion of the rounded
-    series log(1+t)/t.  It does not depend on x, so every shift shares it."""
+    series log(1+t)/t."""
     one = 1 << wp
     f = [(2 * one + i + 1) // (2 * i + 2) for i in range(n)]  # 1/(i+1), rounded
     f[1::2] = [-c for c in f[1::2]]
@@ -230,6 +246,79 @@ def _gregory_zero_fixed(n: int, wp: int) -> tuple[int, ...]:
         e = [(c + d) >> wp for c, d in zip(_mul(f[:k], g, k, k2), _mul(f[k:k2], g, 0, k2 - k))]
         g += [-c >> wp for c in _mul(g[: k2 - k], e, 0, k2 - k)]
     return tuple(g)
+
+
+#: The inversion memo: _newton_zeros(n, wp) by (n, wp), holding the two
+#: most recently used keys, one per precision of the doubling validation.
+_zero_memo: dict[tuple[int, int], tuple[int, ...]] = {}
+
+
+def _remember_zeros(key: tuple[int, int], zeros: tuple[int, ...]) -> tuple[int, ...]:
+    """Make key the newest entry of the inversion memo, dropping the oldest past two."""
+    _zero_memo.pop(key, None)
+    _zero_memo[key] = zeros
+    if len(_zero_memo) > 2:
+        del _zero_memo[next(iter(_zero_memo))]
+    return zeros
+
+
+def _gregory_zero_fixed(n: int, wp: int) -> tuple[int, ...]:
+    """G_0(0)..G_{n-1}(0) scaled by 2**wp, through the inversion memo.  It
+    does not depend on x, so every shift shares it."""
+    zeros = _zero_memo.get((n, wp))
+    return _remember_zeros((n, wp), _newton_zeros(n, wp) if zeros is None else zeros)
+
+
+def _invert_both(n: int, wp1: int, wp2: int) -> None:
+    """Put both inversions of a doubling validation into the memo at once.
+
+    Only when neither is memoized: a forked child inverts at wp1 and writes
+    the tuple to a pipe (marshal) while this process inverts at wp2.  The
+    child leaves only by os._exit, so it runs no exit hook and flushes no
+    stdio.  Without os.fork or with another thread alive (the child would
+    copy only this thread, and any lock the others hold), nothing is done;
+    when the child fails (fork error, nonzero exit, missing or short data),
+    wp1 is left unmemoized.  Either way the caller's streams then invert in
+    process, as if this were never called.  If this process's inversion
+    raises, the child is killed and reaped before the exception propagates.
+    """
+    fork = getattr(os, "fork", None)
+    if fork is None or threading.active_count() > 1:
+        return
+    if (n, wp1) in _zero_memo or (n, wp2) in _zero_memo:
+        return
+    rfd, wfd = os.pipe()
+    try:
+        pid = fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return
+    if pid == 0:
+        status = 1
+        try:
+            os.close(rfd)
+            with open(wfd, "wb") as pipe:
+                pipe.write(marshal.dumps(_newton_zeros(n, wp1)))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(wfd)
+    with open(rfd, "rb") as pipe:
+        try:
+            _gregory_zero_fixed(n, wp2)
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, 9)  # SIGKILL, whose number POSIX fixes
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    if status == 0:
+        try:
+            zeros = marshal.loads(data)
+        except (EOFError, ValueError):  # missing or short data
+            return
+        _remember_zeros((n, wp1), zeros)
 
 
 @lru_cache(maxsize=8)
@@ -250,11 +339,21 @@ def _gregory_fixed(num: int, den: int, n_max: int, wp: int) -> tuple[int, ...]:
 
 
 def _validated_fixed(x: Fraction, n_max: int, prec: int) -> tuple[tuple[int, ...], int]:
-    """Fixed-point stream plus its scale, stable to prec/2 bits under doubling."""
+    """Fixed-point stream plus its scale, stable to prec/2 bits under doubling.
+
+    The stream is computed at wp1 and again at wp2, about twice the bits,
+    each from its own Newton inversion.  When neither inversion is memoized
+    the two run at once, wp1 in a forked child (_invert_both); without
+    os.fork, with another thread alive, or when the child fails, they run
+    one after the other in this process, as the streams ask for them.
+    """
     if prec < 64:
         raise ValueError("prec must be at least 64")
+    if n_max < 0:
+        raise ValueError(f"term count must be nonnegative, got {n_max}")
     wp1 = _working_bits(prec, n_max)
     wp2 = _working_bits(2 * prec, n_max)
+    _invert_both(n_max + 1, wp1, wp2)
     a = _gregory_fixed(x.numerator, x.denominator, n_max, wp1)
     b = _gregory_fixed(x.numerator, x.denominator, n_max, wp2)
     need = prec // 2

@@ -193,10 +193,12 @@ def _cmd_cache_verify(args) -> int:
     return 1 if mismatches else 0
 
 
-def _add_window_opts(p: argparse.ArgumentParser, window: tuple[int, int]) -> None:
+def _add_window_opts(
+    p: argparse.ArgumentParser, window: tuple[int, int], threads_help: str
+) -> None:
     p.add_argument("--pmin", type=int, default=window[0], help="window lower bound")
     p.add_argument("--pmax", type=int, default=window[1], help="window upper bound")
-    p.add_argument("--threads", type=_int_at_least(0), default=0, help="capped at cores; 0 = all")
+    p.add_argument("--threads", type=_int_at_least(0), default=0, help=threads_help)
     p.add_argument("--json", metavar="PATH", help="write a JSONL report")
     p.add_argument(
         "--no-timestamp",
@@ -220,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     vd.add_argument("--r", type=_int_at_least(1), default=1, help="factorial power")
     vd.add_argument("--nmax", type=_int_at_least(0), default=10)
     vd.add_argument("--x", type=parse_rational, default=Fraction(1))
-    _add_window_opts(vd, dobinski.DEFAULT_WINDOW)
+    _add_window_opts(vd, dobinski.DEFAULT_WINDOW,
+                     "accepted and ignored: every prime is checked in this process")
     vd.set_defaults(fn=_cmd_verify_dobinski, parser=vd)
 
     ve = vsub.add_parser("euler", help="Euler-constant congruence family")
@@ -232,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--x", type=parse_rational, default=Fraction(0))
     ve.add_argument("--m", type=_int_at_least(1), default=1, help="kluyver order")
     ve.add_argument("--k", type=_int_at_least(2), default=2, help="interlude offset")
-    _add_window_opts(ve, euler.DEFAULT_WINDOW)
+    _add_window_opts(ve, euler.DEFAULT_WINDOW, "capped at cores; 0 = all")
     ve.set_defaults(fn=_cmd_verify_euler)
 
     search = sub.add_parser("search", help="scan for vanishing components")

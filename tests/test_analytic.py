@@ -1,7 +1,10 @@
 import decimal
 import math
+import os
 import random
 import sys
+import threading
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -15,7 +18,6 @@ from aconst import analytic
 from aconst.analytic import (
     GAMMA_REF_DIGITS,
     _gregory_fixed,
-    _gregory_zero_fixed,
     _mul,
     _signed_pack,
     _signed_unpack,
@@ -315,10 +317,10 @@ class TestProductEngines:
         for threshold in ENGINES.values():
             monkeypatch.setattr(analytic, "_DECIMAL_MIN_BITS", threshold)
             _gregory_fixed.cache_clear()
-            _gregory_zero_fixed.cache_clear()
+            analytic._zero_memo.clear()
             streams.append(_gregory_fixed(0, 1, 4000, wp))
         _gregory_fixed.cache_clear()
-        _gregory_zero_fixed.cache_clear()
+        analytic._zero_memo.clear()
         assert streams[0] == streams[1]
 
     def test_ignores_the_ambient_context(self):
@@ -346,7 +348,7 @@ class TestProductEngines:
         n = len(a) + len(b) - 1
         expected = oracle_mul(a, b, 0, n)
         _gregory_fixed.cache_clear()
-        _gregory_zero_fixed.cache_clear()
+        analytic._zero_memo.clear()
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
@@ -385,6 +387,137 @@ class TestValidation:
         self._perturbed(monkeypatch, 3, lambda t: -(1 << t) // 4)
         stream, wp = _validated_fixed(F(0), 10, 64)
         assert stream == _gregory_fixed(0, 1, 10, wp)
+
+
+def cold_series(k, x, terms=400):
+    """bla101_partial from empty stream and inversion memos, as its _mpf_."""
+    _gregory_fixed.cache_clear()
+    analytic._zero_memo.clear()
+    return bla101_partial(k, x, terms, 64)._mpf_
+
+
+@contextmanager
+def second_thread():
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The list of os.fork calls made while the test runs."""
+    calls = []
+    real = os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="this platform has no os.fork")
+class TestConcurrentValidation:
+    """_validated_fixed inverts wp1 in a forked child while it inverts wp2."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("x", [F(0), F(1, 2), F(7, 3)])
+    def test_fork_changes_no_bit(self, forks, monkeypatch, x, k):
+        forked = cold_series(k, x)
+        assert len(forks) == 1  # the k shifts share one pair of inversions
+        with second_thread():
+            threaded = cold_series(k, x)
+        monkeypatch.delattr(os, "fork")
+        unforked = cold_series(k, x)
+        assert len(forks) == 1
+        assert forked == threaded == unforked
+
+    def test_no_fork_while_another_thread_runs(self, forks):
+        with second_thread():
+            cold_series(1, F(0))
+        assert not forks
+
+    def test_warm_inversions_fork_nothing(self, forks):
+        cold_series(1, F(0))
+        bla101_partial(1, F(1, 2), 400, 64)  # a new stream on memoized inversions
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("failure", ["raise", "exit", "short"])
+    def test_a_failed_child_leaves_wp1_to_this_process(self, forks, monkeypatch, failure):
+        expected = cold_series(2, F(1, 2))
+        me = os.getpid()
+        real_zeros, real_dumps = analytic._newton_zeros, analytic.marshal.dumps
+
+        def child_fails(n, wp):
+            if os.getpid() != me and failure == "raise":
+                raise RuntimeError("the child's inversion fails")
+            if os.getpid() != me and failure == "exit":
+                os._exit(3)
+            return real_zeros(n, wp)
+
+        monkeypatch.setattr(analytic, "_newton_zeros", child_fails)
+        if failure == "short":
+            monkeypatch.setattr(analytic.marshal, "dumps", lambda v: real_dumps(v)[:-5])
+        assert cold_series(2, F(1, 2)) == expected
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+    def test_a_failed_parent_reaps_its_child(self, forks, monkeypatch, exc):
+        me = os.getpid()
+        real = analytic._newton_zeros
+
+        def parent_fails(n, wp):
+            if os.getpid() == me:
+                raise exc("this process's inversion fails")
+            return real(n, wp)
+
+        monkeypatch.setattr(analytic, "_newton_zeros", parent_fails)
+        with pytest.raises(exc, match="this process's inversion fails"):
+            cold_series(1, F(0), terms=4000)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert not analytic._zero_memo
+
+
+class TestTermCounts:
+    """A negative term count is refused by name; zero terms is the empty sum.
+    asymptotic_sanity refuses both (TestAsymptoticSanity)."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n: mascheroni_partial(0, 1, n),
+            lambda n: bla101_partial(2, F(1, 2), n),
+            lambda n: gregory_value_float(0, n),
+            lambda n: _validated_fixed(F(7, 3), n, 64),
+        ],
+        ids=["mascheroni", "bla101", "gregory_value_float", "validated_fixed"],
+    )
+    def test_negative_count_refused_before_any_inversion(self, monkeypatch, call):
+        def unreachable(*args):
+            raise AssertionError("inverted or forked for a negative term count")
+
+        monkeypatch.setattr(analytic, "_newton_zeros", unreachable)
+        monkeypatch.setattr(os, "fork", unreachable)
+        with pytest.raises(ValueError, match="term count must be nonnegative, got -1"):
+            call(-1)
+
+    def test_zero_terms_is_the_empty_sum(self):
+        with mpmath.workprec(64):
+            assert mascheroni_partial(0, 1, 0) == 1 - mpmath.log(2)  # 0.30685...
+            assert bla101_partial(2, F(1, 2), 0) == -(
+                mpmath.log(mpmath.mpf(3) / 2) + mpmath.log(mpmath.mpf(5) / 2)) / 2
+        assert gregory_value_float(F(7, 3), 0) == [1]
 
 
 class TestMascheroniPartial:
@@ -434,12 +567,24 @@ class TestBla101Partial:
         got = bla101_partial(2, 0, 3000, 64)
         assert abs(got - gamma_reference(64)) < 1e-3
 
-    def test_k2_inverts_once_per_precision(self):
-        # G_n(0) depends only on (n, wp): the two shifts share both inversions
+    def test_k2_inverts_once_per_precision(self, monkeypatch, tmp_path):
+        # G_n(0) depends only on (n, wp): the two shifts share both inversions.
+        # Each inversion logs its process and precision to a file, which the
+        # child that may invert wp1 can append to as well.
+        log = tmp_path / "inversions"
+        real = analytic._newton_zeros
+
+        def logged(n, wp):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {wp}\n")
+            return real(n, wp)
+
+        monkeypatch.setattr(analytic, "_newton_zeros", logged)
         _gregory_fixed.cache_clear()
-        _gregory_zero_fixed.cache_clear()
+        analytic._zero_memo.clear()
         got = bla101_partial(2, 0, 3000, 64)
-        assert _gregory_zero_fixed.cache_info().misses == 2
+        runs = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        assert sorted(wp for _, wp in runs) == [_working_bits(64, 3000), _working_bits(128, 3000)]
         # bit for bit the value of one inversion per shift
         assert got._mpf_ == (0, 10647717544068405195, -64, 64)
 
@@ -477,8 +622,9 @@ class TestAsymptoticSanity:
         assert 0.3 < ratio < 3.0
 
     def test_small_n_rejected(self):
-        with pytest.raises(ValueError):
-            asymptotic_sanity(F(1, 2), 100)
+        for n in (100, 0, -1):
+            with pytest.raises(ValueError, match="n >= 1000"):
+                asymptotic_sanity(F(1, 2), n)
 
 
 class TestDrNumeric:

@@ -90,6 +90,23 @@ class TestVerifyCommands:
         args = build_parser().parse_args(argv)
         assert (args.pmin, args.pmax) == module.DEFAULT_WINDOW
 
+    @pytest.mark.parametrize(
+        "family, says, not_says",
+        [
+            (["dobinski"], "accepted and ignored", "capped at cores"),
+            (["euler", "--which", "mascheroni"], "capped at cores; 0 = all", "ignored"),
+        ],
+        ids=["dobinski", "euler"],
+    )
+    def test_threads_help_says_what_the_option_does(self, family, says, not_says, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *family, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+        threads = text[text.index("--threads THREADS") :].split(" --json")[0]
+        assert says in threads
+        assert not_says not in threads
+
     def test_dobinski_passes(self, capsys):
         code = main(
             ["verify", "dobinski", "--r", "1", "--nmax", "4", "--pmin", "5", "--pmax", "60"]
