@@ -76,7 +76,7 @@ calling thread, and of any lock another thread held), and when the child
 fails; this process then inverts both.  It is a bare fork, not _parallel's
 process pool: the pool costs its import (about 50 ms), and on the
 gamma-series workload a pool prototype peaked 13% higher in memory where
-the child adds about 5% (BENCH_27.json).
+the child adds 5-6% (BENCH_27.json).
 
 The reference value of Euler's constant is embedded as digits from an
 independent published source (OEIS A001620); nothing here is allowed to be
