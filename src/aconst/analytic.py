@@ -64,19 +64,20 @@ computed stream is still validated by precision doubling: recompute with
 twice the target precision and demand agreement to half the target bits,
 raising on any mismatch.
 
-The two streams of a validation rest on two Newton inversions, one per
-precision, and on a cold memo those are most of its time.  They are
-independent, so when neither is memoized they run at once: a forked child
-inverts at the target precision and hands its tuple back through a pipe
-(marshal) while this process inverts at the doubled one.  The check still
-compares two separately computed inversions, and every value is bit for bit
-what the serial order gives.  That order is kept when os.fork is missing,
-when another thread is alive (the child would hold a copy of only the
-calling thread, and of any lock another thread held), and when the child
-fails; this process then inverts both.  It is a bare fork, not _parallel's
-process pool: the pool costs its import (about 50 ms), and on the
-gamma-series workload a pool prototype peaked 13% higher in memory where
-the child adds 5-6% (BENCH_27.json).
+Two memos hold what the callers reuse.  _gregory_fixed holds validated
+streams, the wp1 stream and its scale by (x, n_max, prec), and on a miss
+takes both inversions from _inversions, the one-entry pair memo keyed by
+(n, wp1, wp2), so the shifts x + j of one series share one pair.  Neither
+memo is derived from the other.  The two inversions are independent and
+most of a cold validation, so on a miss of the pair memo they run at once:
+a forked child inverts at the target precision and hands its tuple back
+through a pipe (marshal) while this process inverts at the doubled one.
+The check still compares two separately computed inversions, and every
+value is bit for bit what the serial order gives, which is kept when
+os.fork is missing, another thread is alive or the child fails.  It is a
+bare fork, not _parallel's process pool: the pool costs its import (about
+50 ms), and on the gamma-series workload a pool prototype peaked 13% higher
+in memory where the child adds 5-6% (BENCH_27.json).
 
 The reference value of Euler's constant is embedded as digits from an
 independent published source (OEIS A001620); nothing here is allowed to be
@@ -248,52 +249,30 @@ def _newton_zeros(n: int, wp: int) -> tuple[int, ...]:
     return tuple(g)
 
 
-#: The inversion memo: _newton_zeros(n, wp) by (n, wp), holding the two
-#: most recently used keys, one per precision of the doubling validation.
-_zero_memo: dict[tuple[int, int], tuple[int, ...]] = {}
+@lru_cache(maxsize=1)
+def _inversions(n: int, wp1: int, wp2: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """_newton_zeros(n, wp1) and _newton_zeros(n, wp2), the pair memo of the
+    doubling validation; G_n(0) does not depend on x, so every shift shares it.
 
-
-def _remember_zeros(key: tuple[int, int], zeros: tuple[int, ...]) -> tuple[int, ...]:
-    """Make key the newest entry of the inversion memo, dropping the oldest past two."""
-    _zero_memo.pop(key, None)
-    _zero_memo[key] = zeros
-    if len(_zero_memo) > 2:
-        del _zero_memo[next(iter(_zero_memo))]
-    return zeros
-
-
-def _gregory_zero_fixed(n: int, wp: int) -> tuple[int, ...]:
-    """G_0(0)..G_{n-1}(0) scaled by 2**wp, through the inversion memo.  It
-    does not depend on x, so every shift shares it."""
-    zeros = _zero_memo.get((n, wp))
-    return _remember_zeros((n, wp), _newton_zeros(n, wp) if zeros is None else zeros)
-
-
-def _invert_both(n: int, wp1: int, wp2: int) -> None:
-    """Put both inversions of a doubling validation into the memo at once.
-
-    Only when neither is memoized: a forked child inverts at wp1 and writes
-    the tuple to a pipe (marshal) while this process inverts at wp2.  The
-    child leaves only by os._exit, so it runs no exit hook and flushes no
-    stdio.  Without os.fork or with another thread alive (the child would
-    copy only this thread, and any lock the others hold), nothing is done;
-    when the child fails (fork error, nonzero exit, missing or short data),
-    wp1 is left unmemoized.  Either way the caller's streams then invert in
-    process, as if this were never called.  If this process's inversion
-    raises, the child is killed and reaped before the exception propagates.
+    On a miss a forked child inverts at wp1 and writes the tuple to a pipe
+    (marshal) while this process inverts at wp2.  The child leaves only by
+    os._exit, so it runs no exit hook and flushes no stdio.  Without os.fork or
+    with another thread alive (the child would copy only this thread, and any
+    lock the others hold), or when the child fails (fork error, nonzero exit,
+    missing or short data), this process inverts wp1 itself.  If this
+    process's inversion raises, the child is killed and reaped before the
+    exception propagates.
     """
     fork = getattr(os, "fork", None)
     if fork is None or threading.active_count() > 1:
-        return
-    if (n, wp1) in _zero_memo or (n, wp2) in _zero_memo:
-        return
+        return _newton_zeros(n, wp1), _newton_zeros(n, wp2)
     rfd, wfd = os.pipe()
     try:
         pid = fork()
     except OSError:
         os.close(rfd)
         os.close(wfd)
-        return
+        return _newton_zeros(n, wp1), _newton_zeros(n, wp2)
     if pid == 0:
         status = 1
         try:
@@ -306,7 +285,7 @@ def _invert_both(n: int, wp1: int, wp2: int) -> None:
     os.close(wfd)
     with open(rfd, "rb") as pipe:
         try:
-            _gregory_zero_fixed(n, wp2)
+            zeros2 = _newton_zeros(n, wp2)
             data = pipe.read()
         except BaseException:
             os.kill(pid, 9)  # SIGKILL, whose number POSIX fixes
@@ -315,47 +294,39 @@ def _invert_both(n: int, wp1: int, wp2: int) -> None:
             status = os.waitpid(pid, 0)[1]
     if status == 0:
         try:
-            zeros = marshal.loads(data)
+            return marshal.loads(data), zeros2
         except (EOFError, ValueError):  # missing or short data
-            return
-        _remember_zeros((n, wp1), zeros)
+            pass
+    return _newton_zeros(n, wp1), zeros2
 
 
-@lru_cache(maxsize=8)
-def _gregory_fixed(num: int, den: int, n_max: int, wp: int) -> tuple[int, ...]:
-    """G_0(x)..G_{n_max}(x) for x = num/den, scaled by 2**wp.
-
-    The Gregory numbers G_n(0) come from Newton inversion of the rounded
-    series log(1+t)/t; their product with the binomial series of (1+t)**x,
-    trimmed of trailing zeros, gives the stream (module docstring).
-    """
-    n = n_max + 1
+def _binomial_product(num: int, den: int, zeros: tuple[int, ...], wp: int) -> tuple[int, ...]:
+    """G_0(x)..G_{n-1}(x) for x = num/den, scaled by 2**wp, from the n values
+    G_k(0) in zeros: their product with the binomial series of (1+t)**x,
+    trimmed of trailing zeros (module docstring)."""
+    n = len(zeros)
     binom = [1 << wp]
     for k in range(1, n):
         binom.append(binom[-1] * (num - den * (k - 1)) // (den * k))
     while not binom[-1]:
         binom.pop()
-    return tuple(c >> wp for c in _mul(binom, _gregory_zero_fixed(n, wp), 0, n))
+    return tuple(c >> wp for c in _mul(binom, zeros, 0, n))
 
 
-def _validated_fixed(x: Fraction, n_max: int, prec: int) -> tuple[tuple[int, ...], int]:
-    """Fixed-point stream plus its scale, stable to prec/2 bits under doubling.
+@lru_cache(maxsize=8)
+def _gregory_fixed(num: int, den: int, n_max: int, prec: int) -> tuple[tuple[int, ...], int]:
+    """The memo of validated streams: G_0(x)..G_{n_max}(x) for x = num/den,
+    scaled by 2**wp1, and wp1, stable to prec/2 bits under doubling.
 
     The stream is computed at wp1 and again at wp2, about twice the bits,
-    each from its own Newton inversion.  When neither inversion is memoized
-    the two run at once, wp1 in a forked child (_invert_both); without
-    os.fork, with another thread alive, or when the child fails, they run
-    one after the other in this process, as the streams ask for them.
+    each from its own Newton inversion (_inversions), and any mismatch
+    raises.
     """
-    if prec < 64:
-        raise ValueError("prec must be at least 64")
-    if n_max < 0:
-        raise ValueError(f"term count must be nonnegative, got {n_max}")
     wp1 = _working_bits(prec, n_max)
     wp2 = _working_bits(2 * prec, n_max)
-    _invert_both(n_max + 1, wp1, wp2)
-    a = _gregory_fixed(x.numerator, x.denominator, n_max, wp1)
-    b = _gregory_fixed(x.numerator, x.denominator, n_max, wp2)
+    zeros1, zeros2 = _inversions(n_max + 1, wp1, wp2)
+    a = _binomial_product(num, den, zeros1, wp1)
+    b = _binomial_product(num, den, zeros2, wp2)
     need = prec // 2
     shift = wp2 - wp1
     for n in range(n_max + 1):
@@ -365,6 +336,16 @@ def _validated_fixed(x: Fraction, n_max: int, prec: int) -> tuple[tuple[int, ...
         if diff > tol:
             raise ArithmeticError(f"unstable recurrence at n={n} (prec={prec})")
     return a, wp1
+
+
+def _validated_fixed(x: Fraction, n_max: int, prec: int) -> tuple[tuple[int, ...], int]:
+    """Fixed-point stream plus its scale, stable to prec/2 bits under doubling
+    (_gregory_fixed)."""
+    if prec < 64:
+        raise ValueError("prec must be at least 64")
+    if n_max < 0:
+        raise ValueError(f"term count must be nonnegative, got {n_max}")
+    return _gregory_fixed(x.numerator, x.denominator, n_max, prec)
 
 
 def gregory_value_float(x, n_max: int, prec: int = 64) -> list[mpf]:

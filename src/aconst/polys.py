@@ -28,10 +28,10 @@ Harvey, J. Symbolic Comput. 44, 2009), copied byte by byte to and from 8-byte
 cells by strided slices, so p < 2642247 (8-byte slots at every p would make
 the multiply 1.7x slower at p = 10007).  The residue stream stops at n = p-2:
 G_{p-1}(x) picks up a 1/p! term and is not p-integral.  It stays apart from
-the fixed-point stream of analytic._gregory_fixed, which has the same shape:
-running both through one signed product and one Newton inversion made the
-Newton step mod p 1.2-1.75x slower, and the whole residue stream 25-40%
-slower at p <= 503.
+the fixed-point binomial product analytic._binomial_product, which has the
+same shape: running both through one signed product and one Newton
+inversion made the Newton step mod p 1.2-1.75x slower, and the whole
+residue stream 25-40% slower at p <= 503.
 """
 
 from __future__ import annotations

@@ -17,8 +17,11 @@ from hypothesis import strategies as st
 from aconst import analytic
 from aconst.analytic import (
     GAMMA_REF_DIGITS,
+    _binomial_product,
     _gregory_fixed,
+    _inversions,
     _mul,
+    _newton_zeros,
     _signed_pack,
     _signed_unpack,
     _validated_fixed,
@@ -181,6 +184,11 @@ class TestGregoryFloats:
             call()
 
 
+def raw_stream(x, n_max, wp):
+    """G_0(x)..G_{n_max}(x) at one working precision, unvalidated."""
+    return _binomial_product(x.numerator, x.denominator, _newton_zeros(n_max + 1, wp), wp)
+
+
 @st.composite
 def fixed_cases(draw):
     x = F(draw(st.integers(-7, 7)), draw(st.integers(1, 7)))
@@ -193,7 +201,7 @@ class TestFixedPointKernel:
     @given(fixed_cases())
     def test_matches_recurrence(self, case):
         x, n_max, wp = case
-        got = _gregory_fixed(x.numerator, x.denominator, n_max, wp)
+        got = raw_stream(x, n_max, wp)
         ref = recurrence_fixed(x.numerator, x.denominator, n_max, wp)
         assert len(got) == n_max + 1
         bound = ulp_bound(x, n_max, wp)
@@ -206,7 +214,7 @@ class TestFixedPointKernel:
     def test_matches_recurrence_at_2000_terms(self, x):
         n_max = 2000
         wp = _working_bits(64, n_max)
-        got = _gregory_fixed(x.numerator, x.denominator, n_max, wp)
+        got = raw_stream(x, n_max, wp)
         ref = recurrence_fixed(x.numerator, x.denominator, n_max, wp)
         tol = ulp_bound(x, n_max, wp) + recurrence_bound(x, ref, wp)
         assert max(abs(a - b) for a, b in zip(got, ref)) <= tol
@@ -316,11 +324,7 @@ class TestProductEngines:
         streams = []
         for threshold in ENGINES.values():
             monkeypatch.setattr(analytic, "_DECIMAL_MIN_BITS", threshold)
-            _gregory_fixed.cache_clear()
-            analytic._zero_memo.clear()
-            streams.append(_gregory_fixed(0, 1, 4000, wp))
-        _gregory_fixed.cache_clear()
-        analytic._zero_memo.clear()
+            streams.append(raw_stream(F(0), 4000, wp))
         assert streams[0] == streams[1]
 
     def test_ignores_the_ambient_context(self):
@@ -347,8 +351,6 @@ class TestProductEngines:
         a, b = crossover_operands(1)
         n = len(a) + len(b) - 1
         expected = oracle_mul(a, b, 0, n)
-        _gregory_fixed.cache_clear()
-        analytic._zero_memo.clear()
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
@@ -363,36 +365,43 @@ class TestProductEngines:
 class TestValidation:
     """_validated_fixed must reject streams that disagree under doubling."""
 
-    def _perturbed(self, monkeypatch, index, delta):
-        real = analytic._gregory_fixed
-        wp2 = _working_bits(128, 10)
+    def _perturbed(self, monkeypatch, prec, index, delta):
+        """Perturb entry index of the stream at _working_bits(prec, 10) by
+        delta(t), where 2**t is the tolerance below magnitude 1 at prec 64,
+        in that stream's ulps."""
+        real = analytic._binomial_product
+        target = _working_bits(prec, 10)
 
-        def fake(num, den, n_max, wp):
-            stream = list(real(num, den, n_max, wp))
-            if wp == wp2:
-                stream[index] += delta(wp2 - 32)
+        def fake(num, den, zeros, wp):
+            stream = list(real(num, den, zeros, wp))
+            if wp == target:
+                stream[index] += delta(wp - 32)
             return tuple(stream)
 
-        monkeypatch.setattr(analytic, "_gregory_fixed", fake)
+        monkeypatch.setattr(analytic, "_binomial_product", fake)
 
     def test_rejects_a_mismatch_beyond_tolerance(self, monkeypatch):
-        # at prec 64 the tolerance below magnitude 1 is 2**(wp2 - 32)
-        self._perturbed(monkeypatch, 3, lambda t: 3 << t)
+        self._perturbed(monkeypatch, 128, 3, lambda t: 3 << t)
         with pytest.raises(ArithmeticError):
             _validated_fixed(F(0), 10, 64)
         with pytest.raises(ArithmeticError):
             gregory_value_float(0, 10, 64)
 
+    def test_rejects_a_mismatch_in_the_target_precision_stream(self, monkeypatch):
+        self._perturbed(monkeypatch, 64, 3, lambda t: 3 << t)
+        with pytest.raises(ArithmeticError):
+            _validated_fixed(F(0), 10, 64)
+
     def test_accepts_a_mismatch_within_tolerance(self, monkeypatch):
-        self._perturbed(monkeypatch, 3, lambda t: -(1 << t) // 4)
+        self._perturbed(monkeypatch, 128, 3, lambda t: -(1 << t) // 4)
         stream, wp = _validated_fixed(F(0), 10, 64)
-        assert stream == _gregory_fixed(0, 1, 10, wp)
+        assert stream == raw_stream(F(0), 10, wp)
 
 
 def cold_series(k, x, terms=400):
-    """bla101_partial from empty stream and inversion memos, as its _mpf_."""
+    """bla101_partial from empty stream and pair memos, as its _mpf_."""
     _gregory_fixed.cache_clear()
-    analytic._zero_memo.clear()
+    _inversions.cache_clear()
     return bla101_partial(k, x, terms, 64)._mpf_
 
 
@@ -486,7 +495,14 @@ class TestConcurrentValidation:
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        assert not analytic._zero_memo
+        assert _inversions.cache_info().currsize == 0
+
+    def test_a_memoized_stream_forks_nothing(self, forks):
+        # the stream memo answers a repeated call before any inversion is asked for
+        first = mascheroni_partial(0, 1, 400)
+        mascheroni_partial(0, 1, 300)
+        assert mascheroni_partial(0, 1, 400) == first
+        assert len(forks) == 2
 
 
 class TestTermCounts:
@@ -580,8 +596,6 @@ class TestBla101Partial:
             return real(n, wp)
 
         monkeypatch.setattr(analytic, "_newton_zeros", logged)
-        _gregory_fixed.cache_clear()
-        analytic._zero_memo.clear()
         got = bla101_partial(2, 0, 3000, 64)
         runs = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
         assert sorted(wp for _, wp in runs) == [_working_bits(64, 3000), _working_bits(128, 3000)]
