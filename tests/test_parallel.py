@@ -1,20 +1,34 @@
-"""The verifier driver: report bytes pinned across versions, shard
-independence, the whole-prime skips the driver records, and every batch
-being check_shard bound to its two side kernels."""
+"""The verifier driver: report bytes pinned across versions and thread
+counts, shard independence, the whole-prime skips the driver records, and
+every batch being check_shard bound to its two side kernels.
 
+Every pinned report's sha256 lives in golden_reports.json, keyed by the names
+of VERIFIERS (library calls) and CLI_REPORTS (CLI argvs).  A report that moves
+on purpose is re-pinned by hand there: the failure names the call, the pinned
+hash and the computed one."""
+
+import argparse
 import concurrent.futures
 import hashlib
+import json
 import random
+import shlex
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 
-from aconst import _parallel, dobinski, euler
+from aconst import _parallel, cli, dobinski, euler
 from aconst._parallel import check_shard, run_prime_shards, verify_primes
 from aconst.modular import sieve_primes
 
 F = Fraction
+
+GOLDEN_PATH = Path(__file__).with_name("golden_reports.json")
+# sha256 of the report bytes under --no-timestamp (to_jsonl(include_timing=False)):
+# a format that must not drift between versions or thread counts
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 # [2, 60] holds 2 and 3 (a whole-prime skip on the Euler side) and, for
 # dobinski at x = 7/3, the coefficient-denominator skip at p = 3
@@ -22,39 +36,64 @@ WINDOW = sieve_primes(2, 60)
 # the same primes out of order, some of them (2 among them) repeated
 SHUFFLED = random.Random(20).sample(WINDOW + WINDOW[::4], len(WINDOW) + len(WINDOW[::4]))
 
+# each verifier with its grid bound; a call adds the window and the thread count
 VERIFIERS = {
-    "dobinski": lambda t, w=WINDOW: dobinski.verify_dobinski(2, 6, F(7, 3), w, threads=t),
-    "mascheroni": lambda t, w=WINDOW: euler.verify_mascheroni(
-        [F(0), F(-1), F(7, 3)], w, threads=t
-    ),
-    "interlude": lambda t, w=WINDOW: euler.verify_interlude([2, 3], [F(0), F(1, 2)], w, threads=t),
-    "kluyver": lambda t, w=WINDOW: euler.verify_kluyver([1, 2], [F(0), F(-2)], w, threads=t),
-    "eisenstein": lambda t, w=WINDOW: euler.verify_eisenstein(
-        [F(7, 3), F(0), F(-1)], w, threads=t
-    ),
-    "log-additivity": lambda t, w=WINDOW: euler.verify_log_additivity(
-        [F(2), F(1, 3), F(-4)], w, threads=t
-    ),
+    "dobinski": partial(dobinski.verify_dobinski, 2, 6, F(7, 3)),
+    "mascheroni": partial(euler.verify_mascheroni, [F(0), F(-1), F(7, 3)]),
+    "interlude": partial(euler.verify_interlude, [2, 3], [F(0), F(1, 2)]),
+    "kluyver": partial(euler.verify_kluyver, [1, 2], [F(0), F(-2)]),
+    "eisenstein": partial(euler.verify_eisenstein, [F(7, 3), F(0), F(-1)]),
+    "log-additivity": partial(euler.verify_log_additivity, [F(2), F(1, 3), F(-4)]),
 }
 
-# sha256 of to_jsonl(include_timing=False): the report bytes are a format
-# that must not drift between versions or thread counts
-GOLDEN_SHA256 = {
-    "dobinski": "74aaea4dc881bbd87721ee2f42705a3c68bc0337202f6307f1d219d473c4e81e",
-    "mascheroni": "9751e59ad482cc4acda5260687d1ddb9418243a918a173629129b5892bac9f25",
-    "interlude": "f4f653b51549ec3942acdc21d2cfc6052767b282fef21f24b2526c3d25a18759",
-    "kluyver": "bb549e12dddc65396dc3121f22d13eb719004b0a7454ea236e6c8d79934d2a15",
-    "eisenstein": "beb23206aa6977bb6ff8aaf1b08d37c9ac3d80a778ee39b936683e5d23b1d618",
-    "log-additivity": "638808076b273a5e5c47c176fb4a7fff77e391479eb95223069233603f6376f2",
+# CLI-scale windows; a run adds --threads, --no-timestamp and --json
+CLI_REPORTS = {
+    "cli-dobinski": "verify dobinski --r 3 --nmax 20 --x 7/3 --pmin 5 --pmax 2003".split(),
+    # the remainder tree over 169 primes (an odd count), x with a negative numerator
+    "cli-dobinski-odd": "verify dobinski --r 2 --nmax 12 --x=-2/3 --pmin 2 --pmax 1013".split(),
+    # the Euler ones at --threads 2: pool workers inherit the Gregory stream
+    # memo by fork and lose what they add
+    "cli-mascheroni": "verify euler --which mascheroni --x 1/2 --pmax 1009".split(),
+    "cli-kluyver": "verify euler --which kluyver --m 3 --x 7/3 --pmax 1009".split(),
+    "cli-interlude": "verify euler --which interlude --k 3 --x 1/2 --pmax 1009".split(),
+    "cli-eisenstein": "verify euler --which eisenstein --x 7/3 --pmax 1009".split(),
+    "cli-logadd": "verify euler --which logadd --x 7/3 --pmax 1009".split(),
+    # residue slots widen from 4 to 5 bytes at p = 1626, inside these windows
+    "cli-mascheroni-slots":
+        "verify euler --which mascheroni --x 1/2 --pmin 1601 --pmax 1709".split(),
+    "cli-kluyver-slots":
+        "verify euler --which kluyver --m 3 --x 7/3 --pmin 1601 --pmax 1709".split(),
 }
+
+
+def _assert_pinned(name, data, made_by):
+    digest = hashlib.sha256(data).hexdigest()
+    assert digest == GOLDEN[name], (
+        f"report {name!r} from {made_by} has sha256 {digest}; "
+        f"{GOLDEN_PATH.name} pins {GOLDEN[name]}"
+    )
+
+
+def _library_report(name, threads, window=WINDOW):
+    call = VERIFIERS[name]
+    report = call(window, threads=threads)
+    args = ", ".join(map(repr, call.args + (window,)))
+    _assert_pinned(name, report.to_jsonl(include_timing=False).encode(),
+                   f"{call.func.__name__}({args}, threads={threads})")
+    return report
+
+
+def _cli_report(name, threads, tmp_path):
+    run = CLI_REPORTS[name] + ["--threads", str(threads), "--no-timestamp"]
+    path = tmp_path / f"{name}-{threads}.jsonl"
+    assert cli.main(run + ["--json", str(path)]) == 0, name
+    _assert_pinned(name, path.read_bytes(), "aconst " + shlex.join(run))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", sorted(VERIFIERS))
 def test_report_bytes_pinned(name, threads):
-    report = VERIFIERS[name](threads)
-    text = report.to_jsonl(include_timing=False)
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[name]
+    report = _library_report(name, threads)
     assert report.checks and report.passed
 
 
@@ -63,17 +102,51 @@ def test_report_bytes_pinned(name, threads):
 def test_a_window_is_a_set_of_primes(name, threads):
     # order and repeats do not move a report byte: each prime is checked once
     assert SHUFFLED != WINDOW and len(set(SHUFFLED)) == len(WINDOW) < len(SHUFFLED)
-    text = VERIFIERS[name](threads, SHUFFLED).to_jsonl(include_timing=False)
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[name]
+    _library_report(name, threads, SHUFFLED)
 
 
-def test_shared_memos_move_no_report_byte():
-    # all six in one process, the memos never cleared between them, in list
-    # order and then reversed, so each verifier also runs warm after the others
-    for names in (list(VERIFIERS), list(VERIFIERS)[::-1]):
-        for name in names:
-            text = VERIFIERS[name](1).to_jsonl(include_timing=False)
-            assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[name], name
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(CLI_REPORTS))
+def test_cli_report_bytes_pinned(name, threads, tmp_path):
+    # one pin for both thread counts, so the two runs also agree byte for byte
+    _cli_report(name, threads, tmp_path)
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_registry_pins_every_report_once():
+    assert not VERIFIERS.keys() & CLI_REPORTS.keys()
+    reports = VERIFIERS.keys() | CLI_REPORTS.keys()
+    assert GOLDEN.keys() - reports == set(), "stale pins"
+    assert reports - GOLDEN.keys() == set(), "unpinned reports"
+    # every argv parses and leaves the options a run adds at their defaults;
+    # every theorem the CLI verifies (each --which of a family that has one) is run
+    parser = cli.build_parser()
+    theorems = set()
+    for family, sub in _subcommands(_subcommands(parser)["verify"]).items():
+        which = [a.choices for a in sub._actions if a.dest == "which"]
+        theorems |= set(which[0]) if which else {family}
+    covered = set()
+    for name, argv in CLI_REPORTS.items():
+        args = parser.parse_args(argv)
+        assert (args.threads, args.json, args.no_timestamp) == (0, None, False), name
+        covered.add(getattr(args, "which", args.family))
+    assert covered == theorems
+
+
+def test_shared_memos_move_no_report_byte(tmp_path):
+    # every pinned report in one process, the memos never cleared between them,
+    # in registry order and then reversed, so each also runs warm after the
+    # others; the CLI ones share euler._stream, _ell and _wilson across
+    # 1009-prime windows
+    runs = [partial(_library_report, name, 1) for name in VERIFIERS]
+    runs += [partial(_cli_report, name, 1, tmp_path) for name in CLI_REPORTS]
+    for order in (runs, runs[::-1]):
+        for run in order:
+            run()
 
 
 def test_report_header_counts_distinct_primes():
@@ -89,7 +162,7 @@ def test_whole_prime_skips():
     assert [(s.prime, s.label) for s in small.skipped] == [(2, ""), (3, "")]
     assert {s.reason for s in small.skipped} == {"excluded small prime (p <= 3)"}
     assert euler.verify_mascheroni([F(0)], [2, 3]).passed is False
-    coeff = VERIFIERS["dobinski"](1)
+    coeff = VERIFIERS["dobinski"](WINDOW)
     assert [(s.prime, s.label, s.reason) for s in coeff.skipped] == [
         (3, "", "p divides a coefficient denominator")
     ]
