@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 import time
+from itertools import repeat
 from typing import Callable, Mapping, Sequence
 
 from .modular import PrimeCtx, require_primes
@@ -86,8 +87,10 @@ def verify_primes(
     report.skipped.extend(SkipRecord(p, "", reason) for p, reason in excluded.items())
     todo = [p for p in primes if p not in excluded]
     for checks, skips in run_prime_shards(batch, static_args, todo, threads):
-        report.checks.extend(map(CheckRecord._make, checks))
-        report.skipped.extend(map(SkipRecord._make, skips))
+        # tuple.__new__ wraps at C speed where _make runs Python code per record;
+        # check_shard's field tuples have the records' lengths
+        report.checks.extend(map(tuple.__new__, repeat(CheckRecord), checks))
+        report.skipped.extend(map(tuple.__new__, repeat(SkipRecord), skips))
     report.sort_records()
     report.elapsed = time.monotonic() - start
     return report

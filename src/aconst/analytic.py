@@ -21,6 +21,8 @@ bias.  A stream of n terms costs O(M(n wp)), with M(b) the cost of a b-bit
 multiply, against O(n^2) wp-bit steps for the recurrence it replaced.  The
 top Newton product (f g)[k:2k] is taken as (f[:k] g)[k:2k] + (f[k:] g)[:k],
 two balanced products whose transforms peak lower than one 2k x k product.
+A product with a one-term operand (the binomial series at x = 0, the first
+Newton step) is that term times a slice of the other and packs nothing.
 
 Two engines do the multiply, and _mul picks one per product:
 
@@ -82,6 +84,10 @@ in memory where the child adds 5-6% (BENCH_27.json).
 The reference value of Euler's constant is embedded as digits from an
 independent published source (OEIS A001620); nothing here is allowed to be
 its own oracle.
+
+mpmath is imported inside the functions that build or return an mpf, so
+importing this module, and every exact command of the package, leaves it
+unloaded: about 20 ms and 4 MB less per process (BENCH_30.json).
 """
 
 from __future__ import annotations
@@ -94,10 +100,8 @@ import threading
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
-
-import mpmath
-from mpmath import mpf, workprec
+from itertools import islice, repeat
+from operator import floordiv
 
 from .euler import harmonic
 
@@ -110,6 +114,8 @@ GAMMA_REF_DIGITS = (
 
 def gamma_reference(prec: int = 64) -> mpf:
     """The embedded reference gamma, rounded to prec bits (good to ~330 bits)."""
+    from mpmath import mpf, workprec
+
     with workprec(prec):
         return +mpf(GAMMA_REF_DIGITS)
 
@@ -123,6 +129,8 @@ def _as_fraction(x) -> Fraction:
 
 
 def _to_mpf(q: Fraction) -> mpf:
+    from mpmath import mpf
+
     return mpf(q.numerator) / q.denominator
 
 
@@ -223,6 +231,10 @@ def _mul(a: list[int], b: list[int], lo: int, hi: int) -> list[int]:
     Each coefficient is a sum of at most min(len(a), len(b)) products, so
     slots one bit wider than those bounds never carry into the next.
     """
+    if len(a) == 1 or len(b) == 1:  # a scaled slice, zeros past the product's end
+        (c,), other = (a, b) if len(a) == 1 else (b, a)
+        out = [c * v for v in other[lo:hi]]
+        return out + [0] * (hi - lo - len(out))
     bits = max(map(int.bit_length, a)) + max(map(int.bit_length, b))
     slot_bits = bits + min(len(a), len(b)).bit_length() + 1
     digits = slot_bits * 30103 // 100000 + 1  # 10**digits >= 2**slot_bits
@@ -307,9 +319,10 @@ def _binomial_product(num: int, den: int, zeros: tuple[int, ...], wp: int) -> tu
     n = len(zeros)
     binom = [1 << wp]
     for k in range(1, n):
-        binom.append(binom[-1] * (num - den * (k - 1)) // (den * k))
-    while not binom[-1]:
-        binom.pop()
+        c = binom[-1] * (num - den * (k - 1)) // (den * k)
+        if not c:
+            break  # every later term is 0 too
+        binom.append(c)
     return tuple(c >> wp for c in _mul(binom, zeros, 0, n))
 
 
@@ -350,41 +363,43 @@ def _validated_fixed(x: Fraction, n_max: int, prec: int) -> tuple[tuple[int, ...
 
 def gregory_value_float(x, n_max: int, prec: int = 64) -> list[mpf]:
     """Floating G_0(x)..G_{n_max}(x) at prec bits, validated by doubling."""
+    from mpmath import ldexp, mpf, workprec
+
     xf = _as_fraction(x)
     fixed, wp = _validated_fixed(xf, n_max, prec)
     with workprec(prec):
-        return [mpmath.ldexp(mpf(v), -wp) for v in fixed]
+        return [ldexp(mpf(v), -wp) for v in fixed]
 
 
 def agrees_to_bits(a, b, bits: int) -> bool:
     """|a - b| within 2^-bits, relative above magnitude 1, absolute below."""
+    from mpmath import mpf
+
     a, b = mpf(a), mpf(b)
     scale = max(1, abs(a), abs(b))
     return abs(a - b) <= scale * mpf(2) ** (-bits)
-
-
-def _rising(n: int, length: int) -> int:
-    return math.prod(range(n, n + length))
 
 
 def _kluyver_mean(x, m: int, k: int, terms: int, prec: int) -> mpf:
     # the mean over j < k of the Kluyver-type partial sums at x + j:
     # m! sum_n (-1)^(n-1) N_{n,k}(x) / (k n(n+1)...(n+m)) + H_m
     #   - (1/k) sum_{j=1}^k log(x+m+j), with N_{n,k}(x) = sum_{j<k} G_n(x+j)
+    from mpmath import ldexp, log, mpf, workprec
+
     xf = _as_fraction(x)
     if xf <= -1:
         raise ValueError("x must exceed -1")
     streams, wps = zip(*(_validated_fixed(xf + j, terms, prec) for j in range(k)))
-    column = list(map(sum, zip(*streams)))
-    acc = 0
-    for n in range(1, terms + 1):
-        t = column[n] // _rising(n, m + 1)
-        acc = acc + t if n % 2 else acc - t
+    # t_n = N_{n,k}(x) // (n(n+1)...(n+m)) for n = 1..terms, and n(n+1)...(n+m)
+    # is perm(n+m, m+1); acc = t_1 - t_2 + t_3 - ...
+    column = islice(map(sum, zip(*streams)), 1, None)
+    t = list(map(floordiv, column, map(math.perm, range(m + 1, terms + m + 1), repeat(m + 1))))
+    acc = sum(t[::2]) - sum(t[1::2])
     with workprec(prec):
-        s = mpmath.ldexp(mpf(acc), -wps[0])  # one scale: it depends on prec and terms only
+        s = ldexp(mpf(acc), -wps[0])  # one scale: it depends on prec and terms only
         logsum = mpf(0)
         for j in range(1, k + 1):
-            logsum = logsum + mpmath.log(_to_mpf(xf + m + j))
+            logsum = logsum + log(_to_mpf(xf + m + j))
         return +(mpf(math.factorial(m)) * s / k + _to_mpf(harmonic(m)) - logsum / k)
 
 
@@ -419,14 +434,16 @@ def asymptotic_sanity(x, n: int, prec: int = 64) -> mpf:
     large n, never asserted at tight tolerance.  Needs x > -1 and n >= 1000
     (below that the asymptotic regime has not set in).
     """
+    import mpmath
+
     if n < 1000:
         raise ValueError("asymptotic check needs n >= 1000")
     xf = _as_fraction(x)
     if xf <= -1:
         raise ValueError("x must exceed -1")
     stream, wp = _validated_fixed(xf, n, prec)
-    with workprec(prec + 16):
-        g_n = mpmath.ldexp(mpf(stream[n]), -wp)
+    with mpmath.workprec(prec + 16):
+        g_n = mpmath.ldexp(mpmath.mpf(stream[n]), -wp)
         xm = _to_mpf(xf)
         logn = mpmath.log(n)
         gam = mpmath.gamma(xm + 1)
@@ -434,14 +451,16 @@ def asymptotic_sanity(x, n: int, prec: int = 64) -> mpf:
             mpmath.pi * mpmath.cospi(xm) * gam
             + mpmath.sinpi(xm) * gam * mpmath.digamma(xm + 1)
         ) / logn
-        main = (-1) ** (n + 1) / (mpmath.pi * mpf(n) ** (xm + 1) * logn) * bracket
+        main = (-1) ** (n + 1) / (mpmath.pi * mpmath.mpf(n) ** (xm + 1) * logn) * bracket
         ratio = g_n / main
-    with workprec(prec):
+    with mpmath.workprec(prec):
         return +ratio
 
 
 def d_r_numeric(r: int, n: int, x, prec: int = 64) -> mpf:
     """sum_k k^n x^k / (k!)^r, summed until terms drop below 2^-(prec+8)."""
+    from mpmath import mpf, workprec
+
     if r < 1 or n < 0:
         raise ValueError("need r >= 1, n >= 0")
     xf = _as_fraction(x)

@@ -21,8 +21,6 @@ import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 
-import mpmath
-
 from . import analytic, cache, dobinski, euler, searches
 from .modular import sieve_primes
 from .polys import gregory_values_exact
@@ -155,6 +153,8 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
+    import mpmath  # the one subcommand that loads it (see analytic)
+
     if args.x <= -1:
         args.parser.error("gamma series need x > -1")
     with mpmath.workprec(args.prec):

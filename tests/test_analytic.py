@@ -11,7 +11,7 @@ from operator import mul
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aconst import analytic
@@ -272,6 +272,25 @@ def products(draw, max_len=60, max_bits=200):
     return a, b, lo, hi
 
 
+def packed_mul(a, b, lo, hi):
+    """Slots lo..hi-1 of a b with both operands packed, at the slot width _mul
+    picks: the int engine without its one-term path."""
+    bits = max(map(int.bit_length, a)) + max(map(int.bit_length, b))
+    width = (bits + min(len(a), len(b)).bit_length() + 8) // 8
+    return _signed_unpack(_signed_pack(a, width) * _signed_pack(b, width), lo, hi, width)
+
+
+@st.composite
+def one_term_products(draw):
+    coeffs = st.integers(-(2**300), 2**300)
+    term = [draw(coeffs)]
+    other = draw(st.lists(coeffs, min_size=1, max_size=40))
+    a, b = (term, other) if draw(st.booleans()) else (other, term)
+    lo = draw(st.integers(0, len(other) + 2))
+    hi = draw(st.integers(lo, len(other) + 4))  # the product has len(other) slots
+    return a, b, lo, hi
+
+
 def crossover_operands(delta):
     """Operands of 127-bit coefficients whose shorter one is delta terms past
     the shortest length the decimal engine takes."""
@@ -299,6 +318,19 @@ class TestProductEngines:
     def test_matches_the_int_oracle_near_the_crossover(self, case):
         a, b, lo, hi = case
         assert _mul(a, b, lo, hi) == oracle_mul(a, b, lo, hi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=one_term_products())
+    @example(case=([-3], [5, -7, 0, 2], 1, 7))  # slots 4..6 lie past the product
+    @example(case=([5, -7, 0, 2], [-3], 5, 7))
+    def test_one_term_operand_packs_nothing(self, case):
+        a, b, lo, hi = case
+        packs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analytic, "_signed_pack", lambda *args: packs.append(1))
+            got = _mul(a, b, lo, hi)
+        assert not packs
+        assert got == packed_mul(a, b, lo, hi)
 
     @pytest.mark.parametrize("delta", [-1, 0, 1])
     def test_both_sides_of_the_crossover(self, monkeypatch, delta):

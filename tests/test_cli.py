@@ -488,7 +488,44 @@ def _child_env() -> dict:
     return env
 
 
+# Every exact command runs without mpmath; `gamma` is the one that loads it.
+# The child prints whether mpmath is loaded after the exact commands, the
+# gamma output, and whether it is loaded after that.
+IMPORT_HYGIENE_CHILD = """
+import contextlib, io, sys
+import aconst, aconst.cli as cli
+exact = [
+    "verify dobinski --r 2 --nmax 6 --pmax 60 --threads 1",
+    "verify euler --which mascheroni --x=-1 --pmax 60 --threads 1",
+    "search --target wilson --pmax 600 --no-cache",
+    "search --target eA-zero --pmax 50",
+    "seq --name gregory --nmax 4",
+    "cache verify --sample 5 --seed 0",
+]
+for argv in exact:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv.split()) == 0, argv
+print("mpmath" in sys.modules)
+cli.main("gamma --method bla101 --k 2 --x 1/2 --terms 3000".split())
+print("mpmath" in sys.modules)
+"""
+
+
 class TestEntryPoint:
+    def test_only_gamma_loads_mpmath(self):
+        proc = subprocess.run([sys.executable, "-c", IMPORT_HYGIENE_CHILD],
+                              capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "False",
+            # the lines the CI workflow pins for this call
+            "method=bla101 x=1/2 terms=3000 prec=64",
+            "approx = 0.57721560591175643975",
+            "  correction -(1/2) sum log(x+j) = -0.66087791999115972361",
+            "|approx - gamma_ref| = 5.899e-8",
+            "True",
+        ]
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "aconst.cli", "seq", "--name", "bell", "--nmax", "3"],

@@ -22,6 +22,7 @@ import pytest
 from aconst import _parallel, cli, dobinski, euler
 from aconst._parallel import check_shard, run_prime_shards, verify_primes
 from aconst.modular import sieve_primes
+from aconst.report import CheckRecord, SkipRecord
 
 F = Fraction
 
@@ -95,6 +96,10 @@ def _cli_report(name, threads, tmp_path):
 def test_report_bytes_pinned(name, threads):
     report = _library_report(name, threads)
     assert report.checks and report.passed
+    # verify_primes wraps check_shard's field tuples without _make's length check
+    assert report.skipped
+    assert all(type(r) is CheckRecord and len(r) == 5 for r in report.checks)
+    assert all(type(r) is SkipRecord and len(r) == 3 for r in report.skipped)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
