@@ -61,25 +61,22 @@ At x = 0 and n = 10^4 that is under 49 ulps (6 bits), well inside the
 32 + bitlen(n) guard bits of _working_bits.
 
 Exact rationals are hopeless at 10^4 terms (the denominators explode), and
-the bound is an argument on paper, not a check of this code, so every
-computed stream is still validated by precision doubling: recompute with
-twice the target precision and demand agreement to half the target bits,
-raising on any mismatch.
+that bound is an argument on paper, so every stream is certified as
+computed, with one more product.  Let f~ be the rounded f that Newton
+inverts, B the floored binomial series, c the output stream and h =
+t/log(1+t), so h f = 1 and ||h||_1 = 2.  The residual rho = c f~ - B mod t^n
+is exact (one _mul at scale 2**(2 wp)), c - B h = h (rho + c (f - f~)) with
+|f - f~| <= 1/2 ulp, and |B_k - binom(x, k)| <= D ulps, with D carried
+through the binomial recurrence.  So every entry satisfies
 
-Two memos hold what the callers reuse.  _gregory_fixed holds validated
-streams, the wp1 stream and its scale by (x, n_max, prec), and on a miss
-takes both inversions from _inversions, the one-entry pair memo keyed by
-(n, wp1, wp2), so the shifts x + j of one series share one pair.  Neither
-memo is derived from the other.  The two inversions are independent and
-most of a cold validation, so on a miss of the pair memo they run at once:
-a forked child inverts at the target precision and hands its tuple back
-through a pipe (marshal) while this process inverts at the doubled one.
-The check still compares two separately computed inversions, and every
-value is bit for bit what the serial order gives, which is kept when
-os.fork is missing, another thread is alive or the child fails.  It is a
-bare fork, not _parallel's process pool: the pool costs its import (about
-50 ms), and on the gamma-series workload a pool prototype peaked 13% higher
-in memory where the child adds 5-6% (BENCH_27.json).
+    |c_n - G_n(x)| <= T = 2 ceil(||rho||_inf) + ceil(||c||_1) + 2D + 1 ulps,
+
+and a stream whose T exceeds the tolerance of some entry, max(2**(wp -
+prec//2), |c_n| >> prec//2) ulps (prec/2 bits, relative above magnitude 1),
+raises CertificateError.  At x = 0 and 4000 terms T is 7 ulps; at x = 1/2
+it is 5342, nearly all of it 2D.  _gregory_fixed memoizes certified streams
+by (x, n_max, prec), and _newton_zeros its last inversion, so the shifts
+x + j of one series share one.
 
 The reference value of Euler's constant is embedded as digits from an
 independent published source (OEIS A001620); nothing here is allowed to be
@@ -93,10 +90,7 @@ unloaded: about 20 ms and 4 MB less per process (BENCH_30.json).
 from __future__ import annotations
 
 import decimal
-import marshal
 import math
-import os
-import threading
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -244,13 +238,22 @@ def _mul(a: list[int], b: list[int], lo: int, hi: int) -> list[int]:
     return _signed_unpack(_signed_pack(a, width) * _signed_pack(b, width), lo, hi, width)
 
 
-def _newton_zeros(n: int, wp: int) -> tuple[int, ...]:
-    """G_0(0)..G_{n-1}(0) scaled by 2**wp: Newton inversion of the rounded
-    series log(1+t)/t."""
+def _log_ratio(n: int, wp: int) -> list[int]:
+    """The series f = log(1+t)/t = sum (-1)^i t^i/(i+1) to n terms, each
+    coefficient rounded to the nearest ulp of 2**-wp: the one f that Newton
+    inverts and the certificate multiplies by."""
     one = 1 << wp
     f = [(2 * one + i + 1) // (2 * i + 2) for i in range(n)]  # 1/(i+1), rounded
     f[1::2] = [-c for c in f[1::2]]
-    g = [one]
+    return f
+
+
+@lru_cache(maxsize=1)
+def _newton_zeros(n: int, wp: int) -> tuple[int, ...]:
+    """G_0(0)..G_{n-1}(0) scaled by 2**wp: Newton inversion of _log_ratio(n, wp).
+    G_n(0) does not depend on x, so the shifts of one series share it."""
+    f = _log_ratio(n, wp)
+    g = [1 << wp]
     while len(g) < n:
         k = len(g)
         k2 = min(2 * k, n)
@@ -261,99 +264,67 @@ def _newton_zeros(n: int, wp: int) -> tuple[int, ...]:
     return tuple(g)
 
 
-@lru_cache(maxsize=1)
-def _inversions(n: int, wp1: int, wp2: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """_newton_zeros(n, wp1) and _newton_zeros(n, wp2), the pair memo of the
-    doubling validation; G_n(0) does not depend on x, so every shift shares it.
-
-    On a miss a forked child inverts at wp1 and writes the tuple to a pipe
-    (marshal) while this process inverts at wp2.  The child leaves only by
-    os._exit, so it runs no exit hook and flushes no stdio.  Without os.fork or
-    with another thread alive (the child would copy only this thread, and any
-    lock the others hold), or when the child fails (fork error, nonzero exit,
-    missing or short data), this process inverts wp1 itself.  If this
-    process's inversion raises, the child is killed and reaped before the
-    exception propagates.
-    """
-    fork = getattr(os, "fork", None)
-    if fork is None or threading.active_count() > 1:
-        return _newton_zeros(n, wp1), _newton_zeros(n, wp2)
-    rfd, wfd = os.pipe()
-    try:
-        pid = fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        return _newton_zeros(n, wp1), _newton_zeros(n, wp2)
-    if pid == 0:
-        status = 1
-        try:
-            os.close(rfd)
-            with open(wfd, "wb") as pipe:
-                pipe.write(marshal.dumps(_newton_zeros(n, wp1)))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(wfd)
-    with open(rfd, "rb") as pipe:
-        try:
-            zeros2 = _newton_zeros(n, wp2)
-            data = pipe.read()
-        except BaseException:
-            os.kill(pid, 9)  # SIGKILL, whose number POSIX fixes
-            raise
-        finally:
-            status = os.waitpid(pid, 0)[1]
-    if status == 0:
-        try:
-            return marshal.loads(data), zeros2
-        except (EOFError, ValueError):  # missing or short data
-            pass
-    return _newton_zeros(n, wp1), zeros2
-
-
-def _binomial_product(num: int, den: int, zeros: tuple[int, ...], wp: int) -> tuple[int, ...]:
+def _binomial_product(
+    num: int, den: int, zeros: tuple[int, ...], wp: int
+) -> tuple[tuple[int, ...], list[int], int]:
     """G_0(x)..G_{n-1}(x) for x = num/den, scaled by 2**wp, from the n values
-    G_k(0) in zeros: their product with the binomial series of (1+t)**x,
-    trimmed of trailing zeros (module docstring)."""
+    G_k(0) in zeros: their product with the floored binomial series B of
+    (1+t)**x, trimmed of trailing zeros.  Returns the stream, B and D, an
+    integer bound in ulps on |B_k - binom(x, k) 2**wp| for every k < n."""
     n = len(zeros)
-    binom = [1 << wp]
+    last, e, d = 1 << wp, 0, 0
+    binom = [last]
     for k in range(1, n):
-        c = binom[-1] * (num - den * (k - 1)) // (den * k)
-        if not c:
-            break  # every later term is 0 too
-        binom.append(c)
-    return tuple(c >> wp for c in _mul(binom, zeros, 0, n))
+        step, div = num - den * (k - 1), den * k
+        last, rem = divmod(last * step, div)
+        # the carried error times |step|/div, plus this floor's
+        e = -(-e * abs(step) // div) + (rem != 0)
+        d = max(d, e)
+        if last:
+            binom.append(last)
+        elif not e:
+            break  # every later term is exactly 0
+        # else a floored 0 stays 0, but the exact terms of a non-integer x do not
+    return tuple(c >> wp for c in _mul(binom, zeros, 0, n)), binom, d
+
+
+def _certificate(stream: tuple[int, ...], binom: list[int], d: int, wp: int) -> int:
+    """T in ulps of 2**-wp with |stream_n - G_n(x) 2**wp| <= T for every n,
+    from the exact residual stream * _log_ratio - binom (module docstring)."""
+    n = len(stream)
+    rho = _mul(stream, _log_ratio(n, wp), 0, n)  # scaled by 2**(2 wp)
+    for k, b in enumerate(binom):
+        rho[k] -= b << wp
+    return 2 * -(-max(map(abs, rho)) >> wp) + -(-sum(map(abs, stream)) >> wp) + 2 * d + 1
+
+
+class CertificateError(ArithmeticError):
+    """A stream whose certified error bound exceeds the tolerance."""
 
 
 @lru_cache(maxsize=8)
 def _gregory_fixed(num: int, den: int, n_max: int, prec: int) -> tuple[tuple[int, ...], int]:
-    """The memo of validated streams: G_0(x)..G_{n_max}(x) for x = num/den,
-    scaled by 2**wp1, and wp1, stable to prec/2 bits under doubling.
+    """The memo of certified streams: G_0(x)..G_{n_max}(x) for x = num/den,
+    scaled by 2**wp, and wp = _working_bits(prec, n_max), each good to prec/2
+    bits (relative to the value, absolute below magnitude 1).
 
-    The stream is computed at wp1 and again at wp2, about twice the bits,
-    each from its own Newton inversion (_inversions), and any mismatch
-    raises.
+    The stream is computed once, and its certificate T (_certificate) must
+    lie within max(2**(wp - prec//2), |G_n| 2**(wp - prec//2)) ulps at every
+    n; otherwise CertificateError is raised.
     """
-    wp1 = _working_bits(prec, n_max)
-    wp2 = _working_bits(2 * prec, n_max)
-    zeros1, zeros2 = _inversions(n_max + 1, wp1, wp2)
-    a = _binomial_product(num, den, zeros1, wp1)
-    b = _binomial_product(num, den, zeros2, wp2)
+    wp = _working_bits(prec, n_max)
+    stream, binom, d = _binomial_product(num, den, _newton_zeros(n_max + 1, wp), wp)
+    bound = _certificate(stream, binom, d, wp)
     need = prec // 2
-    shift = wp2 - wp1
-    for n in range(n_max + 1):
-        diff = abs((a[n] << shift) - b[n])
-        # relative to the value, absolute below magnitude 1
-        tol = max(1 << (wp2 - need), abs(b[n]) >> need)
-        if diff > tol:
-            raise ArithmeticError(f"unstable recurrence at n={n} (prec={prec})")
-    return a, wp1
+    tol = max(1 << (wp - need), min(map(abs, stream)) >> need)
+    if bound > tol:
+        raise CertificateError(f"error bound {bound} exceeds tolerance {tol} ulps of 2**-{wp}")
+    return stream, wp
 
 
 def _validated_fixed(x: Fraction, n_max: int, prec: int) -> tuple[tuple[int, ...], int]:
-    """Fixed-point stream plus its scale, stable to prec/2 bits under doubling
-    (_gregory_fixed)."""
+    """Fixed-point stream plus its scale, certified to prec/2 bits
+    (_gregory_fixed), after the checks on prec and the term count."""
     if prec < 64:
         raise ValueError("prec must be at least 64")
     if n_max < 0:
@@ -362,7 +333,8 @@ def _validated_fixed(x: Fraction, n_max: int, prec: int) -> tuple[tuple[int, ...
 
 
 def gregory_value_float(x, n_max: int, prec: int = 64) -> list[mpf]:
-    """Floating G_0(x)..G_{n_max}(x) at prec bits, validated by doubling."""
+    """Floating G_0(x)..G_{n_max}(x) at prec bits, each certified to prec/2
+    bits; CertificateError where the fixed-point stream cannot be."""
     from mpmath import ldexp, mpf, workprec
 
     xf = _as_fraction(x)

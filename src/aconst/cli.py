@@ -3,7 +3,8 @@ export in OEIS b-file form, and the real-series gamma evaluators.
 
 Exit codes: 0 all checks passed, 1 a congruence failed (counterexample
 printed), 2 malformed arguments, a window a kernel cannot take (a Gregory
-residue stream needs p < 2642247), an I/O error or nothing checked (a verifier
+residue stream needs p < 2642247, a gamma series whose Gregory values
+cannot be certified at --prec), an I/O error or nothing checked (a verifier
 whose window is empty or whose every prime was skipped, a search whose
 window is empty, a `cache verify` that found no records it can recheck).
 Negative rationals must use the --x=-2/3 form (a bare "-2/3" parses as a flag).
@@ -158,19 +159,23 @@ def _cmd_gamma(args) -> int:
     if args.x <= -1:
         args.parser.error("gamma series need x > -1")
     with mpmath.workprec(args.prec):
-        if args.method == "bla101":
-            value = analytic.bla101_partial(args.k, args.x, args.terms, args.prec)
-            logsum = sum(
-                mpmath.log(analytic._to_mpf(args.x + j)) for j in range(1, args.k + 1)
-            )
-            corrections = [(f"-(1/{args.k}) sum log(x+j)", -logsum / args.k)]
-        else:
-            m = 0 if args.method == "mascheroni" else args.m
-            value = analytic.mascheroni_partial(args.x, m, args.terms, args.prec)
-            corrections = [
-                (f"H_{m}", analytic._to_mpf(euler.harmonic(m))),
-                (f"-log(x+{m + 1})", -mpmath.log(analytic._to_mpf(args.x + m + 1))),
-            ]
+        try:
+            if args.method == "bla101":
+                value = analytic.bla101_partial(args.k, args.x, args.terms, args.prec)
+                logsum = sum(
+                    mpmath.log(analytic._to_mpf(args.x + j)) for j in range(1, args.k + 1)
+                )
+                corrections = [(f"-(1/{args.k}) sum log(x+j)", -logsum / args.k)]
+            else:
+                m = 0 if args.method == "mascheroni" else args.m
+                value = analytic.mascheroni_partial(args.x, m, args.terms, args.prec)
+                corrections = [
+                    (f"H_{m}", analytic._to_mpf(euler.harmonic(m))),
+                    (f"-log(x+{m + 1})", -mpmath.log(analytic._to_mpf(args.x + m + 1))),
+                ]
+        except analytic.CertificateError:
+            args.parser.error(f"cannot certify the Gregory values to prec/2 bits at x={args.x}, "
+                              f"terms={args.terms}, prec={args.prec} (a higher --prec may)")
         ref = analytic.gamma_reference(args.prec)
         print(f"method={args.method} x={args.x} terms={args.terms} prec={args.prec}")
         print(f"approx = {mpmath.nstr(value, 20)}")

@@ -1,10 +1,7 @@
 import decimal
 import math
-import os
 import random
 import sys
-import threading
-from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -18,8 +15,8 @@ from aconst import analytic
 from aconst.analytic import (
     GAMMA_REF_DIGITS,
     _binomial_product,
-    _gregory_fixed,
-    _inversions,
+    _certificate,
+    _log_ratio,
     _mul,
     _newton_zeros,
     _signed_pack,
@@ -184,9 +181,16 @@ class TestGregoryFloats:
             call()
 
 
+def certified(x, n_max, wp):
+    """G_0(x)..G_{n_max}(x) at one working precision, and its certificate T."""
+    zeros = _newton_zeros(n_max + 1, wp)
+    stream, binom, d = _binomial_product(x.numerator, x.denominator, zeros, wp)
+    return stream, _certificate(stream, binom, d, wp)
+
+
 def raw_stream(x, n_max, wp):
-    """G_0(x)..G_{n_max}(x) at one working precision, unvalidated."""
-    return _binomial_product(x.numerator, x.denominator, _newton_zeros(n_max + 1, wp), wp)
+    """G_0(x)..G_{n_max}(x) at one working precision, unchecked."""
+    return certified(x, n_max, wp)[0]
 
 
 @st.composite
@@ -395,146 +399,162 @@ class TestProductEngines:
 
 
 class TestValidation:
-    """_validated_fixed must reject streams that disagree under doubling."""
+    """_validated_fixed must reject a stream whose certificate exceeds the
+    tolerance, and return the one stream it certified."""
 
-    def _perturbed(self, monkeypatch, prec, index, delta):
-        """Perturb entry index of the stream at _working_bits(prec, 10) by
-        delta(t), where 2**t is the tolerance below magnitude 1 at prec 64,
-        in that stream's ulps."""
-        real = analytic._binomial_product
-        target = _working_bits(prec, 10)
+    T = _working_bits(64, 10) - 32  # 2**T: the tolerance below magnitude 1 at prec 64
 
-        def fake(num, den, zeros, wp):
-            stream = list(real(num, den, zeros, wp))
-            if wp == target:
-                stream[index] += delta(wp - 32)
-            return tuple(stream)
+    def _perturbed(self, monkeypatch, name, index, delta):
+        """Add delta to entry index of the G_n(0) (name "_newton_zeros") or of
+        the stream (name "_binomial_product") that _validated_fixed computes."""
+        real = getattr(analytic, name)
 
-        monkeypatch.setattr(analytic, "_binomial_product", fake)
+        def fake(*args):
+            out = real(*args)
+            stream = list(out[0] if name == "_binomial_product" else out)
+            stream[index] += delta
+            return (tuple(stream), *out[1:]) if name == "_binomial_product" else tuple(stream)
 
+        monkeypatch.setattr(analytic, name, fake)
+
+    # the residual of a wrong entry is about that error, and T twice it: the
+    # stream is refused from about half the tolerance on
     def test_rejects_a_mismatch_beyond_tolerance(self, monkeypatch):
-        self._perturbed(monkeypatch, 128, 3, lambda t: 3 << t)
+        self._perturbed(monkeypatch, "_binomial_product", 3, 3 << (self.T - 2))
         with pytest.raises(ArithmeticError):
             _validated_fixed(F(0), 10, 64)
         with pytest.raises(ArithmeticError):
             gregory_value_float(0, 10, 64)
 
-    def test_rejects_a_mismatch_in_the_target_precision_stream(self, monkeypatch):
-        self._perturbed(monkeypatch, 64, 3, lambda t: 3 << t)
+    def test_rejects_a_mismatch_beside_a_large_entry(self, monkeypatch):
+        # |G_10(20)| is about 2^17, but the tolerance is the tightest entry's
+        self._perturbed(monkeypatch, "_binomial_product", 3, 3 << self.T)
         with pytest.raises(ArithmeticError):
-            _validated_fixed(F(0), 10, 64)
+            _validated_fixed(F(20), 10, 64)
+
+    def test_rejects_a_mismatch_in_the_target_precision_stream(self, monkeypatch):
+        # a wrong G_3(0) out of the inversion reaches the stream through the product
+        self._perturbed(monkeypatch, "_newton_zeros", 3, 3 << self.T)
+        with pytest.raises(ArithmeticError):
+            _validated_fixed(F(1, 2), 10, 64)
 
     def test_accepts_a_mismatch_within_tolerance(self, monkeypatch):
-        self._perturbed(monkeypatch, 128, 3, lambda t: -(1 << t) // 4)
+        clean = raw_stream(F(0), 10, _working_bits(64, 10))
+        self._perturbed(monkeypatch, "_binomial_product", 3, -(3 << (self.T - 3)))
         stream, wp = _validated_fixed(F(0), 10, 64)
-        assert stream == raw_stream(F(0), 10, wp)
+        assert wp == _working_bits(64, 10)
+        assert stream == clean[:3] + (clean[3] - (3 << (self.T - 3)),) + clean[4:]
 
 
-def cold_series(k, x, terms=400):
-    """bla101_partial from empty stream and pair memos, as its _mpf_."""
-    _gregory_fixed.cache_clear()
-    _inversions.cache_clear()
-    return bla101_partial(k, x, terms, 64)._mpf_
+@st.composite
+def certificate_cases(draw):
+    den = draw(st.integers(1, 12))
+    x = F(draw(st.integers(1 - den, 3 * den)), den)  # -1 < x <= 3
+    n_max = draw(st.integers(0, 60))
+    return x, n_max, _working_bits(draw(st.sampled_from([64, 128])), n_max)
 
 
-@contextmanager
-def second_thread():
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        yield
-    finally:
-        stop.set()
-        thread.join(timeout=10)
-        assert not thread.is_alive()
+def lemma_case(wp, binom, errs, noise):
+    """T for any binomial series and stream, and the error it bounds.
+
+    The stream c is binom h~ floored plus noise, h~ the exact inverse of
+    _log_ratio(n, wp), and the true series is binom + errs.  Returns c's T
+    with D = max |errs|, and the largest |c_n - ((binom + errs) h)_n|, h the
+    exact Gregory numbers."""
+    n, one = len(binom), 1 << wp
+    f = [F(c, one) for c in _log_ratio(n, wp)]
+    inv = [F(1)]
+    for m in range(1, n):
+        inv.append(-sum(f[i] * inv[m - i] for i in range(1, m + 1)))
+    h = gregory_numbers_exact()
+    c = tuple(math.floor(sum(binom[k] * inv[m - k] for k in range(m + 1))) + noise[m]
+              for m in range(n))
+    err = max(abs(c[m] - sum((binom[k] + errs[k]) * h[m - k] for k in range(m + 1)))
+              for m in range(n))
+    return _certificate(c, binom, max(map(abs, errs)), wp), err
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The list of os.fork calls made while the test runs."""
-    calls = []
-    real = os.fork
-
-    def counted():
-        calls.append(os.getpid())
-        return real()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
+def aligned(n, d):
+    """Errors of size d that add up in entry n - 1: the signs of G_{n-1-k}(0)."""
+    return [d if k == n - 1 or (n - 1 - k) % 2 else -d for k in range(n)]
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="this platform has no os.fork")
-class TestConcurrentValidation:
-    """_validated_fixed inverts wp1 in a forked child while it inverts wp2."""
+@st.composite
+def lemma_cases(draw):
+    wp, n = draw(st.integers(4, 40)), draw(st.integers(1, 30))
+    top = 1 << (wp + draw(st.integers(0, 12)))
+    d = draw(st.integers(0, 1 << 10))
+    binom = draw(st.lists(st.integers(-top, top), min_size=n, max_size=n))
+    errs = draw(st.one_of(st.just(aligned(n, d)),
+                          st.lists(st.integers(-d, d), min_size=n, max_size=n)))
+    noise = draw(st.lists(st.integers(-(1 << 12), 1 << 12), min_size=n, max_size=n))
+    return wp, binom, errs, noise
 
-    @pytest.mark.parametrize("k", [1, 2])
-    @pytest.mark.parametrize("x", [F(0), F(1, 2), F(7, 3)])
-    def test_fork_changes_no_bit(self, forks, monkeypatch, x, k):
-        forked = cold_series(k, x)
-        assert len(forks) == 1  # the k shifts share one pair of inversions
-        with second_thread():
-            threaded = cold_series(k, x)
-        monkeypatch.delattr(os, "fork")
-        unforked = cold_series(k, x)
-        assert len(forks) == 1
-        assert forked == threaded == unforked
 
-    def test_no_fork_while_another_thread_runs(self, forks):
-        with second_thread():
-            cold_series(1, F(0))
-        assert not forks
+class TestCertificate:
+    """T bounds the error of every entry of the stream it certifies."""
 
-    def test_warm_inversions_fork_nothing(self, forks):
-        cold_series(1, F(0))
-        bla101_partial(1, F(1, 2), 400, 64)  # a new stream on memoized inversions
-        assert len(forks) == 1
+    @settings(max_examples=60, deadline=None)
+    @given(lemma_cases())
+    # the residual: one wrong entry of the stream
+    @example((16, [1 << 16] + [0] * 9, [0] * 10, [0, 0, 0, 1000] + [0] * 6))
+    # the 2D term: binomial errors that add up, on a stream of norm 1
+    @example((16, [1 << 16] + [0] * 19, aligned(20, 100), [0] * 20))
+    # the ||c||_1 term: f~'s roundings scaled by a stream of norm 2^10
+    @example((16, [1 << 26] + [0] * 29, [0] * 30, [0] * 30))
+    def test_lemma_holds_for_any_series(self, case):
+        bound, err = lemma_case(*case)
+        assert err <= bound
 
-    @pytest.mark.parametrize("failure", ["raise", "exit", "short"])
-    def test_a_failed_child_leaves_wp1_to_this_process(self, forks, monkeypatch, failure):
-        expected = cold_series(2, F(1, 2))
-        me = os.getpid()
-        real_zeros, real_dumps = analytic._newton_zeros, analytic.marshal.dumps
+    @settings(max_examples=80, deadline=None)
+    @given(certificate_cases())
+    @example((F(1, 2), 60, _working_bits(64, 60)))
+    def test_bound_covers_the_true_error(self, case):
+        x, n_max, wp = case
+        stream, bound = certified(x, n_max, wp)
+        exact = gregory_values_exact(x, n_max)
+        assert max(abs(c - g * 2**wp) for c, g in zip(stream, exact)) <= bound
 
-        def child_fails(n, wp):
-            if os.getpid() != me and failure == "raise":
-                raise RuntimeError("the child's inversion fails")
-            if os.getpid() != me and failure == "exit":
-                os._exit(3)
-            return real_zeros(n, wp)
+    @settings(max_examples=60, deadline=None)
+    @given(certificate_cases())
+    def test_d_bounds_the_binomial_floors(self, case):
+        x, n_max, wp = case
+        _, _, d = _binomial_product(x.numerator, x.denominator, _newton_zeros(n_max + 1, wp), wp)
+        assert d >= binomial_errors(x, n_max, wp)[1]
 
-        monkeypatch.setattr(analytic, "_newton_zeros", child_fails)
-        if failure == "short":
-            monkeypatch.setattr(analytic.marshal, "dumps", lambda v: real_dumps(v)[:-5])
-        assert cold_series(2, F(1, 2)) == expected
-        assert len(forks) == 2
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+    @pytest.mark.parametrize("x", [F(0), F(1, 2), F(7, 3), F(-1, 2)])
+    def test_agrees_with_the_doubling_oracle(self, x):
+        """The validation T replaced: the stream at about twice the bits
+        agrees to prec/2 bits, and lies within both certificates."""
+        n_max, prec = 1000, 64
+        stream, wp = _validated_fixed(x, n_max, prec)
+        bound = certified(x, n_max, wp)[1]
+        wp2 = _working_bits(2 * prec, n_max)
+        doubled, bound2 = certified(x, n_max, wp2)
+        shift = wp2 - wp
+        for a, b in zip(stream, doubled, strict=True):
+            diff = abs((a << shift) - b)
+            assert diff <= max(1 << (wp2 - prec // 2), abs(b) >> (prec // 2))
+            assert diff <= (bound << shift) + bound2
 
-    @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
-    def test_a_failed_parent_reaps_its_child(self, forks, monkeypatch, exc):
-        me = os.getpid()
-        real = analytic._newton_zeros
+    @pytest.mark.parametrize("x, bound", [(F(0), 7), (F(1, 2), 5342)])
+    def test_bound_at_4000_terms(self, x, bound):
+        assert certified(x, 4000, _working_bits(64, 4000))[1] == bound
 
-        def parent_fails(n, wp):
-            if os.getpid() == me:
-                raise exc("this process's inversion fails")
-            return real(n, wp)
 
-        monkeypatch.setattr(analytic, "_newton_zeros", parent_fails)
-        with pytest.raises(exc, match="this process's inversion fails"):
-            cold_series(1, F(0), terms=4000)
-        assert len(forks) == 1
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert _inversions.cache_info().currsize == 0
+class TestMemos:
+    """A memoized stream needs no inversion, and one inversion serves every x."""
 
-    def test_a_memoized_stream_forks_nothing(self, forks):
-        # the stream memo answers a repeated call before any inversion is asked for
+    def test_a_memoized_stream_inverts_nothing(self):
         first = mascheroni_partial(0, 1, 400)
         mascheroni_partial(0, 1, 300)
         assert mascheroni_partial(0, 1, 400) == first
-        assert len(forks) == 2
+        assert _newton_zeros.cache_info()[:2] == (0, 2)  # hits, misses
+
+    def test_warm_inversions_invert_nothing(self):
+        bla101_partial(1, F(0), 400, 64)
+        bla101_partial(1, F(1, 2), 400, 64)  # a new stream on the memoized inversion
+        assert _newton_zeros.cache_info()[:2] == (1, 1)
 
 
 class TestTermCounts:
@@ -553,10 +573,9 @@ class TestTermCounts:
     )
     def test_negative_count_refused_before_any_inversion(self, monkeypatch, call):
         def unreachable(*args):
-            raise AssertionError("inverted or forked for a negative term count")
+            raise AssertionError("inverted for a negative term count")
 
         monkeypatch.setattr(analytic, "_newton_zeros", unreachable)
-        monkeypatch.setattr(os, "fork", unreachable)
         with pytest.raises(ValueError, match="term count must be nonnegative, got -1"):
             call(-1)
 
@@ -615,22 +634,12 @@ class TestBla101Partial:
         got = bla101_partial(2, 0, 3000, 64)
         assert abs(got - gamma_reference(64)) < 1e-3
 
-    def test_k2_inverts_once_per_precision(self, monkeypatch, tmp_path):
-        # G_n(0) depends only on (n, wp): the two shifts share both inversions.
-        # Each inversion logs its process and precision to a file, which the
-        # child that may invert wp1 can append to as well.
-        log = tmp_path / "inversions"
-        real = analytic._newton_zeros
-
-        def logged(n, wp):
-            with open(log, "a") as f:
-                f.write(f"{os.getpid()} {wp}\n")
-            return real(n, wp)
-
-        monkeypatch.setattr(analytic, "_newton_zeros", logged)
+    def test_k2_inverts_once_per_precision(self):
+        # G_n(0) depends only on (n, wp): the two shifts share one inversion
         got = bla101_partial(2, 0, 3000, 64)
-        runs = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
-        assert sorted(wp for _, wp in runs) == [_working_bits(64, 3000), _working_bits(128, 3000)]
+        assert _newton_zeros.cache_info()[:2] == (1, 1)  # hits, misses
+        _newton_zeros(3001, _working_bits(64, 3000))
+        assert _newton_zeros.cache_info().hits == 2  # the one inversion is at wp1
         # bit for bit the value of one inversion per shift
         assert got._mpf_ == (0, 10647717544068405195, -64, 64)
 

@@ -288,6 +288,15 @@ class TestGammaCommand:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("usage: aconst gamma")
 
+    def test_uncertifiable_series_exits_2(self, capsys):
+        # at x = 100 the Gregory values reach 2**100, past what 64 bits certify
+        with pytest.raises(SystemExit) as exc:
+            main(["gamma", "--method", "kluyver", "--m", "1", "--x", "100", "--terms", "2000"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: aconst gamma")
+        assert "x=100, terms=2000, prec=64" in captured.err and captured.out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [
