@@ -352,10 +352,11 @@ def agrees_to_bits(a, b, bits: int) -> bool:
     return abs(a - b) <= scale * mpf(2) ** (-bits)
 
 
-def _kluyver_mean(x, m: int, k: int, terms: int, prec: int) -> mpf:
+def _kluyver_mean(x, m: int, k: int, terms: int, prec: int) -> tuple[mpf, mpf, mpf]:
     # the mean over j < k of the Kluyver-type partial sums at x + j:
     # m! sum_n (-1)^(n-1) N_{n,k}(x) / (k n(n+1)...(n+m)) + H_m
-    #   - (1/k) sum_{j=1}^k log(x+m+j), with N_{n,k}(x) = sum_{j<k} G_n(x+j)
+    #   - (1/k) sum_{j=1}^k log(x+m+j), with N_{n,k}(x) = sum_{j<k} G_n(x+j);
+    # returned with the two terms it adds to the Gregory sum, H_m and the log term
     from mpmath import ldexp, log, mpf, workprec
 
     xf = _as_fraction(x)
@@ -372,7 +373,8 @@ def _kluyver_mean(x, m: int, k: int, terms: int, prec: int) -> mpf:
         logsum = mpf(0)
         for j in range(1, k + 1):
             logsum = logsum + log(_to_mpf(xf + m + j))
-        return +(mpf(math.factorial(m)) * s / k + _to_mpf(harmonic(m)) - logsum / k)
+        h_m, log_term = _to_mpf(harmonic(m)), -logsum / k
+        return +(mpf(math.factorial(m)) * s / k + h_m + log_term), h_m, log_term
 
 
 def mascheroni_partial(x, m: int, terms: int, prec: int = 64) -> mpf:
@@ -383,7 +385,7 @@ def mascheroni_partial(x, m: int, terms: int, prec: int = 64) -> mpf:
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return _kluyver_mean(x, m, 1, terms, prec)
+    return _kluyver_mean(x, m, 1, terms, prec)[0]
 
 
 def bla101_partial(k: int, x, terms: int, prec: int = 64) -> mpf:
@@ -396,7 +398,7 @@ def bla101_partial(k: int, x, terms: int, prec: int = 64) -> mpf:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    return _kluyver_mean(x, 0, k, terms, prec)
+    return _kluyver_mean(x, 0, k, terms, prec)[0]
 
 
 def asymptotic_sanity(x, n: int, prec: int = 64) -> mpf:

@@ -12,6 +12,8 @@ Negative rationals must use the --x=-2/3 form (a bare "-2/3" parses as a flag).
 `main` only parses, dispatches and maps OSError and ValueError to exit 2.  A
 rule across options is raised by the handler of the subcommand it governs,
 through that subcommand's parser (`args.parser`), which prints its own usage.
+A handler is a view: `gamma` prints what analytic._kluyver_mean returns and
+turns its refusals into usage errors.  Only `verify euler` takes --threads.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def _cmd_verify_dobinski(args) -> int:
     if args.nmax < args.r:
         args.parser.error("verify dobinski needs --nmax >= --r: rows n < r cannot fail")
     window = sieve_primes(args.pmin, args.pmax)
-    report = dobinski.verify_dobinski(args.r, args.nmax, args.x, window, threads=args.threads)
+    report = dobinski.verify_dobinski(args.r, args.nmax, args.x, window)
     return _emit_report(report, args)
 
 
@@ -156,32 +158,23 @@ def _cmd_seq(args) -> int:
 def _cmd_gamma(args) -> int:
     import mpmath  # the one subcommand that loads it (see analytic)
 
-    if args.x <= -1:
-        args.parser.error("gamma series need x > -1")
+    m, k = {"mascheroni": (0, 1), "kluyver": (args.m, 1), "bla101": (0, args.k)}[args.method]
+    try:
+        value, h_m, log_term = analytic._kluyver_mean(args.x, m, k, args.terms, args.prec)
+    except analytic.CertificateError:
+        args.parser.error(f"cannot certify the Gregory values to prec/2 bits at x={args.x}, "
+                          f"terms={args.terms}, prec={args.prec} (a higher --prec may)")
+    except ValueError as exc:  # the series' domain, x > -1
+        args.parser.error(str(exc))
+    corrections = ([(f"-(1/{k}) sum log(x+j)", log_term)] if args.method == "bla101"
+                   else [(f"H_{m}", h_m), (f"-log(x+{m + 1})", log_term)])
+    print(f"method={args.method} x={args.x} terms={args.terms} prec={args.prec}")
+    print(f"approx = {mpmath.nstr(value, 20)}")
+    for label, v in corrections:
+        print(f"  correction {label} = {mpmath.nstr(v, 20)}")
     with mpmath.workprec(args.prec):
-        try:
-            if args.method == "bla101":
-                value = analytic.bla101_partial(args.k, args.x, args.terms, args.prec)
-                logsum = sum(
-                    mpmath.log(analytic._to_mpf(args.x + j)) for j in range(1, args.k + 1)
-                )
-                corrections = [(f"-(1/{args.k}) sum log(x+j)", -logsum / args.k)]
-            else:
-                m = 0 if args.method == "mascheroni" else args.m
-                value = analytic.mascheroni_partial(args.x, m, args.terms, args.prec)
-                corrections = [
-                    (f"H_{m}", analytic._to_mpf(euler.harmonic(m))),
-                    (f"-log(x+{m + 1})", -mpmath.log(analytic._to_mpf(args.x + m + 1))),
-                ]
-        except analytic.CertificateError:
-            args.parser.error(f"cannot certify the Gregory values to prec/2 bits at x={args.x}, "
-                              f"terms={args.terms}, prec={args.prec} (a higher --prec may)")
-        ref = analytic.gamma_reference(args.prec)
-        print(f"method={args.method} x={args.x} terms={args.terms} prec={args.prec}")
-        print(f"approx = {mpmath.nstr(value, 20)}")
-        for label, v in corrections:
-            print(f"  correction {label} = {mpmath.nstr(v, 20)}")
-        print(f"|approx - gamma_ref| = {mpmath.nstr(abs(value - ref), 5)}")
+        error = abs(value - analytic.gamma_reference(args.prec))
+    print(f"|approx - gamma_ref| = {mpmath.nstr(error, 5)}")
     return 0
 
 
@@ -198,12 +191,9 @@ def _cmd_cache_verify(args) -> int:
     return 1 if mismatches else 0
 
 
-def _add_window_opts(
-    p: argparse.ArgumentParser, window: tuple[int, int], threads_help: str
-) -> None:
+def _add_window_opts(p: argparse.ArgumentParser, window: tuple[int, int]) -> None:
     p.add_argument("--pmin", type=int, default=window[0], help="window lower bound")
     p.add_argument("--pmax", type=int, default=window[1], help="window upper bound")
-    p.add_argument("--threads", type=_int_at_least(0), default=0, help=threads_help)
     p.add_argument("--json", metavar="PATH", help="write a JSONL report")
     p.add_argument(
         "--no-timestamp",
@@ -227,8 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     vd.add_argument("--r", type=_int_at_least(1), default=1, help="factorial power")
     vd.add_argument("--nmax", type=_int_at_least(0), default=10)
     vd.add_argument("--x", type=parse_rational, default=Fraction(1))
-    _add_window_opts(vd, dobinski.DEFAULT_WINDOW,
-                     "accepted and ignored: every prime is checked in this process")
+    _add_window_opts(vd, dobinski.DEFAULT_WINDOW)
     vd.set_defaults(fn=_cmd_verify_dobinski, parser=vd)
 
     ve = vsub.add_parser("euler", help="Euler-constant congruence family")
@@ -240,7 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--x", type=parse_rational, default=Fraction(0))
     ve.add_argument("--m", type=_int_at_least(1), default=1, help="kluyver order")
     ve.add_argument("--k", type=_int_at_least(2), default=2, help="interlude offset")
-    _add_window_opts(ve, euler.DEFAULT_WINDOW, "capped at cores; 0 = all")
+    ve.add_argument("--threads", type=_int_at_least(0), default=0,
+                    help="capped at cores; 0 = all")
+    _add_window_opts(ve, euler.DEFAULT_WINDOW)
     ve.set_defaults(fn=_cmd_verify_euler)
 
     search = sub.add_parser("search", help="scan for vanishing components")

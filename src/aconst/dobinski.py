@@ -325,9 +325,10 @@ def verify_dobinski(
     whole-prime skips, decided first (lcm's reason wins); one tree pass
     (_d_sums_tree) then gives the sums at every other prime.
 
-    threads is accepted and ignored: once the tree has run, a prime's two rows
-    are a slice and r map passes, so a process pool would cost more than the
-    loop it splits.
+    threads is ignored, and kept only for callers that pass it (the CLI
+    offers no --threads here): once the tree has run, a prime's two rows are
+    a slice and r map passes, so a process pool would cost more than the loop
+    it splits.
     """
     x = Fraction(x)
     window = require_primes(window)

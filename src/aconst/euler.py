@@ -27,7 +27,8 @@ _ell, by (p, num(v), den(v)) for ell(v), which all verifier calls share.
 A window entry that is not a prime raises ValueError.  Primes 2 and 3 are
 excluded from verifiers wholesale (the congruences are sufficiently-large-p
 statements); primes dividing a relevant numerator or denominator are
-skipped per point, with the reason recorded.
+skipped per point, with the reason recorded, and so is every point whose
+check cannot fail (Eisenstein at x = 0, a log-additivity pair holding 1).
 """
 
 from __future__ import annotations
@@ -284,7 +285,9 @@ def _eisenstein_lhs(ctx: PrimeCtx, x: Fraction) -> int | str:
 
 
 def _eisenstein_rhs(ctx: PrimeCtx, x: Fraction) -> int | str:
-    # (x+1) q_p(x+1) - x q_p(x) mod p
+    # (x+1) q_p(x+1) - x q_p(x) mod p; at x = 0 both sides are 0 by definition
+    if x == 0:
+        return "definitional: ell(0) = ell(1) = 0"
     ells = _ell_form(ctx, x, 0, (-1, 1))
     return "quotient or residue undefined" if ells is None else ells
 
@@ -295,6 +298,8 @@ def _logadd_lhs(ctx: PrimeCtx, x: Fraction, y: Fraction) -> int | str:
 
 
 def _logadd_rhs(ctx: PrimeCtx, x: Fraction, y: Fraction) -> int | str:
+    if x == 1 or y == 1:  # q_p(1 * y) = 0 + q_p(y) by definition
+        return "definitional: q_p(1) = 0"
     qx = fermat_quotient(x, ctx.p)
     qy = fermat_quotient(y, ctx.p)
     return "fermat quotient undefined" if qx is None or qy is None else (qx + qy) % ctx.p

@@ -650,6 +650,25 @@ class TestBla101Partial:
             bla101_partial(1, -1, 100, 64)
 
 
+class TestKluyverMean:
+    """The one call `aconst gamma` makes: the series value, bit for bit the
+    public partial sum's, and the two terms it added, bit for bit those
+    computed on their own at prec (as the CLI once computed them)."""
+
+    @pytest.mark.parametrize("x, m, k, prec", [
+        (0, 0, 1, 64), (F(1, 2), 3, 1, 128), (F(7, 3), 1, 1, 64),
+        (F(-1, 2), 0, 3, 64), (F(1, 3), 0, 2, 128),
+    ])
+    def test_value_and_terms(self, x, m, k, prec):
+        value, h_m, log_term = analytic._kluyver_mean(x, m, k, 300, prec)
+        public = mascheroni_partial(x, m, 300, prec) if k == 1 else bla101_partial(k, x, 300, prec)
+        assert value._mpf_ == public._mpf_
+        with mpmath.workprec(prec):
+            logsum = sum(mpmath.log(analytic._to_mpf(F(x) + m + j)) for j in range(1, k + 1))
+            assert h_m._mpf_ == analytic._to_mpf(harmonic(m))._mpf_
+            assert log_term._mpf_ == (-logsum / k)._mpf_
+
+
 class TestAsymptoticSanity:
     def test_half_ratio_bracket(self):
         # confirmed by the n = 10^4 run before freezing (ratio 0.90 there)

@@ -56,7 +56,7 @@ class TestRationalParsing:
             ["verify", "euler", "--which", "kluyver", "--m", "0"],
             ["verify", "dobinski", "--r", "0"],
             ["verify", "dobinski", "--nmax", "-1"],
-            ["verify", "dobinski", "--threads", "-1"],
+            ["verify", "euler", "--which", "interlude", "--k", "-2"],
             ["verify", "euler", "--which", "mascheroni", "--threads", "-1"],
         ],
     )
@@ -92,20 +92,26 @@ class TestVerifyCommands:
 
     @pytest.mark.parametrize(
         "family, says, not_says",
-        [
-            (["dobinski"], "accepted and ignored", "capped at cores"),
-            (["euler", "--which", "mascheroni"], "capped at cores; 0 = all", "ignored"),
-        ],
-        ids=["dobinski", "euler"],
+        [(["euler", "--which", "mascheroni"], "capped at cores; 0 = all", "ignored")],
+        ids=["euler"],
     )
     def test_threads_help_says_what_the_option_does(self, family, says, not_says, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", *family, "--help"])
         assert exc.value.code == 0
         text = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
-        threads = text[text.index("--threads THREADS") :].split(" --json")[0]
+        threads = text[text.index("--threads THREADS") :].split(" --pmin")[0]
         assert says in threads
         assert not_says not in threads
+
+    def test_dobinski_rejects_threads(self, capsys):
+        # the Dobinski verifier checks every prime in this process: no option for it
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "dobinski", "--threads", "2", "--pmax", "30"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --threads" in captured.err and captured.out == ""
+        assert not hasattr(build_parser().parse_args(["verify", "dobinski"]), "threads")
 
     def test_dobinski_passes(self, capsys):
         code = main(
@@ -122,13 +128,17 @@ class TestVerifyCommands:
         out = capsys.readouterr().out
         assert "Wilson" in out
 
-    @pytest.mark.parametrize("which", ["interlude", "kluyver", "eisenstein", "logadd"])
-    def test_euler_variants(self, which, capsys):
+    # Eisenstein at x = 0 is a definitional skip, so it runs at an x whose check can fail
+    @pytest.mark.parametrize("which, x", [("interlude", "0"), ("kluyver", "0"),
+                                          ("eisenstein", "2"), ("logadd", "0")],
+                             ids=["interlude", "kluyver", "eisenstein", "logadd"])
+    def test_euler_variants(self, which, x, capsys):
         code = main(
-            ["verify", "euler", "--which", which, "--x", "0", "--m", "2", "--k", "3",
+            ["verify", "euler", "--which", which, "--x", x, "--m", "2", "--k", "3",
              "--pmax", "60"]
         )
         assert code == 0
+        assert "checks passed" in capsys.readouterr().out
 
     def test_json_report_deterministic(self, tmp_path, capsys):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
@@ -160,9 +170,11 @@ class TestNothingChecked:
             ["verify", "euler", "--which", "mascheroni", "--x", "1/30030", "--pmax", "13"],
             ["verify", "euler", "--which", "kluyver", "--m", "40", "--pmax", "30"],
             ["verify", "dobinski", "--x", "1/30030", "--pmax", "13"],
+            # the default --x 0, where both sides are 0 by definition
+            ["verify", "euler", "--which", "eisenstein", "--pmax", "30"],
         ],
         ids=["empty-window", "every-x-prime-skipped", "every-order-prime-skipped",
-             "dobinski-every-prime-skipped"],
+             "dobinski-every-prime-skipped", "eisenstein-definitional"],
     )
     def test_verify_with_no_checks_exits_2(self, argv, capsys):
         assert main(argv) == 2
@@ -282,11 +294,53 @@ class TestGammaCommand:
         assert code == 0
         assert "approx = 0.57" in capsys.readouterr().out
 
+    def test_mascheroni_output_pinned(self, capsys):
+        # the third method's lines, H_0 label included, as CI pins the other two
+        assert main(["gamma", "--method", "mascheroni", "--x", "0", "--terms", "1000"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "method=mascheroni x=0 terms=1000 prec=64",
+            "approx = 0.57720253831064126615",
+            "  correction H_0 = 0.0",
+            "  correction -log(x+1) = 0.0",
+            "|approx - gamma_ref| = 1.3127e-5",
+        ]
+
+    @pytest.mark.parametrize("argv, m, k", [
+        ("--method mascheroni --x 1/3", 0, 1),
+        ("--method kluyver --m 3 --x 7/3 --prec 96", 3, 1),
+        ("--method bla101 --k 3 --x=-1/2", 0, 3),
+    ], ids=["mascheroni", "kluyver", "bla101"])
+    def test_prints_what_one_library_call_returns(self, argv, m, k, capsys, monkeypatch):
+        import mpmath
+
+        from aconst import analytic
+
+        calls = []
+        orig = analytic._kluyver_mean
+
+        def spy(*args):
+            calls.append((args, orig(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(analytic, "_kluyver_mean", spy)
+        assert main(["gamma", *argv.split(), "--terms", "300"]) == 0
+        ((args, (value, h_m, log_term)),) = calls
+        assert args[1:3] == (m, k)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == f"approx = {mpmath.nstr(value, 20)}"
+        shown = [log_term] if k > 1 else [h_m, log_term]
+        assert [line.rsplit(" = ", 1)[1] for line in lines[2:-1]] == [
+            mpmath.nstr(v, 20) for v in shown
+        ]
+
     def test_domain_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gamma", "--method", "mascheroni", "--x=-2", "--terms", "100"])
         assert exc.value.code == 2
-        assert capsys.readouterr().err.startswith("usage: aconst gamma")
+        captured = capsys.readouterr()
+        # the library's rule, raised by the series and reported as a usage error
+        assert captured.err.startswith("usage: aconst gamma")
+        assert "x must exceed -1" in captured.err and captured.out == ""
 
     def test_uncertifiable_series_exits_2(self, capsys):
         # at x = 100 the Gregory values reach 2**100, past what 64 bits certify
@@ -504,7 +558,7 @@ IMPORT_HYGIENE_CHILD = """
 import contextlib, io, sys
 import aconst, aconst.cli as cli
 exact = [
-    "verify dobinski --r 2 --nmax 6 --pmax 60 --threads 1",
+    "verify dobinski --r 2 --nmax 6 --pmax 60",
     "verify euler --which mascheroni --x=-1 --pmax 60 --threads 1",
     "search --target wilson --pmax 600 --no-cache",
     "search --target eA-zero --pmax 50",
@@ -557,7 +611,7 @@ class TestFailurePath:
         import aconst.cli as cli_mod
         from aconst.report import CheckRecord, VerificationReport
 
-        def fake_verify(r, n_max, x, window, threads=1):
+        def fake_verify(r, n_max, x, window):
             rep = VerificationReport("dobinski", {}, 5, 7, 2)
             rep.checks.append(CheckRecord(5, "n=1", 1, 2, False))
             return rep

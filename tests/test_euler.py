@@ -134,6 +134,8 @@ def loop_kluyver_rhs(ctx, m, x):
 
 
 def loop_eisenstein_rhs(ctx, x):
+    if x == 0:
+        return "definitional: ell(0) = ell(1) = 0"
     e1 = loop_ell(x + 1, ctx.p)
     e0 = loop_ell(x, ctx.p)
     if e1 is None or e0 is None:
@@ -150,6 +152,7 @@ def loop_eisenstein_rhs(ctx, x):
     st.sampled_from(sieve_primes(5, 101)),
 )
 @example(-1, 1, 2, 1, 5)  # x = -1: the indicator terms
+@example(0, 1, 2, 1, 5)  # x = 0: Eisenstein's definitional skip
 @example(-3, 5, 2, 1, 5)  # p | den(x): every ell undefined
 @example(4, 1, 5, 3, 7)  # p = x+3: one ell undefined partway through
 def test_right_sides_match_loops(a, b, k, m, p):
@@ -356,8 +359,18 @@ class TestEisenstein:
         # x=1, p=3: lhs = 1 - inv(2) = 2, rhs = 2*q_3(2) - q_3(1) = 2
         assert check_eisenstein(1, 3) is True
 
-    def test_zero_trivial(self):
-        assert check_eisenstein(0, 11) is True
+    def test_integer_point(self):
+        assert check_eisenstein(2, 11) is True
+
+    def test_zero_is_a_definitional_skip(self):
+        # both sides are 0 by ell(0) = ell(1) = 0, so no check is recorded
+        # there; the left side, which L1 reads, is still defined
+        assert check_eisenstein(0, 11) is None
+        report = verify_eisenstein([F(0)], WINDOW)
+        assert not report.checks
+        assert {s.reason for s in report.skipped} == {"definitional: ell(0) = ell(1) = 0"}
+        assert {s.prime for s in report.skipped} == set(WINDOW)
+        assert L1(1, WINDOW).components == {p: 0 for p in WINDOW}
 
     def test_rational_brute_force(self):
         assert check_eisenstein(F(5, 3), 11) is True
@@ -368,6 +381,7 @@ class TestEisenstein:
     def test_window_report(self):
         report = verify_eisenstein([F(7, 3), F(0), F(-1)], sieve_primes(5, 101))
         assert report.passed
+        assert {c.label for c in report.checks} == {"x=7/3", "x=-1"}
 
 
 class TestVerifiers:
@@ -391,6 +405,14 @@ class TestVerifiers:
         assert report.passed
         labels = {c.label for c in report.checks} | {s.label for s in report.skipped}
         assert len(labels) == 21  # 6 values, pairs with repetition
+
+    def test_log_additivity_skips_the_value_one(self):
+        # q_p(1 * y) = q_p(1) + q_p(y) holds by q_p(1) = 0: a skip, not a check
+        report = verify_log_additivity([1, 2, F(1, 3)], WINDOW)
+        assert report.passed
+        assert {c.label for c in report.checks} == {"x=2 y=2", "x=2 y=1/3", "x=1/3 y=1/3"}
+        definitional = {s.label for s in report.skipped if s.reason == "definitional: q_p(1) = 0"}
+        assert definitional == {"x=1 y=1", "x=1 y=2", "x=1 y=1/3"}
 
     def test_small_primes_skipped(self):
         report = verify_mascheroni([F(0)], [2, 3, 5, 7])
@@ -443,8 +465,8 @@ class TestVerifiers:
 class TestNegativeControls:
     """Each Euler verifier fails every defined check at every prime when one
     thing one of its side kernels calls is off by one.  No grid holds a point
-    where both sides are 0 by convention (Eisenstein at x = 0, a
-    log-additivity value of 1)."""
+    where both sides are 0 by convention: those are skips (Eisenstein at
+    x = 0, a log-additivity pair holding 1)."""
 
     XS = [F(-1), F(1, 2), F(-3), F(7, 3)]
 
@@ -722,7 +744,8 @@ class TestFamiliesAreLeftSides:
     def cases(self):
         for x in self.XS:
             yield verify_mascheroni([x], WINDOW), gamma_M(x, WINDOW)
-            yield verify_eisenstein([x], WINDOW), L1(x + 1, WINDOW)
+            if x != 0:  # a definitional skip: no check reads L1(1)
+                yield verify_eisenstein([x], WINDOW), L1(x + 1, WINDOW)
             for k in range(2, 6):
                 yield verify_interlude([k], [x], WINDOW), G_A(k, x, WINDOW)
             for m in range(1, 4):
