@@ -318,7 +318,8 @@ def _gregory_fixed(num: int, den: int, n_max: int, prec: int) -> tuple[tuple[int
     need = prec // 2
     tol = max(1 << (wp - need), min(map(abs, stream)) >> need)
     if bound > tol:
-        raise CertificateError(f"error bound {bound} exceeds tolerance {tol} ulps of 2**-{wp}")
+        raise CertificateError(f"cannot certify G_n(x) to prec/2 bits at x={Fraction(num, den)}, "
+                               f"terms={n_max}, prec={prec} (a higher prec may certify it)")
     return stream, wp
 
 

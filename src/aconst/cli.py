@@ -2,18 +2,16 @@
 export in OEIS b-file form, and the real-series gamma evaluators.
 
 Exit codes: 0 all checks passed, 1 a congruence failed (counterexample
-printed), 2 malformed arguments, a window a kernel cannot take (a Gregory
-residue stream needs p < 2642247, a gamma series whose Gregory values
-cannot be certified at --prec), an I/O error or nothing checked (a verifier
-whose window is empty or whose every prime was skipped, a search whose
-window is empty, a `cache verify` that found no records it can recheck).
-Negative rationals must use the --x=-2/3 form (a bare "-2/3" parses as a flag).
+printed), 2 a refused argv, an I/O error or nothing checked (a verifier
+whose window is empty or whose every prime was skipped, a `cache verify`
+that found no records it can recheck).  Negative rationals must use the
+--x=-2/3 form (a bare "-2/3" parses as a flag).
 
-`main` only parses, dispatches and maps OSError and ValueError to exit 2.  A
-rule across options is raised by the handler of the subcommand it governs,
-through that subcommand's parser (`args.parser`), which prints its own usage.
-A handler is a view: `gamma` prints what analytic._kluyver_mean returns and
-turns its refusals into usage errors.  Only `verify euler` takes --threads.
+Every refusal of an argv goes through its subcommand's parser (`args.parser`),
+which prints that subcommand's usage line: an unknown option, an option the
+chosen --which, --method or --name does not read (each leaf's `read_by`), a
+rule across options, and a library ValueError or CertificateError (a window
+past p < 2642247, gamma --x <= -1).  An OSError prints a bare `error:` line.
 """
 
 from __future__ import annotations
@@ -117,8 +115,7 @@ def _warn_damaged(damaged: dict[str, int]) -> None:
 def _cmd_search(args) -> int:
     window = sieve_primes(args.pmin, args.pmax)
     if not window:
-        print(f"error: no primes in [{args.pmin}, {args.pmax}]", file=sys.stderr)
-        return 2
+        args.parser.error(f"no primes in [{args.pmin}, {args.pmax}]")
     hits, records = searches.search_zero_primes(args.target, window)
     for p in hits:
         print(p)
@@ -159,13 +156,7 @@ def _cmd_gamma(args) -> int:
     import mpmath  # the one subcommand that loads it (see analytic)
 
     m, k = {"mascheroni": (0, 1), "kluyver": (args.m, 1), "bla101": (0, args.k)}[args.method]
-    try:
-        value, h_m, log_term = analytic._kluyver_mean(args.x, m, k, args.terms, args.prec)
-    except analytic.CertificateError:
-        args.parser.error(f"cannot certify the Gregory values to prec/2 bits at x={args.x}, "
-                          f"terms={args.terms}, prec={args.prec} (a higher --prec may)")
-    except ValueError as exc:  # the series' domain, x > -1
-        args.parser.error(str(exc))
+    value, h_m, log_term = analytic._kluyver_mean(args.x, m, k, args.terms, args.prec)
     corrections = ([(f"-(1/{k}) sum log(x+j)", log_term)] if args.method == "bla101"
                    else [(f"H_{m}", h_m), (f"-log(x+{m + 1})", log_term)])
     print(f"method={args.method} x={args.x} terms={args.terms} prec={args.prec}")
@@ -227,57 +218,70 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["mascheroni", "interlude", "kluyver", "eisenstein", "logadd"],
     )
     ve.add_argument("--x", type=parse_rational, default=Fraction(0))
-    ve.add_argument("--m", type=_int_at_least(1), default=1, help="kluyver order")
-    ve.add_argument("--k", type=_int_at_least(2), default=2, help="interlude offset")
+    ve.add_argument("--m", type=_int_at_least(1), help="order (default 1; for --which kluyver)")
+    ve.add_argument("--k", type=_int_at_least(2), help="offset (default 2; for --which interlude)")
     ve.add_argument("--threads", type=_int_at_least(0), default=0,
                     help="capped at cores; 0 = all")
     _add_window_opts(ve, euler.DEFAULT_WINDOW)
-    ve.set_defaults(fn=_cmd_verify_euler)
+    ve.set_defaults(fn=_cmd_verify_euler, parser=ve,
+                    read_by=("which", {"m": ("kluyver", 1), "k": ("interlude", 2)}))
 
     search = sub.add_parser("search", help="scan for vanishing components")
     search.add_argument("--target", required=True, choices=list(searches.SEARCH_TARGETS))
     search.add_argument("--pmin", type=int, default=5)
     search.add_argument("--pmax", type=int, required=True)
     search.add_argument("--no-cache", action="store_true")
-    search.set_defaults(fn=_cmd_search)
+    search.set_defaults(fn=_cmd_search, parser=search)
 
     seq = sub.add_parser("seq", help="print a sequence in b-file form")
     seq.add_argument("--name", required=True, choices=["bell", "g", "b2j", "gregory"])
     seq.add_argument("--nmax", type=_int_at_least(0), default=10)
-    seq.add_argument("--j", type=int, default=0, choices=[0, 1], help="row for b2j")
+    seq.add_argument("--j", type=int, choices=[0, 1], help="row (default 0; for --name b2j)")
     seq.add_argument("--bfile", metavar="PATH", help="also write to a b-file")
-    seq.set_defaults(fn=_cmd_seq)
+    seq.set_defaults(fn=_cmd_seq, parser=seq, read_by=("name", {"j": ("b2j", 0)}))
 
     gamma = sub.add_parser("gamma", help="real-series gamma approximations")
     gamma.add_argument(
         "--method", required=True, choices=["mascheroni", "kluyver", "bla101"]
     )
     gamma.add_argument("--x", type=parse_rational, default=Fraction(0))
-    gamma.add_argument("--m", type=_int_at_least(0), default=1, help="kluyver order")
-    gamma.add_argument("--k", type=_int_at_least(1), default=1, help="bla101 offset")
+    gamma.add_argument("--m", type=_int_at_least(0), help="order (default 1; for --method kluyver)")
+    gamma.add_argument("--k", type=_int_at_least(1), help="offset (default 1; for --method bla101)")
     gamma.add_argument("--terms", type=_int_at_least(1), default=1000)
     gamma.add_argument(
         "--prec", type=_int_at_least(64), default=64, help="precision in bits"
     )
-    gamma.set_defaults(fn=_cmd_gamma, parser=gamma)
+    gamma.set_defaults(fn=_cmd_gamma, parser=gamma,
+                       read_by=("method", {"m": ("kluyver", 1), "k": ("bla101", 1)}))
 
     cachep = sub.add_parser("cache", help="residue cache maintenance")
     csub = cachep.add_subparsers(dest="action", required=True)
     cv = csub.add_parser("verify", help="recompute a random sample of cached residues")
     cv.add_argument("--sample", type=_int_at_least(1), default=20)
     cv.add_argument("--seed", type=int, default=None)
-    cv.set_defaults(fn=_cmd_cache_verify)
+    cv.set_defaults(fn=_cmd_cache_verify, parser=cv)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    # read_by: (the choice's dest, {option only one choice reads: (that choice, default)})
+    choice, read_by = getattr(args, "read_by", (None, {}))
+    for option, (reader, default) in read_by.items():
+        if getattr(args, option) is None:
+            setattr(args, option, default)
+        elif getattr(args, choice) != reader:
+            args.parser.error(f"--{option} is read only by --{choice} {reader}")
     try:
         return args.fn(args)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, analytic.CertificateError) as exc:  # the library refuses the argv
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

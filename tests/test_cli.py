@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from aconst import cache, dobinski, euler, searches
+from aconst import cache, cli, dobinski, euler, searches
 from aconst.cli import build_parser, main, parse_rational
 from aconst.report import VerificationReport
 
@@ -110,6 +111,7 @@ class TestVerifyCommands:
             main(["verify", "dobinski", "--threads", "2", "--pmax", "30"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
+        assert captured.err.startswith("usage: aconst verify dobinski ")
         assert "unrecognized arguments: --threads" in captured.err and captured.out == ""
         assert not hasattr(build_parser().parse_args(["verify", "dobinski"]), "threads")
 
@@ -128,14 +130,15 @@ class TestVerifyCommands:
         out = capsys.readouterr().out
         assert "Wilson" in out
 
-    # Eisenstein at x = 0 is a definitional skip, so it runs at an x whose check can fail
-    @pytest.mark.parametrize("which, x", [("interlude", "0"), ("kluyver", "0"),
-                                          ("eisenstein", "2"), ("logadd", "0")],
+    # Eisenstein at x = 0 is a definitional skip, so it runs at an x whose check can fail;
+    # each theorem gets only the options it reads
+    @pytest.mark.parametrize("which, opts", [("interlude", "--x 0 --k 3"),
+                                             ("kluyver", "--x 0 --m 2"),
+                                             ("eisenstein", "--x 2"), ("logadd", "--x 0")],
                              ids=["interlude", "kluyver", "eisenstein", "logadd"])
-    def test_euler_variants(self, which, x, capsys):
+    def test_euler_variants(self, which, opts, capsys):
         code = main(
-            ["verify", "euler", "--which", which, "--x", x, "--m", "2", "--k", "3",
-             "--pmax", "60"]
+            ["verify", "euler", "--which", which, *opts.split(), "--pmax", "60"]
         )
         assert code == 0
         assert "checks passed" in capsys.readouterr().out
@@ -193,9 +196,12 @@ class TestNothingChecked:
         # residue streams pack into 8-byte slots; a window past them is bad input
         argv = ["verify", "euler", "--which", "mascheroni", "--pmin", "2642247",
                 "--pmax", "2642260"]
-        assert main(argv) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: residue streams need p < 2642247")
+        assert err.startswith("usage: aconst verify euler ")
+        assert "error: residue streams need p < 2642247" in err
         assert "Traceback" not in err
 
     def test_cache_verify_on_empty_cache_exits_2(self, capsys):
@@ -213,8 +219,11 @@ class TestNothingChecked:
         ids=["no-prime-in-window", "pmax-1"],
     )
     def test_search_with_empty_window_exits_2(self, argv, capsys):
-        assert main(argv) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
         captured = capsys.readouterr()
+        assert captured.err.startswith("usage: aconst search ")
         assert captured.out == ""
         assert "error: no primes in" in captured.err
         assert not cache.cache_dir().exists()
@@ -334,13 +343,14 @@ class TestGammaCommand:
         ]
 
     def test_domain_error_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["gamma", "--method", "mascheroni", "--x=-2", "--terms", "100"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        # the library's rule, raised by the series and reported as a usage error
-        assert captured.err.startswith("usage: aconst gamma")
-        assert "x must exceed -1" in captured.err and captured.out == ""
+        for x in ("--x=-1", "--x=-2"):  # the edge and past it
+            with pytest.raises(SystemExit) as exc:
+                main(["gamma", "--method", "mascheroni", x, "--terms", "100"])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            # the library's rule, raised by the series and reported as a usage error
+            assert captured.err.startswith("usage: aconst gamma ")
+            assert "x must exceed -1" in captured.err and captured.out == ""
 
     def test_uncertifiable_series_exits_2(self, capsys):
         # at x = 100 the Gregory values reach 2**100, past what 64 bits certify
@@ -348,8 +358,9 @@ class TestGammaCommand:
             main(["gamma", "--method", "kluyver", "--m", "1", "--x", "100", "--terms", "2000"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("usage: aconst gamma")
+        assert captured.err.startswith("usage: aconst gamma ")
         assert "x=100, terms=2000, prec=64" in captured.err and captured.out == ""
+        assert "a higher prec may" in captured.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -540,7 +551,87 @@ class TestIOErrors:
             (cache.cache_dir() / "wilson_q.jsonl").mkdir(parents=True)
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        # not the caller's argv: a bare error line, no usage
+        assert err.startswith("error: ") and "usage:" not in err and "Traceback" not in err
+
+
+def _leaves(parser, path=()):
+    """{"verify dobinski": its parser, ...}: every subcommand that runs a handler."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(path): parser}
+    return {name: leaf for sub, sp in subs[0].choices.items()
+            for name, leaf in _leaves(sp, path + (sub,)).items()}
+
+
+LEAVES = _leaves(build_parser())
+
+
+@pytest.fixture
+def handled(monkeypatch):
+    """The args each handler is called with; the handlers themselves do nothing."""
+    calls = []
+    for name in dir(cli):
+        if name.startswith("_cmd_"):
+            monkeypatch.setattr(cli, name, lambda args: calls.append(args) or 0)
+    return calls
+
+
+class TestRefusals:
+    """Every refused argv exits 2 through its subcommand's usage line, before any work."""
+
+    @pytest.mark.parametrize("leaf", sorted(LEAVES))
+    def test_unknown_option_is_refused_by_its_subcommand(self, leaf, tmp_path, handled, capsys):
+        # the options the leaf requires, each at its first choice (or a window bound)
+        argv = leaf.split()
+        for action in LEAVES[leaf]._actions:
+            if action.required and action.option_strings:
+                argv += [action.option_strings[0], str((action.choices or [30])[0])]
+        report = tmp_path / "r.jsonl"
+        if any("--json" in a.option_strings for a in LEAVES[leaf]._actions):
+            argv += ["--json", str(report)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--bogus", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage: aconst {leaf} ")
+        assert "unrecognized arguments: --bogus 1" in captured.err and captured.out == ""
+        assert handled == [] and not report.exists() and not cache.cache_dir().exists()
+        # the same argv without the unknown option reaches the handler
+        assert main(argv) == 0 and len(handled) == 1
+
+    def test_every_leaf_is_covered(self):
+        assert sorted(LEAVES) == ["cache verify", "gamma", "search", "seq", "verify dobinski",
+                                  "verify euler"]
+
+    @pytest.mark.parametrize("argv, option, reader", [
+        ("verify euler --which mascheroni --m 2", "--m", "--which kluyver"),
+        ("verify euler --which kluyver --k 3", "--k", "--which interlude"),
+        ("gamma --method mascheroni --m 2", "--m", "--method kluyver"),
+        ("gamma --method kluyver --k 2", "--k", "--method bla101"),
+        ("seq --name bell --j 1", "--j", "--name b2j"),
+    ], ids=["euler-m", "euler-k", "gamma-m", "gamma-k", "seq-j"])
+    def test_unread_option_is_refused_by_name(self, argv, option, reader, handled, capsys):
+        leaf = argv.split(" --")[0]
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage: aconst {leaf} ")
+        assert f"error: {option} is read only by {reader}" in captured.err
+        assert captured.out == "" and handled == []
+
+    @pytest.mark.parametrize("argv, option, default", [
+        ("verify euler --which kluyver", "m", 1),
+        ("verify euler --which interlude", "k", 2),
+        ("gamma --method kluyver", "m", 1),
+        ("gamma --method bla101", "k", 1),
+        ("seq --name b2j", "j", 0),
+    ], ids=["euler-m", "euler-k", "gamma-m", "gamma-k", "seq-j"])
+    def test_read_option_left_out_takes_its_default(self, argv, option, default, handled):
+        assert main(argv.split()) == 0
+        (args,) = handled
+        assert getattr(args, option) == default
 
 
 def _child_env() -> dict:
