@@ -31,7 +31,6 @@ from .dobinski import (
 from .euler import (
     G_A,
     L1,
-    check_eisenstein,
     ell_A,
     fermat_quotient,
     gamma_K,

@@ -28,7 +28,13 @@ from .polys import gregory_values_exact
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d*[1-9]\d*)?$")  # a denominator is nonzero
 
-#: partners paired with --x by `verify euler --which logadd`
+#: `verify euler --which` names each theorem by its table key, log-additivity by logadd
+_WHICH = {("logadd" if t == "log-additivity" else t): t for t in euler.THEOREMS}
+#: the integer axes (--m, --k) with the --which that reads each; it defaults to its least value
+_READ_BY = {a: (which, euler.LEAST[a]) for which, t in _WHICH.items()
+            for a in euler.THEOREMS[t][1] if a in euler.LEAST}
+
+#: partners paired with --x (and --x with itself) by `verify euler --which logadd`
 LOGADD_PARTNERS = (
     Fraction(2),
     Fraction(3),
@@ -86,21 +92,12 @@ def _cmd_verify_dobinski(args) -> int:
 
 
 def _cmd_verify_euler(args) -> int:
-    window = sieve_primes(args.pmin, args.pmax)
-    which = args.which
-    if which == "mascheroni":
-        report = euler.verify_mascheroni([args.x], window, threads=args.threads)
-        if args.x == -1:
-            print("note: at x = -1 the right side reduces to the Wilson quotient")
-    elif which == "interlude":
-        report = euler.verify_interlude([args.k], [args.x], window, threads=args.threads)
-    elif which == "kluyver":
-        report = euler.verify_kluyver([args.m], [args.x], window, threads=args.threads)
-    elif which == "eisenstein":
-        report = euler.verify_eisenstein([args.x], window, threads=args.threads)
-    else:  # logadd
-        values = [args.x] + [v for v in LOGADD_PARTNERS if v != args.x]
-        report = euler.verify_log_additivity(values, window, threads=args.threads)
+    theorem = _WHICH[args.which]
+    params = {axis: [args.x, *LOGADD_PARTNERS] if axis == "values" else [getattr(args, axis)]
+              for axis in euler.THEOREMS[theorem][1]}
+    report = euler.verify(theorem, params, sieve_primes(args.pmin, args.pmax), threads=args.threads)
+    if theorem == "mascheroni" and args.x == -1:
+        print("note: at x = -1 the right side reduces to the Wilson quotient")
     return _emit_report(report, args)
 
 
@@ -212,19 +209,16 @@ def build_parser() -> argparse.ArgumentParser:
     vd.set_defaults(fn=_cmd_verify_dobinski, parser=vd)
 
     ve = vsub.add_parser("euler", help="Euler-constant congruence family")
-    ve.add_argument(
-        "--which",
-        required=True,
-        choices=["mascheroni", "interlude", "kluyver", "eisenstein", "logadd"],
-    )
+    ve.add_argument("--which", required=True, choices=list(_WHICH))
     ve.add_argument("--x", type=parse_rational, default=Fraction(0))
-    ve.add_argument("--m", type=_int_at_least(1), help="order (default 1; for --which kluyver)")
-    ve.add_argument("--k", type=_int_at_least(2), help="offset (default 2; for --which interlude)")
+    for axis, meaning in (("m", "order"), ("k", "offset")):
+        which, least = _READ_BY[axis]
+        ve.add_argument(f"--{axis}", type=_int_at_least(least),
+                        help=f"{meaning} (default {least}; for --which {which})")
     ve.add_argument("--threads", type=_int_at_least(0), default=0,
                     help="capped at cores; 0 = all")
     _add_window_opts(ve, euler.DEFAULT_WINDOW)
-    ve.set_defaults(fn=_cmd_verify_euler, parser=ve,
-                    read_by=("which", {"m": ("kluyver", 1), "k": ("interlude", 2)}))
+    ve.set_defaults(fn=_cmd_verify_euler, parser=ve, read_by=("which", _READ_BY))
 
     search = sub.add_parser("search", help="scan for vanishing components")
     search.add_argument("--target", required=True, choices=list(searches.SEARCH_TARGETS))

@@ -7,17 +7,22 @@ Kluyver-style) give others.  The theorems verified here say the two kinds
 differ only by rational constants and rational combinations of the values
 ell(x) = x*q_p(x), which every right side gathers through one _ell_form.
 
-Each congruence is a pair of module-level side kernels, lhs(ctx, *point)
-and rhs(ctx, *point), each giving a residue mod p or the reason (a str) it
-is undefined.  A verifier is its grid of labelled points and its batch,
-`_parallel.check_shard` bound to the two kernels: check_shard evaluates them
-(left side first, so the left side's reason wins) and
-`_parallel.verify_primes` shards, collects and reports.  The AElement
-families gamma_M, G_A, gamma_K and L1 are the left kernels of mascheroni,
-interlude, kluyver and eisenstein read through `AElement.from_kernel`.
-Neither side sees the other's value: the sum side comes from Gregory
-residue streams, the quotient side from Fermat and Wilson quotients mod
-p^2.  The streams have one owner, the process-wide memo _stream keyed by
+Each congruence is a pair of module-level side kernels, lhs(ctx, *point) and
+rhs(ctx, *point), each giving a residue mod p or the reason (a str) it is
+undefined.  A verifier is a THEOREMS entry (its batch, check_shard bound to
+the two kernels, and its parameter axes) plus `grid`, which builds and
+range-checks the labelled points: check_shard evaluates the kernels (left
+side first, so the left side's reason wins) and `_parallel.verify_primes`
+shards, collects and reports.  The AElement families gamma_M, G_A, gamma_K
+and L1 are the left kernels of mascheroni, interlude, kluyver and eisenstein
+read through `AElement.from_kernel`.  Neither side sees the other's value:
+the sum side comes from Gregory residue streams, the quotient side from
+Fermat and Wilson quotients mod p^2.  Two congruences share code across
+their sides: both Kluyver sides reach fermat_quotient through _ell_component
+(the left side subtracts ell(x+m+1)), so a fault there is missed where
+H_m = 0 mod p, as at m = 3, p = 11; both log-additivity sides are
+fermat_quotient, so a fault that keeps q_p additive (q -> c*q) passes.  The
+streams have one owner, the process-wide memo _stream keyed by
 (p, num(x), den(x)), so the mascheroni, interlude and kluyver verifiers and
 their families build each distinct G_0(x)..G_{p-2}(x) mod p once; only left
 kernels read it and the Kluyver weights, one prime's memo, as they come from
@@ -38,9 +43,9 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from operator import mul
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from ._parallel import check_shard, verify_primes
 from .modular import AElement, PrimeCtx, Rational, rational_mod, rational_pow_mod_p2, require_primes
@@ -311,6 +316,49 @@ _kluyver_batch = partial(check_shard, _kluyver_lhs, _kluyver_rhs)
 _eisenstein_batch = partial(check_shard, _eisenstein_lhs, _eisenstein_rhs)
 _logadd_batch = partial(check_shard, _logadd_lhs, _logadd_rhs)
 
+#: each report theorem's batch and its parameter axes, in the order of a point's entries
+THEOREMS = {
+    "mascheroni": (_mascheroni_batch, ("x",)),
+    "interlude": (_interlude_batch, ("k", "x")),
+    "kluyver": (_kluyver_batch, ("m", "x")),
+    "eisenstein": (_eisenstein_batch, ("x",)),
+    "log-additivity": (_logadd_batch, ("values",)),
+}
+#: the least value of each integer axis; every other axis is rational
+LEAST = {"k": 2, "m": 1}
+
+
+def grid(theorem: str, params: Mapping[str, Sequence]) -> tuple[dict, list]:
+    """The report's params header and labelled points for a THEOREMS entry.
+
+    params maps each axis to its values: a rational goes through Fraction, an
+    integer below its LEAST value raises ValueError, and a repeat is dropped
+    (the first occurrence kept).  The points are the product of the axes, the
+    last outermost, labelled "k=2 x=1/2"; "values" gives every pair "x=2 y=1/3".
+    """
+    axes = THEOREMS[theorem][1]
+    header, values = {}, []
+    for axis in axes:
+        integer = axis in LEAST
+        vals = list(dict.fromkeys(params[axis] if integer else map(Fraction, params[axis])))
+        if integer and any(v < LEAST[axis] for v in vals):
+            raise ValueError(f"{axis} must be at least {LEAST[axis]}")
+        header[axis] = vals if integer else list(map(str, vals))
+        values.append(vals)
+    names, points = axes, [point[::-1] for point in product(*values[::-1])]
+    if axes == ("values",):  # log-additivity's points are the pairs of its values
+        names, points = ("x", "y"), list(combinations_with_replacement(values[0], 2))
+    return header, [(" ".join(map("{}={}".format, names, point)), point) for point in points]
+
+
+def verify(theorem: str, params: Mapping[str, Sequence], window: Sequence[int],
+           threads: int = 1) -> VerificationReport:
+    """Report of a THEOREMS entry at params (see grid) over the window."""
+    header, points = grid(theorem, params)
+    # the congruences are sufficiently-large-p statements: p <= 3 is skipped whole
+    excluded = {p: "excluded small prime (p <= 3)" for p in require_primes(window) if p <= 3}
+    return verify_primes(theorem, header, THEOREMS[theorem][0], points, window, threads, excluded)
+
 
 def gamma_M(x: Rational, window: Sequence[int]) -> AElement:
     """Mascheroni-style analogue: alternating sum of G_n(x)/n for n <= p-2."""
@@ -319,23 +367,19 @@ def gamma_M(x: Rational, window: Sequence[int]) -> AElement:
 
 
 def gamma_K(m: int, x: Rational, window: Sequence[int]) -> AElement:
-    """Kluyver-style analogue of order m: the rising-factorial sum plus
+    """Kluyver-style analogue of order m >= 1: the rising-factorial sum plus
     H_m minus the ell component at x+m+1.
 
     A prime is exceptional when it divides den(x), when p <= m+1 or when
     the ell part is undefined; the component is then dropped, not split.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
-    x = Fraction(x)
+    ((_, (m, x)),) = grid("kluyver", {"m": [m], "x": [x]})[1]
     return AElement.from_kernel(window, lambda p: _kluyver_lhs(PrimeCtx(p), m, x))
 
 
 def G_A(k: int, x: Rational, window: Sequence[int]) -> AElement:
     """The family (G_{p-k}(x) mod p)_p for fixed offset k >= 2."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    x = Fraction(x)
+    ((_, (k, x)),) = grid("interlude", {"k": [k], "x": [x]})[1]
     return AElement.from_kernel(window, lambda p: _interlude_lhs(PrimeCtx(p), k, x))
 
 
@@ -346,73 +390,31 @@ def L1(x: Rational, window: Sequence[int]) -> AElement:
     return AElement.from_kernel(window, lambda p: _eisenstein_lhs(PrimeCtx(p), x - 1))
 
 
-def check_eisenstein(x: Rational, p: int) -> bool | None:
-    """Eisenstein's congruence for the truncated log series at x; None when
-    a needed quotient is undefined at p, which must be a prime."""
-    require_primes([p])
-    checks, _ = _eisenstein_batch(([("", (Fraction(x),))], [p]))
-    return checks[0][4] if checks else None
+def verify_mascheroni(xs: Sequence[Rational], window: Sequence[int],
+                      threads: int = 1) -> VerificationReport:
+    """Mascheroni's sum against the Wilson quotient plus ell terms, at each x."""
+    return verify("mascheroni", {"x": xs}, window, threads)
 
 
-def _verify(theorem, params, batch, grid, window, threads) -> VerificationReport:
-    # the congruences are sufficiently-large-p statements: p <= 3 is skipped whole
-    excluded = {p: "excluded small prime (p <= 3)" for p in require_primes(window) if p <= 3}
-    return verify_primes(theorem, params, batch, grid, window, threads, excluded)
-
-
-def verify_mascheroni(
-    xs: Sequence[Rational], window: Sequence[int], threads: int = 1
-) -> VerificationReport:
-    """Mascheroni-sum analogue against Wilson quotient plus ell terms,
-    componentwise over the window, for each sampled x."""
-    xs = [Fraction(x) for x in xs]
-    params = {"x": [str(x) for x in xs]}
-    grid = [(f"x={x}", (x,)) for x in xs]
-    return _verify("mascheroni", params, _mascheroni_batch, grid, window, threads)
-
-
-def verify_interlude(
-    ks: Sequence[int], xs: Sequence[Rational], window: Sequence[int], threads: int = 1
-) -> VerificationReport:
+def verify_interlude(ks: Sequence[int], xs: Sequence[Rational], window: Sequence[int],
+                     threads: int = 1) -> VerificationReport:
     """G_{p-k}(x) against the alternating binomial combination of ell values."""
-    xs = [Fraction(x) for x in xs]
-    ks = list(ks)
-    if any(k < 2 for k in ks):
-        raise ValueError("k must be at least 2")
-    params = {"k": ks, "x": [str(x) for x in xs]}
-    grid = [(f"k={k} x={x}", (k, x)) for x in xs for k in ks]
-    return _verify("interlude", params, _interlude_batch, grid, window, threads)
+    return verify("interlude", {"k": ks, "x": xs}, window, threads)
 
 
-def verify_kluyver(
-    ms: Sequence[int], xs: Sequence[Rational], window: Sequence[int], threads: int = 1
-) -> VerificationReport:
-    """Kluyver-sum analogue (from its defining sum) against the Wilson/ell
-    expansion computed on an independent path."""
-    xs = [Fraction(x) for x in xs]
-    ms = list(ms)
-    if any(m < 1 for m in ms):
-        raise ValueError("m must be positive")
-    params = {"m": ms, "x": [str(x) for x in xs]}
-    grid = [(f"m={m} x={x}", (m, x)) for x in xs for m in ms]
-    return _verify("kluyver", params, _kluyver_batch, grid, window, threads)
+def verify_kluyver(ms: Sequence[int], xs: Sequence[Rational], window: Sequence[int],
+                   threads: int = 1) -> VerificationReport:
+    """Kluyver's sum of order m against its Wilson quotient and ell expansion."""
+    return verify("kluyver", {"m": ms, "x": xs}, window, threads)
 
 
-def verify_eisenstein(
-    xs: Sequence[Rational], window: Sequence[int], threads: int = 1
-) -> VerificationReport:
+def verify_eisenstein(xs: Sequence[Rational], window: Sequence[int],
+                      threads: int = 1) -> VerificationReport:
     """Eisenstein's congruence for each sampled x over the window."""
-    xs = [Fraction(x) for x in xs]
-    params = {"x": [str(x) for x in xs]}
-    grid = [(f"x={x}", (x,)) for x in xs]
-    return _verify("eisenstein", params, _eisenstein_batch, grid, window, threads)
+    return verify("eisenstein", {"x": xs}, window, threads)
 
 
-def verify_log_additivity(
-    values: Sequence[Rational], window: Sequence[int], threads: int = 1
-) -> VerificationReport:
+def verify_log_additivity(values: Sequence[Rational], window: Sequence[int],
+                          threads: int = 1) -> VerificationReport:
     """q_p(xy) = q_p(x) + q_p(y) for every pair (with repetition) of values."""
-    vals = [Fraction(v) for v in values]
-    params = {"values": [str(v) for v in vals]}
-    grid = [(f"x={x} y={y}", (x, y)) for x, y in combinations_with_replacement(vals, 2)]
-    return _verify("log-additivity", params, _logadd_batch, grid, window, threads)
+    return verify("log-additivity", {"values": values}, window, threads)

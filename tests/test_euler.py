@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from aconst import euler
 from aconst.euler import (
+    _eisenstein_batch,
     _eisenstein_rhs,
     _interlude_rhs,
     _kluyver_rhs,
@@ -22,7 +23,6 @@ from aconst.euler import (
     _wilson_component,
     G_A,
     L1,
-    check_eisenstein,
     delta_minus_one,
     ell_A,
     fermat_quotient,
@@ -356,16 +356,20 @@ class TestL1:
 
 class TestEisenstein:
     def test_hand_example(self):
-        # x=1, p=3: lhs = 1 - inv(2) = 2, rhs = 2*q_3(2) - q_3(1) = 2
-        assert check_eisenstein(1, 3) is True
+        # x=1, p=3: lhs = 1 - inv(2) = 2, rhs = 2*q_3(2) - q_3(1) = 2; the
+        # verifiers skip p = 3 whole, so the batch runs on the grid directly
+        _, points = euler.grid("eisenstein", {"x": [1, 4, 2]})
+        checks, skips = _eisenstein_batch((points, [3]))
+        assert checks == [(3, "x=1", 2, 2, True), (3, "x=4", 2, 2, True)]
+        assert skips == [(3, "x=2", "quotient or residue undefined")]
 
     def test_integer_point(self):
-        assert check_eisenstein(2, 11) is True
+        report = verify_eisenstein([2], [11])
+        assert [(c.prime, c.passed) for c in report.checks] == [(11, True)]
 
     def test_zero_is_a_definitional_skip(self):
         # both sides are 0 by ell(0) = ell(1) = 0, so no check is recorded
         # there; the left side, which L1 reads, is still defined
-        assert check_eisenstein(0, 11) is None
         report = verify_eisenstein([F(0)], WINDOW)
         assert not report.checks
         assert {s.reason for s in report.skipped} == {"definitional: ell(0) = ell(1) = 0"}
@@ -373,10 +377,13 @@ class TestEisenstein:
         assert L1(1, WINDOW).components == {p: 0 for p in WINDOW}
 
     def test_rational_brute_force(self):
-        assert check_eisenstein(F(5, 3), 11) is True
+        report = verify_eisenstein([F(5, 3)], [11])
+        assert [(c.prime, c.passed) for c in report.checks] == [(11, True)]
 
     def test_undefined(self):
-        assert check_eisenstein(F(1, 5), 5) is None
+        report = verify_eisenstein([F(1, 5)], [5])
+        assert not report.checks
+        assert [(s.prime, s.reason) for s in report.skipped] == [(5, "quotient or residue undefined")]
 
     def test_window_report(self):
         report = verify_eisenstein([F(7, 3), F(0), F(-1)], sieve_primes(5, 101))
@@ -438,9 +445,7 @@ class TestVerifiers:
         lambda w: verify_kluyver([1], [F(0)], w),
         lambda w: verify_eisenstein([F(2)], w),
         lambda w: verify_log_additivity([2, 3], w),
-        lambda w: check_eisenstein(2, w[-1]),
-    ], ids=["mascheroni", "interlude", "kluyver", "eisenstein", "log-additivity",
-            "check_eisenstein"])
+    ], ids=["mascheroni", "interlude", "kluyver", "eisenstein", "log-additivity"])
     @pytest.mark.parametrize("window", [[4], [9], [5, 7, 9]])
     def test_composite_window_entries_are_rejected(self, verify, window):
         # a check at a composite would be a counterexample invented there
@@ -774,11 +779,3 @@ class TestFamiliesAreLeftSides:
         reason = "quotient or residue undefined"
         assert L1(F(6, 5), [5]).exceptional == {5: reason}
         assert [s.reason for s in verify_eisenstein([F(1, 5)], [5]).skipped] == [reason]
-
-    def test_check_eisenstein_reads_the_records(self):
-        for x in self.XS + [F(-1), F(5, 3)]:
-            report = verify_eisenstein([x], WINDOW)
-            for c in report.checks:
-                assert check_eisenstein(x, c.prime) is c.passed
-            for s in report.skipped:
-                assert check_eisenstein(x, s.prime) is None

@@ -1,6 +1,7 @@
 """The verifier driver: report bytes pinned across versions and thread
-counts, shard independence, the whole-prime skips the driver records, and
-every batch being check_shard bound to its two side kernels.
+counts, shard independence, the whole-prime skips the driver records,
+every batch being check_shard bound to its two side kernels, and the Euler
+theorem table's grids rebuilding each report's params and labels.
 
 Every pinned report's sha256 lives in golden_reports.json, keyed by the names
 of VERIFIERS (library calls) and CLI_REPORTS (CLI argvs).  A report that moves
@@ -113,6 +114,34 @@ def test_a_window_is_a_set_of_primes(name, threads):
     _library_report(name, threads, SHUFFLED)
 
 
+@pytest.mark.parametrize("verify, repeated, distinct", [
+    (euler.verify_mascheroni, ([0, F(0), "0"],), ([0],)),
+    (euler.verify_interlude, ([2, 2], [0, "7/3", F(7, 3)]), ([2], [0, F(7, 3)])),
+    (euler.verify_kluyver, ([1, 2, 1], [F(1, 2), "1/2"]), ([1, 2], [F(1, 2)])),
+    (euler.verify_log_additivity, ([2, F(1, 3), 2],), ([2, F(1, 3)],)),
+], ids=["mascheroni", "interlude", "kluyver", "log-additivity"])
+def test_an_axis_is_a_set_of_values(verify, repeated, distinct):
+    # a repeated value is one point, checked once, in the place it first took
+    window = sieve_primes(2, 30)
+    assert (verify(*repeated, window).to_jsonl(include_timing=False)
+            == verify(*distinct, window).to_jsonl(include_timing=False))
+
+
+def test_grid_rebuilds_each_euler_report():
+    # the header's theorem and params give back the params and, at every prime
+    # not skipped whole, the labels of that prime's records, merged in grid order
+    reports = [VERIFIERS[name](WINDOW) for name in VERIFIERS if name != "dobinski"]
+    assert sorted(r.theorem for r in reports) == sorted(euler.THEOREMS)
+    for report in reports:
+        params, points = euler.grid(report.theorem, report.params)
+        assert params == report.params
+        labels = [label for label, _ in points]
+        whole = {s.prime for s in report.skipped if s.label == ""}
+        for p in sorted(set(WINDOW) - whole):
+            seen = [r.label for r in report.checks + report.skipped if r.prime == p]
+            assert sorted(seen, key=labels.index) == labels, (report.theorem, p)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", sorted(CLI_REPORTS))
 def test_cli_report_bytes_pinned(name, threads, tmp_path):
@@ -137,6 +166,9 @@ def test_registry_pins_every_report_once():
     for family, sub in _subcommands(_subcommands(parser)["verify"]).items():
         which = [a.choices for a in sub._actions if a.dest == "which"]
         theorems |= set(which[0]) if which else {family}
+    # the --which choices are the theorem table's keys, log-additivity's as logadd
+    assert theorems - {"dobinski"} == {
+        "logadd" if t == "log-additivity" else t for t in euler.THEOREMS}
     covered = set()
     for name, argv in CLI_REPORTS.items():
         args = parser.parse_args(argv)
