@@ -9,9 +9,7 @@ command line drives all of it.
 
 from .analytic import (
     GAMMA_REF_DIGITS,
-    asymptotic_sanity,
     bla101_partial,
-    d_r_numeric,
     gamma_reference,
     gregory_value_float,
     mascheroni_partial,
@@ -21,11 +19,9 @@ from .dobinski import (
     bell,
     check_truncation_identity,
     coeff_family,
-    d_r_A,
     d_r_A_range,
     g_seq,
     numeric_identity_check,
-    partial_sum_exact,
     verify_dobinski,
 )
 from .euler import (
@@ -51,7 +47,6 @@ from .modular import (
     sieve_primes,
 )
 from .polys import (
-    N_nk,
     RationalPolynomial,
     StirlingTriangles,
     TruncatedSeries,
@@ -63,7 +58,6 @@ from .polys import (
     gregory_polynomials,
     gregory_residue_stream,
     gregory_values_exact,
-    series_log1p,
     series_pow_binomial,
     stirling1_row_mod,
     stirling_rows,

@@ -18,9 +18,7 @@ Each product is one big-number multiply by Kronecker substitution (Harvey,
 J. Symbolic Comput. 44, 2009): signed coefficients go into slots sized from
 the operands' bit lengths and term count, and come out through a half-slot
 bias.  A stream of n terms costs O(M(n wp)), with M(b) the cost of a b-bit
-multiply, against O(n^2) wp-bit steps for the recurrence it replaced.  The
-top Newton product (f g)[k:2k] is taken as (f[:k] g)[k:2k] + (f[k:] g)[:k],
-two balanced products whose transforms peak lower than one 2k x k product.
+multiply, against O(n^2) wp-bit steps for the recurrence it replaced.
 A product with a one-term operand (the binomial series at x = 0, the first
 Newton step) is that term times a slice of the other and packs nothing.
 
@@ -257,9 +255,7 @@ def _newton_zeros(n: int, wp: int) -> tuple[int, ...]:
     while len(g) < n:
         k = len(g)
         k2 = min(2 * k, n)
-        # (f g)[k:k2] = (f[:k] g)[k:k2] + (f[k:k2] g)[:k2-k]: two k x k
-        # products, whose transforms peak lower than one 2k x k product
-        e = [(c + d) >> wp for c, d in zip(_mul(f[:k], g, k, k2), _mul(f[k:k2], g, 0, k2 - k))]
+        e = [c >> wp for c in _mul(f[:k2], g, k, k2)]
         g += [-c >> wp for c in _mul(g[: k2 - k], e, 0, k2 - k)]
     return tuple(g)
 
@@ -344,15 +340,6 @@ def gregory_value_float(x, n_max: int, prec: int = 64) -> list[mpf]:
         return [ldexp(mpf(v), -wp) for v in fixed]
 
 
-def agrees_to_bits(a, b, bits: int) -> bool:
-    """|a - b| within 2^-bits, relative above magnitude 1, absolute below."""
-    from mpmath import mpf
-
-    a, b = mpf(a), mpf(b)
-    scale = max(1, abs(a), abs(b))
-    return abs(a - b) <= scale * mpf(2) ** (-bits)
-
-
 def _kluyver_mean(x, m: int, k: int, terms: int, prec: int) -> tuple[mpf, mpf, mpf]:
     # the mean over j < k of the Kluyver-type partial sums at x + j:
     # m! sum_n (-1)^(n-1) N_{n,k}(x) / (k n(n+1)...(n+m)) + H_m
@@ -400,59 +387,3 @@ def bla101_partial(k: int, x, terms: int, prec: int = 64) -> mpf:
     if k < 1:
         raise ValueError("k must be positive")
     return _kluyver_mean(x, 0, k, terms, prec)[0]
-
-
-def asymptotic_sanity(x, n: int, prec: int = 64) -> mpf:
-    """Ratio of the computed G_n(x) to its two-term asymptotic main term.
-
-    Descriptive only: expected within a small constant factor of 1 for
-    large n, never asserted at tight tolerance.  Needs x > -1 and n >= 1000
-    (below that the asymptotic regime has not set in).
-    """
-    import mpmath
-
-    if n < 1000:
-        raise ValueError("asymptotic check needs n >= 1000")
-    xf = _as_fraction(x)
-    if xf <= -1:
-        raise ValueError("x must exceed -1")
-    stream, wp = _validated_fixed(xf, n, prec)
-    with mpmath.workprec(prec + 16):
-        g_n = mpmath.ldexp(mpmath.mpf(stream[n]), -wp)
-        xm = _to_mpf(xf)
-        logn = mpmath.log(n)
-        gam = mpmath.gamma(xm + 1)
-        bracket = mpmath.sinpi(xm) * gam + (
-            mpmath.pi * mpmath.cospi(xm) * gam
-            + mpmath.sinpi(xm) * gam * mpmath.digamma(xm + 1)
-        ) / logn
-        main = (-1) ** (n + 1) / (mpmath.pi * mpmath.mpf(n) ** (xm + 1) * logn) * bracket
-        ratio = g_n / main
-    with mpmath.workprec(prec):
-        return +ratio
-
-
-def d_r_numeric(r: int, n: int, x, prec: int = 64) -> mpf:
-    """sum_k k^n x^k / (k!)^r, summed until terms drop below 2^-(prec+8)."""
-    from mpmath import mpf, workprec
-
-    if r < 1 or n < 0:
-        raise ValueError("need r >= 1, n >= 0")
-    xf = _as_fraction(x)
-    with workprec(prec + 16):
-        xm = _to_mpf(xf)
-        eps = mpf(2) ** (-(prec + 8))
-        floor = max(n, 2, int(2 * abs(xm)) + 1)  # terms may grow until here
-        total = mpf(1 if n == 0 else 0)
-        w = mpf(1)
-        k = 1
-        while True:
-            w = w * xm / mpf(k) ** r
-            t = w * mpf(k) ** n
-            total += t
-            if k > floor and abs(t) < eps:
-                break
-            k += 1
-        result = +total
-    with workprec(prec):
-        return +result

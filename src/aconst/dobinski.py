@@ -185,11 +185,6 @@ def _partial_sums_exact(r: int, n_max: int, N: int, x: Rational) -> list[Fractio
     return [Fraction(s, w[0]) for s in _moments(w, n_max)]
 
 
-def partial_sum_exact(r: int, n: int, N: int, x: Rational) -> Fraction:
-    """Exact value of sum_{k=0}^{N-1} k^n x^k / (k!)^r."""
-    return _partial_sums_exact(r, n, N, x)[n]
-
-
 def check_truncation_identity(r: int, n: int, N: int, x: Rational) -> bool:
     """Exact check of the finite-sum recurrence with its boundary term:
 
@@ -273,12 +268,6 @@ def _d_sums_tree(r: int, n_top: int, x: Rational, window: Iterable[int]) -> dict
                             _compose, _advance, [1] + [0] * n_top + [1])
     sign = (-1) ** r
     return {p: [sign * v % p for v in state[:-1]] for p, state in zip(primes, states)}
-
-
-def d_r_A(r: int, n: int, x: Rational, window: Sequence[int]) -> AElement:
-    """The windowed finite analogue of D_r(n; x): residue of the truncated
-    sum at each window prime not dividing den(x)."""
-    return d_r_A_range(r, n, x, window)[n]
 
 
 def d_r_A_range(r: int, n_max: int, x: Rational, window: Sequence[int]) -> list[AElement]:

@@ -236,13 +236,6 @@ class TruncatedSeries:
         return f"TruncatedSeries(order={self.order}, {self.coeffs[: min(5, self.order + 1)]}...)"
 
 
-def series_log1p(order: int) -> TruncatedSeries:
-    """log(1+t) = t - t^2/2 + t^3/3 - ... truncated."""
-    return TruncatedSeries(
-        [_ZERO] + [Fraction((-1) ** (n - 1), n) for n in range(1, order + 1)], order
-    )
-
-
 def series_pow_binomial(x: Rational | RationalPolynomial, order: int) -> TruncatedSeries:
     """(1+t)^x = sum binom(x, n) t^n truncated, for rational x or, at the
     indeterminate RationalPolynomial([0, 1]), with polynomial coefficients."""
@@ -371,15 +364,6 @@ def gregory_residue_stream(x: Rational, n_max: int, ctx: PrimeCtx) -> list[int] 
     if binom is None:
         return None
     return _unpack(_pack(binom, width) * _gregory_zero_packed(ctx), n_max + 1, width, p)
-
-
-def N_nk(n: int, k: int, x: Rational) -> Fraction:
-    """Sum of the shifted Gregory polynomial: G_n(x) + G_n(x+1) + ... + G_n(x+k-1)."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    x = Fraction(x)
-    poly = gregory_polynomial(n)
-    return sum((poly(x + j) for j in range(k)), _ZERO)
 
 
 def check_shift_identity(n: int, N: int, x: Rational) -> bool:

@@ -23,19 +23,37 @@ from aconst.analytic import (
     _signed_unpack,
     _validated_fixed,
     _working_bits,
-    agrees_to_bits,
-    asymptotic_sanity,
     bla101_partial,
-    d_r_numeric,
     gamma_reference,
     gregory_value_float,
     mascheroni_partial,
 )
-from aconst.dobinski import bell
+from aconst.dobinski import _partial_sums_exact, bell, numeric_identity_check
 from aconst.euler import harmonic
-from aconst.polys import gregory_values_exact
+from aconst.polys import gregory_polynomial, gregory_values_exact
 
 F = Fraction
+
+
+def agrees_to_bits(a, b, bits):
+    """|a - b| within 2^-bits, relative above magnitude 1, absolute below."""
+    a, b = mpmath.mpf(a), mpmath.mpf(b)
+    scale = max(1, abs(a), abs(b))
+    return abs(a - b) <= scale * mpmath.mpf(2) ** (-bits)
+
+
+def N_nk(n, k, x):
+    """Oracle: N_{n,k}(x) = G_n(x) + G_n(x+1) + ... + G_n(x+k-1), exactly,
+    from the Gregory polynomial (the kernel sums the k fixed-point streams)."""
+    x = F(x)
+    poly = gregory_polynomial(n)
+    return sum((poly(x + j) for j in range(k)), F(0))
+
+
+def truncated_d(r, n, x, terms=60):
+    """D_r(n; x) = sum_k k^n x^k/(k!)^r truncated at terms, exactly, as an mpf
+    at the working precision."""
+    return analytic._to_mpf(_partial_sums_exact(r, n, terms, x)[n])
 
 
 def recurrence_fixed(num, den, n_max, wp):
@@ -172,9 +190,8 @@ class TestGregoryFloats:
             lambda: gregory_value_float(0, 5, 32),
             lambda: mascheroni_partial(0, 0, 100, 16),
             lambda: bla101_partial(1, 0, 100, 8),
-            lambda: asymptotic_sanity(0, 1000, 16),
         ],
-        ids=["gregory_value_float", "mascheroni_partial", "bla101_partial", "asymptotic_sanity"],
+        ids=["gregory_value_float", "mascheroni_partial", "bla101_partial"],
     )
     def test_prec_guard(self, call):
         with pytest.raises(ValueError):
@@ -558,8 +575,7 @@ class TestMemos:
 
 
 class TestTermCounts:
-    """A negative term count is refused by name; zero terms is the empty sum.
-    asymptotic_sanity refuses both (TestAsymptoticSanity)."""
+    """A negative term count is refused by name; zero terms is the empty sum."""
 
     @pytest.mark.parametrize(
         "call",
@@ -649,6 +665,30 @@ class TestBla101Partial:
         with pytest.raises(ValueError):
             bla101_partial(1, -1, 100, 64)
 
+    @pytest.mark.parametrize("prec", [64, 128])
+    @pytest.mark.parametrize("x", [F(0), F(1, 2), F(-1, 2)])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_shifted_column_matches_exact(self, k, x, prec):
+        # the Gregory part, the value less its log term, against the exact
+        # (1/k) sum_n (-1)^(n-1) N_{n,k}(x)/n
+        terms = 40
+        value, _, log_term = analytic._kluyver_mean(x, 0, k, terms, prec)
+        exact = sum(F((-1) ** (n - 1), n) * N_nk(n, k, x) for n in range(1, terms + 1)) / k
+        with mpmath.workprec(2 * prec):
+            assert agrees_to_bits(value - log_term, analytic._to_mpf(exact), prec // 2)
+
+
+class TestNnk:
+    def test_k_one_collapses(self):
+        assert N_nk(3, 1, F(1, 5)) == gregory_polynomial(3)(F(1, 5))
+
+    def test_two_shifts(self):
+        assert N_nk(1, 2, 0) == 2  # 1/2 + 3/2
+
+    def test_direct_sum(self):
+        expected = sum(gregory_polynomial(2)(F(-1) + j) for j in range(3))
+        assert N_nk(2, 3, -1) == expected
+
 
 class TestKluyverMean:
     """The one call `aconst gamma` makes: the series value, bit for bit the
@@ -670,19 +710,12 @@ class TestKluyverMean:
 
 
 class TestAsymptoticSanity:
-    def test_half_ratio_bracket(self):
-        # confirmed by the n = 10^4 run before freezing (ratio 0.90 there)
-        ratio = asymptotic_sanity(F(1, 2), 1000)
-        assert 0.5 < ratio < 2.0
-
-    def test_half_ratio_bracket_at_ten_thousand(self):
-        # the binomial product at full scale: x = 1/2 has no finite binomial series
-        ratio = asymptotic_sanity(F(1, 2), 10**4)
-        assert 0.5 < ratio < 2.0
+    """The sign and size pattern of G_n at large n."""
 
     def test_sign_pattern_at_half(self):
-        floats = gregory_value_float(F(1, 2), 1100, 64)
-        for n in range(1000, 1101):
+        # the binomial product at full scale: x = 1/2 has no finite binomial series
+        floats = gregory_value_float(F(1, 2), 10**4, 64)
+        for n in [*range(1000, 1101), *range(9900, 10**4 + 1)]:
             assert (floats[n] > 0) == (n % 2 == 1)
 
     def test_magnitudes_decrease_at_zero(self):
@@ -690,51 +723,41 @@ class TestAsymptoticSanity:
         for n in range(2, 200):
             assert abs(exact[n]) > abs(exact[n + 1])
 
-    def test_integer_x_uses_correction_term(self):
-        # sin(pi x) = 0 at x = 0: the 1/log n term carries the whole estimate
-        ratio = asymptotic_sanity(0, 2000)
-        assert 0.3 < ratio < 3.0
-
-    def test_small_n_rejected(self):
-        for n in (100, 0, -1):
-            with pytest.raises(ValueError, match="n >= 1000"):
-                asymptotic_sanity(F(1, 2), n)
-
 
 class TestDrNumeric:
+    """D_r(n; x) as a real number: the exact truncated sums reach the
+    classical values to within their tails."""
+
     def test_exponential(self):
-        got = d_r_numeric(1, 0, 1, 128)
         with mpmath.workprec(160):
-            assert agrees_to_bits(got, mpmath.exp(1), 120)
+            assert agrees_to_bits(truncated_d(1, 0, 1), mpmath.exp(1), 120)
 
     def test_bessel_value(self):
-        got = d_r_numeric(2, 0, 1, 128)
         exact = besseli0_2_exact()
+        assert _partial_sums_exact(2, 0, 40, 1)[0] == exact
         with mpmath.workprec(200):
             ref = mpmath.mpf(exact.numerator) / exact.denominator
-            assert agrees_to_bits(got, ref, 120)
-            assert agrees_to_bits(got, mpmath.besseli(0, 2), 120)
+            assert agrees_to_bits(ref, mpmath.besseli(0, 2), 120)
 
     def test_second_moment_is_twice_e(self):
-        got = d_r_numeric(1, 2, 1, 128)
         with mpmath.workprec(160):
-            assert agrees_to_bits(got, 2 * mpmath.exp(1), 120)
+            assert agrees_to_bits(truncated_d(1, 2, 1), 2 * mpmath.exp(1), 120)
 
     def test_bell_ratios(self):
         # sum k^n/k! = b(n) e exactly; 30 significant digits ~ 100 bits
-        prec = 160
         b = bell(10)
-        e_val = d_r_numeric(1, 0, 1, prec)
-        for n in range(11):
-            got = d_r_numeric(1, n, 1, prec)
-            with mpmath.workprec(prec):
-                assert agrees_to_bits(got / e_val, mpmath.mpf(b[n]), 100)
+        with mpmath.workprec(160):
+            e_val = truncated_d(1, 0, 1)
+            for n in range(11):
+                assert agrees_to_bits(truncated_d(1, n, 1) / e_val, mpmath.mpf(b[n]), 100)
 
     def test_negative_x(self):
-        got = d_r_numeric(1, 0, -1, 128)
         with mpmath.workprec(160):
-            assert agrees_to_bits(got, mpmath.exp(-1), 120)
+            assert agrees_to_bits(truncated_d(1, 0, -1), mpmath.exp(-1), 120)
 
     def test_guards(self):
+        # D_r needs r >= 1: the truncated sums and criterion 7's check refuse r = 0
         with pytest.raises(ValueError):
-            d_r_numeric(0, 0, 1)
+            _partial_sums_exact(0, 0, 60, 1)
+        with pytest.raises(ValueError):
+            numeric_identity_check(0, 0, 1, 60, F(1, 10**20))

@@ -14,7 +14,6 @@ from aconst.dobinski import (
     bell,
     check_truncation_identity,
     coeff_family,
-    d_r_A,
     d_r_A_range,
     g_seq,
     _d_sums_mod,
@@ -22,7 +21,6 @@ from aconst.dobinski import (
     _moments,
     _partial_sums_exact,
     numeric_identity_check,
-    partial_sum_exact,
     verify_dobinski,
 )
 from aconst.modular import PrimeCtx, rational_mod, require_primes, sieve_primes
@@ -251,24 +249,24 @@ class TestCoeffFamily:
 
 class TestPartialSums:
     def test_first_three_terms_of_e(self):
-        assert partial_sum_exact(1, 0, 3, 1) == F(5, 2)
+        assert _partial_sums_exact(1, 0, 3, 1)[0] == F(5, 2)
 
     def test_weighted_sum(self):
-        assert partial_sum_exact(2, 1, 4, 1) == F(19, 12)
+        assert _partial_sums_exact(2, 1, 4, 1)[1] == F(19, 12)
 
     def test_approaches_e(self):
-        assert abs(float(partial_sum_exact(1, 0, 30, 1)) - math.e) < 1e-12
+        assert abs(float(_partial_sums_exact(1, 0, 30, 1)[0]) - math.e) < 1e-12
 
     def test_zero_power_convention(self):
         # the k = 0 term contributes 1 exactly when n = 0
-        assert partial_sum_exact(3, 0, 1, F(7, 2)) == 1
-        assert partial_sum_exact(3, 5, 1, F(7, 2)) == 0
+        assert _partial_sums_exact(3, 0, 1, F(7, 2))[0] == 1
+        assert _partial_sums_exact(3, 5, 1, F(7, 2))[5] == 0
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            partial_sum_exact(0, 0, 3, 1)
+            _partial_sums_exact(0, 0, 3, 1)
         with pytest.raises(ValueError):
-            partial_sum_exact(1, 0, 0, 1)
+            _partial_sums_exact(1, 0, 0, 1)
 
 
     @settings(deadline=None, max_examples=60)
@@ -285,7 +283,6 @@ class TestPartialSums:
         x = F(a, b)
         expected = [partial_sum_loop(r, n, N, x) for n in range(n_max + 1)]
         assert _partial_sums_exact(r, n_max, N, x) == expected
-        assert partial_sum_exact(r, n_max, N, x) == expected[n_max]
 
 
 class TestTruncationIdentity:
@@ -401,14 +398,14 @@ class TestDSumsTree:
 
 class TestDrA:
     def test_e_component_at_five(self):
-        e_A = d_r_A(1, 0, 1, [5, 7, 11])
+        e_A = d_r_A_range(1, 0, 1, [5, 7, 11])[0]
         assert e_A[5] == 0  # 1+1+3+1+4 = 10
 
     def test_d1_component_at_five(self):
-        assert d_r_A(1, 1, 1, [5])[5] == 1
+        assert d_r_A_range(1, 1, 1, [5])[1][5] == 1
 
     def test_r2_against_brute_force(self):
-        got = d_r_A(2, 0, 1, [7])[7]
+        got = d_r_A_range(2, 0, 1, [7])[0][7]
         assert got == brute_d_sum_mod(2, 0, F(1), 7)
 
     def test_range_matches_oracle(self):
@@ -422,14 +419,12 @@ class TestDrA:
         with pytest.raises(ValueError):
             d_r_A_range(r, n, 1, [5, 7])
         with pytest.raises(ValueError):
-            d_r_A(r, n, 1, [5])
+            d_r_A_range(r, n, 1, [5])
 
     @pytest.mark.parametrize("window", [[9], [5, 9], [1, 5], [0, 7], [5, 7, 15]])
     def test_rejects_non_prime_entries(self, window):
         with pytest.raises(ValueError, match="primes"):
             d_r_A_range(1, 1, 1, window)
-        with pytest.raises(ValueError, match="primes"):
-            d_r_A(1, 1, 1, window)
 
     def test_window_is_its_distinct_primes(self):
         elems = d_r_A_range(2, 3, F(7, 3), [13, 3, 7, 13, 5])
@@ -455,7 +450,7 @@ class TestDrA:
         assert sieves == [window[-1]]
 
     def test_exceptional_denominator(self):
-        elem = d_r_A(1, 0, F(1, 7), [5, 7, 11])
+        elem = d_r_A_range(1, 0, F(1, 7), [5, 7, 11])[0]
         assert 7 in elem.exceptional
         assert elem.get(5) is not None
 

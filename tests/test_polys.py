@@ -16,7 +16,6 @@ from aconst.polys import (
     _pack,
     _slot_bytes,
     _unpack,
-    N_nk,
     RationalPolynomial,
     TruncatedSeries,
     binomial_polynomial,
@@ -27,13 +26,18 @@ from aconst.polys import (
     gregory_polynomials,
     gregory_residue_stream,
     gregory_values_exact,
-    series_log1p,
     series_pow_binomial,
     stirling1_row_mod,
     stirling_rows,
 )
 
 F = Fraction
+
+
+def series_log1p(order):
+    """log(1+t) = t - t^2/2 + t^3/3 - ... truncated."""
+    return TruncatedSeries([F(0)] + [F((-1) ** (n - 1), n) for n in range(1, order + 1)], order)
+
 
 G1 = RationalPolynomial([F(1, 2), 1])
 G2 = RationalPolynomial([F(-1, 12), 0, F(1, 2)])
@@ -222,14 +226,12 @@ class TestGregoryPolynomials:
     "call",
     [
         lambda: gregory_polynomial(-1),
-        lambda: N_nk(-1, 2, 0),
         lambda: gregory_values_exact(0, -1),
         lambda: gregory_polynomials(-3),
         lambda: bell(-1),
         lambda: g_seq(-1),
     ],
-    ids=["gregory_polynomial", "N_nk", "gregory_values_exact", "gregory_polynomials",
-         "bell", "g_seq"],
+    ids=["gregory_polynomial", "gregory_values_exact", "gregory_polynomials", "bell", "g_seq"],
 )
 def test_negative_order_rejected(call):
     with pytest.raises(ValueError):
@@ -237,15 +239,9 @@ def test_negative_order_rejected(call):
 
 
 class TestNnkAndShift:
-    def test_k_one_collapses(self):
-        assert N_nk(3, 1, F(1, 5)) == gregory_polynomial(3)(F(1, 5))
-
-    def test_two_shifts(self):
-        assert N_nk(1, 2, 0) == 2  # 1/2 + 3/2
-
-    def test_direct_sum(self):
-        expected = sum(gregory_polynomial(2)(F(-1) + j) for j in range(3))
-        assert N_nk(2, 3, -1) == expected
+    """The shift identity: G_n(x) is an alternating binomial sum of G_{n+N}
+    over x, x+1, ..., x+N.  The shifted sums N_{n,k}(x) themselves are the
+    oracle of the k-shifted series in tests/test_analytic.py."""
 
     def test_shift_identity_trivial(self):
         assert check_shift_identity(4, 0, F(2, 7))
