@@ -347,6 +347,10 @@ def _kluyver_mean(x, m: int, k: int, terms: int, prec: int) -> tuple[mpf, mpf, m
     # returned with the two terms it adds to the Gregory sum, H_m and the log term
     from mpmath import ldexp, log, mpf, workprec
 
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if k < 1:
+        raise ValueError("k must be positive")
     xf = _as_fraction(x)
     if xf <= -1:
         raise ValueError("x must exceed -1")
@@ -371,8 +375,6 @@ def mascheroni_partial(x, m: int, terms: int, prec: int = 64) -> mpf:
     m! * sum_{n=1}^{terms} (-1)^(n-1) G_n(x) / (n(n+1)...(n+m))
         + H_m - log(x+m+1),   for real x > -1.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
     return _kluyver_mean(x, m, 1, terms, prec)[0]
 
 
@@ -384,6 +386,4 @@ def bla101_partial(k: int, x, terms: int, prec: int = 64) -> mpf:
     with N_{n,k}(x) the sum of G_n over x, x+1, ..., x+k-1.  At k = 1 this
     reproduces mascheroni_partial(x, 0, terms) bit for bit.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
     return _kluyver_mean(x, 0, k, terms, prec)[0]

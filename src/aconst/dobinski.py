@@ -21,10 +21,10 @@ which the prime scans also use and which trims the maps itself.  The
 per-prime pass _d_sums_mod is its oracle.  The congruence is a left and a
 right side kernel, and its batch is `_parallel.check_shard` bound to them:
 the window's table of sums against the coefficient values, as integer
-numerators over one common denominator lcm (with one inverse of lcm per
-prime), applied to the basis D(0..r-1).  verify_dobinski builds the table
-and the grid, one row point labelled n=0..n=n_max, so each side gives a
-prime's whole column in one call; primes dividing den(x) or lcm are
+numerators over one common denominator lcm (which the right kernel inverts
+mod its prime), applied to the basis D(0..r-1).  verify_dobinski builds the
+table and the grid, one row point labelled n=0..n=n_max, so each side gives
+a prime's whole column in one call; primes dividing den(x) or lcm are
 whole-prime skips.  With the table built, the check loop runs in one process.
 
 Conventions: 0^0 = 1 (the k = 0 term of every sum), and the g recurrence
@@ -281,21 +281,21 @@ def d_r_A_range(r: int, n_max: int, x: Rational, window: Sequence[int]) -> list[
             for n in range(n_max + 1)]
 
 
-def _dobinski_lhs(ctx: PrimeCtx, table: dict, n_max: int, g: list, b: tuple, inv: dict) -> list:
+def _dobinski_lhs(ctx: PrimeCtx, table: dict, n_max: int, g: list, b: tuple, lcm: int) -> list:
     return table[ctx.p][: n_max + 1]
 
 
-def _dobinski_rhs(ctx: PrimeCtx, table: dict, n_max: int, g: list, b: tuple, inv: dict) -> list:
+def _dobinski_rhs(ctx: PrimeCtx, table: dict, n_max: int, g: list, b: tuple, lcm: int) -> list:
     # (g + sum_{j<r} b_j D(j)) / lcm at every n, where g and b = (b_0..b_{r-1}) are
-    # the columns' numerators over lcm and inv[p] is 1/lcm mod p: one map pass per
-    # basis entry, then one reduction.  The theorem defines this side through the
-    # basis D(0..r-1), so for n >= r it never reads D(n), the entry it is checked
-    # against.
+    # the columns' numerators over lcm: one map pass per basis entry, then one
+    # product with 1/lcm mod p and one reduction.  The theorem defines this side
+    # through the basis D(0..r-1), so for n >= r it never reads D(n), the entry
+    # it is checked against.
     p = ctx.p
     col = g
     for b_j, d_j in zip(b, table[p][: len(b)]):
         col = map(add, col, map(mul, b_j, repeat(d_j)))
-    return list(map(mod, map(mul, col, repeat(inv[p])), repeat(p)))
+    return list(map(mod, map(mul, col, repeat(pow(lcm, -1, p))), repeat(p)))
 
 
 _dobinski_batch = partial(check_shard, _dobinski_lhs, _dobinski_rhs)
@@ -331,9 +331,8 @@ def verify_dobinski(
     # the right side needs the basis D(0..r-1); the tree leaves out p | den(x),
     # and so every excluded prime, since lcm divides a power of den(x)
     table = _d_sums_tree(r, max(n_max, r - 1), x, window)
-    inv = {p: pow(lcm, -1, p) for p in table}  # one inverse of lcm per prime
     params = {"r": r, "n_max": n_max, "x": str(x)}
-    grid = [(tuple(f"n={n}" for n in range(n_max + 1)), (table, n_max, g, tuple(b), inv))]
+    grid = [(tuple(f"n={n}" for n in range(n_max + 1)), (table, n_max, g, tuple(b), lcm))]
     return verify_primes("dobinski", params, _dobinski_batch, grid, window, 1, excluded, start)
 
 

@@ -97,14 +97,9 @@ class RationalPolynomial:
         return RationalPolynomial([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalPolynomial([other])
-        if not isinstance(other, RationalPolynomial):
+        if not isinstance(other, (RationalPolynomial, int, Fraction)):
             return NotImplemented
-        out = list(self.coeffs) + [_ZERO] * (len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return RationalPolynomial(out)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -192,18 +187,6 @@ class TruncatedSeries:
         )
 
     __hash__ = None
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)

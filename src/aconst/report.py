@@ -11,9 +11,10 @@ The bytes are pinned: every line is what json.dumps(record, sort_keys=True)
 writes with its default separators (", " and ": ") and ASCII-escaped
 strings.  Check and skip lines come from fixed templates that reproduce
 that contract, each distinct string going through json.dumps once (a
-check line opens with its label's head, built once per report); a
-record whose prime and residues are not exactly int, flag not exactly
-bool or strings not exactly str falls back to json.dumps.
+check line opens with its label's head, built once per report from the
+label's quoted form); a record whose prime and residues are not exactly
+int, flag not exactly bool or strings not exactly str falls back to
+json.dumps.
 tests/test_report.py keeps the json.dumps serializer as the oracle the
 templates must match byte for byte.
 """
@@ -40,21 +41,16 @@ class SkipRecord(NamedTuple):
     reason: str
 
 
-class _Quoted(dict):
-    """str -> its JSON encoding, encoded on first lookup."""
+class _Memo(dict):
+    """key -> fn(key), computed on first lookup."""
 
-    def __missing__(self, s: str) -> str:
-        q = self[s] = json.dumps(s)
-        return q
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
 
-
-class _CheckHead(dict):
-    """label -> the opening '{"label": <label>, "lhs": ' of its check lines,
-    built on first lookup."""
-
-    def __missing__(self, label: str) -> str:
-        head = self[label] = f'{{"label": {json.dumps(label)}, "lhs": '
-        return head
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 @dataclass
@@ -86,7 +82,9 @@ class VerificationReport:
         window = {"lo": self.window_lo, "hi": self.window_hi, "primes": self.prime_count}
         lines = [json.dumps({"type": "header", "theorem": self.theorem, "params": self.params,
                              "window": window}, sort_keys=True)]
-        quoted, heads, passed, failed = _Quoted(), _CheckHead(), 0, 0
+        quoted, passed, failed = _Memo(json.dumps), 0, 0
+        # a label's check lines open '{"label": <label>, "lhs": '
+        heads = _Memo(lambda label: f'{{"label": {quoted[label]}, "lhs": ')
         for p, label, lhs, rhs, ok in self.checks:
             if type(p) is type(lhs) is type(rhs) is int and type(ok) is bool and type(label) is str:
                 lines.append(f'{heads[label]}{lhs}, "p": {p}, '

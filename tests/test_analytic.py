@@ -708,6 +708,20 @@ class TestKluyverMean:
             assert h_m._mpf_ == analytic._to_mpf(harmonic(m))._mpf_
             assert log_term._mpf_ == (-logsum / k)._mpf_
 
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: analytic._kluyver_mean(0, -1, 1, 10, 64), "m must be nonnegative",
+                     id="mean-m"),
+        pytest.param(lambda: analytic._kluyver_mean(0, 0, 0, 10, 64), "k must be positive",
+                     id="mean-k"),
+        pytest.param(lambda: mascheroni_partial(0, -1, 10), "m must be nonnegative",
+                     id="mascheroni_partial"),
+        pytest.param(lambda: bla101_partial(0, 0, 10), "k must be positive", id="bla101_partial"),
+    ])
+    def test_argument_rules(self, call, message):
+        # the CLI calls the mean itself, so the mean owns the series' rules
+        with pytest.raises(ValueError, match=message):
+            call()
+
 
 class TestAsymptoticSanity:
     """The sign and size pattern of G_n at large n."""

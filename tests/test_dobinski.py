@@ -111,16 +111,16 @@ def batch_loop(r, n_max, x, primes):
     return checks, skips
 
 
-def dobinski_lhs_per_n(ctx, table, n, row, inv):
+def dobinski_lhs_per_n(ctx, table, n, row, lcm):
     """Oracle: the left side kernel at one n, before the row point."""
     return table[ctx.p][n]
 
 
-def dobinski_rhs_per_n(ctx, table, n, row, inv):
+def dobinski_rhs_per_n(ctx, table, n, row, lcm):
     """Oracle: the right side kernel at one n, before the row point, where
     row = (g, b_0..b_{r-1}) holds column n's numerators over lcm."""
     g, *b = row
-    return (g + sum(map(mul, b, table[ctx.p]))) * inv[ctx.p] % ctx.p
+    return (g + sum(map(mul, b, table[ctx.p]))) * pow(lcm, -1, ctx.p) % ctx.p
 
 
 def _times_x(poly):
@@ -517,7 +517,7 @@ class TestVerifyDobinski:
         (_, _, _, grid, _, _, excluded, _), = grids
         (labels, point), = grid
         assert labels == tuple(f"n={n}" for n in range(n_max + 1))
-        table, top, g, b_cols, inv = point
+        table, top, g, b_cols, lcm = point
         assert top == n_max and len(b_cols) == r
         rows = list(zip(g, *b_cols))
         for p in window:
@@ -525,9 +525,9 @@ class TestVerifyDobinski:
                 continue
             ctx = PrimeCtx(p)
             assert dobinski._dobinski_lhs(ctx, *point) == [
-                dobinski_lhs_per_n(ctx, table, n, row, inv) for n, row in enumerate(rows)]
+                dobinski_lhs_per_n(ctx, table, n, row, lcm) for n, row in enumerate(rows)]
             assert dobinski._dobinski_rhs(ctx, *point) == [
-                dobinski_rhs_per_n(ctx, table, n, row, inv) for n, row in enumerate(rows)]
+                dobinski_rhs_per_n(ctx, table, n, row, lcm) for n, row in enumerate(rows)]
 
     def test_right_side_never_reads_its_own_entry(self, monkeypatch):
         # perturb the last truncated sum in the window table, D(n_max) with

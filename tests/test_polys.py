@@ -109,6 +109,11 @@ class TestRationalPolynomial:
         assert 2 * p == RationalPolynomial([2, 2])
         assert p / 2 == RationalPolynomial([F(1, 2), F(1, 2)])
         assert 1 - p == RationalPolynomial([0, -1])
+        assert p - 1 == RationalPolynomial([0, 1])
+        assert p - F(1, 2) == RationalPolynomial([F(1, 2), 1])
+        assert q - RationalPolynomial([1, 2, 3]) == RationalPolynomial([-2, -1, -3])
+        with pytest.raises(TypeError):
+            p - "x"
 
     def test_eval_horner(self):
         p = RationalPolynomial([1, -3, 2])  # 2x^2 - 3x + 1
