@@ -49,7 +49,6 @@ from .modular import (
 from .polys import (
     RationalPolynomial,
     StirlingTriangles,
-    TruncatedSeries,
     binomial_polynomial,
     check_euler_operator_ode,
     check_shift_identity,

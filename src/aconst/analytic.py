@@ -112,14 +112,6 @@ def gamma_reference(prec: int = 64) -> mpf:
         return +mpf(GAMMA_REF_DIGITS)
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, float, str)):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {type(x).__name__} exactly")
-
-
 def _to_mpf(q: Fraction) -> mpf:
     from mpmath import mpf
 
@@ -334,7 +326,7 @@ def gregory_value_float(x, n_max: int, prec: int = 64) -> list[mpf]:
     bits; CertificateError where the fixed-point stream cannot be."""
     from mpmath import ldexp, mpf, workprec
 
-    xf = _as_fraction(x)
+    xf = Fraction(x)
     fixed, wp = _validated_fixed(xf, n_max, prec)
     with workprec(prec):
         return [ldexp(mpf(v), -wp) for v in fixed]
@@ -351,7 +343,7 @@ def _kluyver_mean(x, m: int, k: int, terms: int, prec: int) -> tuple[mpf, mpf, m
         raise ValueError("m must be nonnegative")
     if k < 1:
         raise ValueError("k must be positive")
-    xf = _as_fraction(x)
+    xf = Fraction(x)
     if xf <= -1:
         raise ValueError("x must exceed -1")
     streams, wps = zip(*(_validated_fixed(xf + j, terms, prec) for j in range(k)))

@@ -1,9 +1,9 @@
-"""Dense polynomials over Q, truncated series, Stirling triangles, Gregory polynomials.
+"""Dense polynomials over Q, Stirling triangles, Gregory polynomials.
 
 A RationalPolynomial is a tuple of Fraction coefficients, index = degree,
-trailing zeros trimmed.  A TruncatedSeries holds coefficients of t^0..t^M;
-entries may be Fractions or RationalPolynomials (anything with ring ops),
-and every operation truncates consistently at order M.
+trailing zeros trimmed.  An exact series truncated at t^M is the plain list
+of its coefficients of t^0..t^M; entries may be Fractions or
+RationalPolynomials (anything with ring ops).
 
 Gregory polynomials are the coefficients of t*(1+t)^x / log(1+t).  Over Q
 there is one construction: the binomial series (1+t)^x divided by the
@@ -42,6 +42,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .modular import PrimeCtx, Rational, _binom_row
 
@@ -159,87 +160,34 @@ class RationalPolynomial:
 _X = RationalPolynomial([0, 1])  # the indeterminate
 
 
-class TruncatedSeries:
-    """Formal power series in t, truncated at a fixed order."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs, order: int | None = None):
-        cs = list(coeffs)
-        if order is None:
-            order = len(cs) - 1
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        cs = cs[: order + 1]
-        cs += [_ZERO] * (order + 1 - len(cs))
-        self.order = order
-        self.coeffs = cs
-
-    def _check(self, other: "TruncatedSeries"):
-        if self.order != other.order:
-            raise ValueError("order mismatch")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
-
-    __hash__ = None
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for n in range(self.order + 1):
-            acc = _ZERO
-            for i in range(n + 1):
-                if a[i] and b[n - i]:
-                    acc = acc + a[i] * b[n - i]
-            out.append(acc)
-        return TruncatedSeries(out, self.order)
-
-    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        b = other.coeffs
-        b0 = b[0]
-        if not b0 or isinstance(b0, RationalPolynomial):
-            raise ZeroDivisionError("non-unit series")
-        out = []
-        for n in range(self.order + 1):
-            acc = self.coeffs[n]
-            for i in range(n):
-                if out[i] and b[n - i]:
-                    acc = acc - out[i] * b[n - i]
-            out.append(acc if b0 == 1 else acc / b0)
-        return TruncatedSeries(out, self.order)
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries(order={self.order}, {self.coeffs[: min(5, self.order + 1)]}...)"
-
-
-def series_pow_binomial(x: Rational | RationalPolynomial, order: int) -> TruncatedSeries:
-    """(1+t)^x = sum binom(x, n) t^n truncated, for rational x or, at the
-    indeterminate RationalPolynomial([0, 1]), with polynomial coefficients."""
+def series_pow_binomial(x: Rational | RationalPolynomial, order: int) -> list:
+    """(1+t)^x truncated at t^order, as the list binom(x, 0..order), for
+    rational x or, at the indeterminate RationalPolynomial([0, 1]), with
+    polynomial coefficients."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     if not isinstance(x, RationalPolynomial):
         x = Fraction(x)
     coeffs = [x * 0 + 1]  # the one of x's ring
     for n in range(1, order + 1):
         coeffs.append(coeffs[-1] * (x - n + 1) / n)
-    return TruncatedSeries(coeffs, order)
+    return coeffs
 
 
 def binomial_polynomial(n: int) -> RationalPolynomial:
     """binom(x, n) = x(x-1)...(x-n+1)/n! as a polynomial in x."""
-    return series_pow_binomial(_X, n).coeffs[n]
+    return series_pow_binomial(_X, n)[n]
 
 
 def gregory_values_exact(x: Rational | RationalPolynomial, n_max: int) -> list:
     """G_0(x)..G_{n_max}(x) as exact rationals, or as polynomials at the
-    indeterminate: the series (1+t)^x divided by log(1+t)/t."""
-    log_over_t = TruncatedSeries([Fraction((-1) ** i, i + 1) for i in range(n_max + 1)])
-    return (series_pow_binomial(x, n_max) / log_over_t).coeffs
+    indeterminate: the series (1+t)^x divided by log(1+t)/t, whose
+    coefficients (-1)^i/(i+1) start at 1, so each G_n takes no division."""
+    g = series_pow_binomial(x, n_max)
+    log_over_t = [Fraction((-1) ** i, i + 1) for i in range(n_max + 1)]
+    for n in range(1, n_max + 1):
+        g[n] -= sum(map(mul, g[:n], log_over_t[n:0:-1]))
+    return g
 
 
 @lru_cache(maxsize=None)
@@ -373,6 +321,8 @@ class StirlingTriangles:
 
 
 def stirling_rows(n_max: int) -> StirlingTriangles:
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     s1 = [(1,)]
     s2 = [(1,)]
     for n in range(1, n_max + 1):
@@ -389,35 +339,21 @@ def stirling_rows(n_max: int) -> StirlingTriangles:
 
 def stirling1_row_mod(n: int, ctx: PrimeCtx) -> list[int]:
     """Row n of the unsigned first-kind triangle, reduced mod p."""
-    p = ctx.p
-    row = [1]
-    for m in range(1, n + 1):
-        prev = row
-        row = [0] * (m + 1)
-        for j in range(1, m + 1):
-            row[j] = (prev[j - 1] + (m - 1) * (prev[j] if j < m else 0)) % p
-    return row
-
-
-def _theta(series: TruncatedSeries) -> TruncatedSeries:
-    # Euler operator t * d/dt on coefficients
-    return TruncatedSeries(
-        [k * c for k, c in enumerate(series.coeffs)], series.order
-    )
+    return [v % ctx.p for v in stirling_rows(n).s1[n]]
 
 
 def check_euler_operator_ode(r: int, order: int) -> bool:
-    """Formal check that E(z) = sum z^{rn}/(n!)^r satisfies theta^r E = (rz)^r E."""
+    """Formal check that E(z) = sum z^{rn}/(n!)^r satisfies theta^r E = (rz)^r E
+    through z^order, coefficient by coefficient: theta = z d/dz multiplies the
+    coefficient of z^k by k, and (rz)^r shifts the series up by r and
+    multiplies it by r^r."""
+    if r < 1:
+        raise ValueError("r must be positive")
     if order < r:
         raise ValueError("order must be at least r")
-    coeffs = [_ZERO] * (order + 1)
-    n = 0
-    while r * n <= order:
-        coeffs[r * n] = Fraction(1, math.factorial(n) ** r)
-        n += 1
-    E = TruncatedSeries(coeffs, order)
-    lhs = E
-    for _ in range(r):
-        lhs = _theta(lhs)
-    monomial = TruncatedSeries([_ZERO] * r + [Fraction(r**r)], order)
-    return lhs == monomial * E
+    E = [_ZERO] * (order + 1)
+    for n in range(order // r + 1):
+        E[r * n] = Fraction(1, math.factorial(n) ** r)
+    lhs = [k**r * c for k, c in enumerate(E)]
+    rhs = [_ZERO] * r + [r**r * c for c in E[: order + 1 - r]]
+    return lhs == rhs

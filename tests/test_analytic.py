@@ -634,6 +634,8 @@ class TestMascheroniPartial:
             mascheroni_partial(-2, 0, 100, 64)
         with pytest.raises(ValueError):
             mascheroni_partial(0, -1, 100, 64)
+        with pytest.raises(TypeError):
+            mascheroni_partial(1j, 0, 100, 64)
 
 
 class TestBla101Partial:

@@ -17,7 +17,6 @@ from aconst.polys import (
     _slot_bytes,
     _unpack,
     RationalPolynomial,
-    TruncatedSeries,
     binomial_polynomial,
     check_euler_operator_ode,
     check_shift_identity,
@@ -36,7 +35,7 @@ F = Fraction
 
 def series_log1p(order):
     """log(1+t) = t - t^2/2 + t^3/3 - ... truncated."""
-    return TruncatedSeries([F(0)] + [F((-1) ** (n - 1), n) for n in range(1, order + 1)], order)
+    return [F(0)] + [F((-1) ** (n - 1), n) for n in range(1, order + 1)]
 
 
 G1 = RationalPolynomial([F(1, 2), 1])
@@ -141,27 +140,14 @@ class TestRationalPolynomial:
 
 class TestSeries:
     def test_log1p(self):
-        assert series_log1p(3).coeffs == [0, 1, F(-1, 2), F(1, 3)]
+        assert series_log1p(3) == [0, 1, F(-1, 2), F(1, 3)]
 
     def test_binomial_sqrt(self):
-        assert series_pow_binomial(F(1, 2), 2).coeffs == [1, F(1, 2), F(-1, 8)]
+        assert series_pow_binomial(F(1, 2), 2) == [1, F(1, 2), F(-1, 8)]
 
     def test_gregory_generating_function(self):
         # t / log(1+t) = 1 + t/2 - t^2/12 + t^3/24 - 19 t^4/720 + ...
-        order = 4
-        one = TruncatedSeries([1], order)
-        log_over_t = TruncatedSeries(series_log1p(order + 1).coeffs[1:], order)
-        got = one / log_over_t
-        assert got.coeffs == [1, F(1, 2), F(-1, 12), F(1, 24), F(-19, 720)]
-
-    def test_mul_div_roundtrip(self):
-        a = series_pow_binomial(F(2, 3), 6)
-        b = series_pow_binomial(F(-1, 5), 6)
-        assert (a * b) / b == a
-
-    def test_non_unit_division(self):
-        with pytest.raises(ZeroDivisionError):
-            TruncatedSeries([1], 3) / series_log1p(3)
+        assert gregory_values_exact(0, 4) == [1, F(1, 2), F(-1, 12), F(1, 24), F(-19, 720)]
 
 
 class TestGregoryPolynomials:
@@ -175,16 +161,6 @@ class TestGregoryPolynomials:
     def test_explicit_matches_recurrence(self):
         for n in range(1, 31):
             assert gregory_explicit(n) == gregory_polynomial(n)
-
-    def test_generating_function_with_polynomial_coefficients(self):
-        order = 12
-        binom_series = TruncatedSeries(
-            [binomial_polynomial(n) for n in range(order + 1)], order
-        )
-        log_over_t = TruncatedSeries(series_log1p(order + 1).coeffs[1:], order)
-        got = binom_series / log_over_t
-        for n in range(order + 1):
-            assert got.coeffs[n] == gregory_polynomial(n)
 
     def test_forward_difference_recurrence(self):
         # G_n(x) + G_{n-1}(x) = G_n(x+1), as polynomials
@@ -235,8 +211,18 @@ class TestGregoryPolynomials:
         lambda: gregory_polynomials(-3),
         lambda: bell(-1),
         lambda: g_seq(-1),
+        lambda: stirling_rows(-1),
+        lambda: stirling1_row_mod(-1, PrimeCtx(5)),
     ],
-    ids=["gregory_polynomial", "gregory_values_exact", "gregory_polynomials", "bell", "g_seq"],
+    ids=[
+        "gregory_polynomial",
+        "gregory_values_exact",
+        "gregory_polynomials",
+        "bell",
+        "g_seq",
+        "stirling_rows",
+        "stirling1_row_mod",
+    ],
 )
 def test_negative_order_rejected(call):
     with pytest.raises(ValueError):
@@ -421,21 +407,12 @@ class TestStirling:
         order = 8
         tri = stirling_rows(order)
         logs = series_log1p(order)
-        power = TruncatedSeries([1], order)
+        power = [1] + [0] * order
         for j in range(1, 4):
-            power = power * logs
-            series = TruncatedSeries(
-                [c / math.factorial(j) for c in power.coeffs], order
-            )
+            power = [sum(map(mul, power[: n + 1], logs[n::-1])) for n in range(order + 1)]
             for n in range(j, order + 1):
                 s1 = tri.s1[n][j] if j < len(tri.s1[n]) else 0
-                assert series.coeffs[n] == F((-1) ** (n - j) * s1, math.factorial(n))
-
-    def test_row_mod_matches_exact(self):
-        ctx = PrimeCtx(101)
-        tri = stirling_rows(12)
-        for n in range(13):
-            assert stirling1_row_mod(n, ctx) == [v % 101 for v in tri.s1[n]]
+                assert power[n] / math.factorial(j) == F((-1) ** (n - j) * s1, math.factorial(n))
 
     @pytest.mark.parametrize("p", sieve_primes(5, 60))
     def test_top_row_all_ones_mod_p(self, p):
@@ -454,5 +431,7 @@ class TestEulerOperator:
         assert check_euler_operator_ode(3, 30)
 
     def test_order_guard(self):
-        with pytest.raises(ValueError):
-            check_euler_operator_ode(3, 2)
+        # at r = 0 every term z^{rn} sits at z^0, and r < 0 gives no series
+        for r, order in [(3, 2), (0, 5), (-1, 5)]:
+            with pytest.raises(ValueError):
+                check_euler_operator_ode(r, order)
